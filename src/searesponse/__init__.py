@@ -38,7 +38,6 @@ from searesponse.gp import (
     fit_hyperparams,
     matern52,
     predict,
-    sample_posterior,
     train,
 )
 from searesponse.orderstats import (
@@ -48,7 +47,6 @@ from searesponse.orderstats import (
     compare_qoi,
     extract_yk,
     run_qoi,
-    topk_update,
 )
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
@@ -65,12 +63,9 @@ from searesponse.simulator import (
     wind_moment,
 )
 from searesponse.surrogate import (
-    GeneratedOutput,
     GPSettings,
     SurrogateModel,
-    generate_responses,
     load_surrogate,
-    predict_params,
     save_surrogate,
     train_surrogate,
 )
@@ -104,12 +99,11 @@ __all__ = [
     "build_training_table", "write_training_table", "load_training_table",
     # gp
     "KernelParams", "GPModel", "PredictiveMoments",
-    "matern52", "fit_hyperparams", "train", "predict", "sample_posterior",
+    "matern52", "fit_hyperparams", "train", "predict",
     # surrogate
-    "SurrogateModel", "GeneratedOutput", "GPSettings",
-    "train_surrogate", "predict_params", "generate_responses",
-    "save_surrogate", "load_surrogate",
+    "SurrogateModel", "GPSettings",
+    "train_surrogate", "save_surrogate", "load_surrogate",
     # order statistics
     "TopK", "QoiConfig", "QoiResult",
-    "topk_update", "extract_yk", "run_qoi", "compare_qoi",
+    "extract_yk", "run_qoi", "compare_qoi",
 ]

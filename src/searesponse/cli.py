@@ -61,15 +61,13 @@ from searesponse.weather import (
 
 logger = logging.getLogger(__name__)
 
-THREADS_ENV_VAR = "SEARESPONSE_THREADS"
-
 FORMAT_VERSIONS = {
     "weather_csv": 1,
     "sim_config": 1,
     "training_table": 1,
     "gp_model": MODEL_FORMAT_VERSION,
     "surrogate_bundle": BUNDLE_FORMAT_VERSION,
-    "qoi_result": 1,
+    "qoi_result": 2,
     "comparison_report": 1,
 }
 
@@ -79,24 +77,36 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
+def _written_by_us(out: Path) -> bool:
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        manifest = json.loads((out / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return False
+    return isinstance(manifest, dict) and manifest.get("tool") == "searesponse"
 
 
-def _prepare_out(path: str, force: bool) -> Path:
+def _check_out(path: str, force: bool) -> Path:
+    """Refuse an output directory the command may not write into: a
+    non-empty one without --force, and with --force one that holds no
+    searesponse manifest.json."""
     out = Path(path)
-    if out.exists():
-        if any(out.iterdir()) and not force:
+    if out.exists() and not out.is_dir():
+        raise ConfigurationError(f"output path {out} is not a directory")
+    if out.exists() and any(out.iterdir()):
+        if not force:
             raise ConfigurationError(f"output directory {out} is not empty (use --force to overwrite)")
-        if force:
-            for child in out.iterdir():
-                shutil.rmtree(child) if child.is_dir() else child.unlink()
-    else:
-        out.mkdir(parents=True)
+        if not _written_by_us(out):
+            raise ConfigurationError(f"refusing to clear {out}: it holds no searesponse manifest.json")
+    return out
+
+
+def _prepare_out(out: Path) -> Path:
+    """Empty a directory passed by _check_out, or create it; called once the
+    command's arguments and inputs have been checked."""
+    if out.exists():
+        for child in out.iterdir():
+            shutil.rmtree(child) if child.is_dir() else child.unlink()
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -156,7 +166,7 @@ def _resolve_weather(args: argparse.Namespace) -> tuple[list, dict, list[str]]:
 
 
 def cmd_weather(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     started = time.time()
     if args.weather_mode == "synth":
         records = synthesize_weather(args.hours, _box_from_args(args), args.seed)
@@ -166,7 +176,7 @@ def cmd_weather(args: argparse.Namespace) -> int:
         records = load_weather(args.path)
         seeds = {}
         inputs = [str(args.path)]
-    target = out / "weather.csv"
+    target = _prepare_out(out) / "weather.csv"
     write_weather(target, records)
     _write_manifest(out, f"weather {args.weather_mode}", args, seeds=seeds,
                     inputs=inputs, outputs=[str(target)], started=started,
@@ -176,13 +186,13 @@ def cmd_weather(args: argparse.Namespace) -> int:
 
 
 def cmd_trainset(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     started = time.time()
     cfg = _sim_config_from_args(args)
     box = _box_from_args(args)
     design = sample_uniform_inputs(args.n, box, args.seed)
-    table = build_training_table(design, args.m, cfg, args.seed, threads=args.threads)
-    target = out / "training_table.csv"
+    table = build_training_table(design, args.m, cfg, args.seed)
+    target = _prepare_out(out) / "training_table.csv"
     write_training_table(target, table)
     config_path = out / "sim_config.json"
     write_sim_config(config_path, cfg)
@@ -198,13 +208,13 @@ def cmd_trainset(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     started = time.time()
     table = load_training_table(args.table)
     family = DistFamily(args.family)
     settings = GPSettings(restarts=args.restarts, max_points=args.max_points)
     model = train_surrogate(table, family, settings, seed=args.seed, mode=args.mode)
-    save_surrogate(out, model)
+    save_surrogate(_prepare_out(out), model)
     files = sorted(p.name for p in out.glob("gp_*.json"))
     _write_manifest(out, "train", args, seeds={"seed": args.seed},
                     inputs=[str(args.table)],
@@ -215,11 +225,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     started = time.time()
     table = load_training_table(args.table)
     model = load_surrogate(args.bundle)
     evals = evaluate_surrogate(model, table.test_rows(), include_noise=args.include_noise)
+    _prepare_out(out)
     outputs = []
     summary = {"family": model.family.value, "n_test": len(evals[0].true), "targets": {}}
     for ev in evals:
@@ -241,7 +252,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_qoi(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     started = time.time()
     weather, extra_seeds, weather_inputs = _resolve_weather(args)
     if args.source == "simulator":
@@ -255,8 +266,8 @@ def cmd_qoi(args: argparse.Namespace) -> int:
     cfg = QoiConfig(k=args.k, n_hours=len(weather), realizations=args.m,
                     source=args.source, base_seed=args.seed,
                     theta_frozen=args.theta_frozen)
-    result = run_qoi(cfg, weather, model, threads=args.threads)
-    save_qoi_result(out, result)
+    result = run_qoi(cfg, weather, model)
+    save_qoi_result(_prepare_out(out), result)
     outputs = [str(out / n) for n in ("yk_samples.csv", "rank_summary.csv", "summary.json")]
     _write_manifest(out, "qoi", args, seeds={"seed": args.seed, **extra_seeds},
                     inputs=inputs, outputs=outputs, started=started,
@@ -268,12 +279,12 @@ def cmd_qoi(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out, args.force)
+    out = _check_out(args.out, args.force)
     started = time.time()
     a = load_qoi_result(args.candidate)
     b = load_qoi_result(args.reference)
     report = compare_qoi(a, b)
-    ranks_path = out / "rank_comparison.csv"
+    ranks_path = _prepare_out(out) / "rank_comparison.csv"
     with ranks_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "a_mean", "a_p2.5", "a_p97.5",
@@ -325,16 +336,13 @@ def _add_box_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"bounds for {name} [{unit}]")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True,
-                threads: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
     parser.add_argument("--out", required=True, help="output directory (created fresh)")
     parser.add_argument("--force", action="store_true",
-                        help="overwrite a non-empty output directory")
+                        help="overwrite a non-empty output directory that holds the "
+                             "manifest.json of an earlier searesponse run")
     if seed:
         parser.add_argument("--seed", type=int, required=True, help="base RNG seed (u64)")
-    if threads:
-        parser.add_argument("--threads", type=int, default=_default_threads(),
-                            help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trainset.add_argument("--m", type=int, required=True, help="simulator runs per point")
     p_trainset.add_argument("--sim-config", help="simulator configuration JSON")
     _add_box_flags(p_trainset)
-    _add_common(p_trainset, threads=True)
+    _add_common(p_trainset)
     p_trainset.set_defaults(func=cmd_trainset)
 
     p_train = sub.add_parser("train", help="train a surrogate bundle from a table")
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="draw surrogate parameter shifts once per realization "
                             "instead of per hour")
     _add_box_flags(p_qoi)
-    _add_common(p_qoi, threads=True)
+    _add_common(p_qoi)
     p_qoi.set_defaults(func=cmd_qoi)
 
     p_compare = sub.add_parser("compare", help="compare a candidate Y_k run against a reference")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -318,25 +317,19 @@ def build_training_table(
     m_runs: int,
     cfg: SimConfig,
     seed: int,
-    threads: int = 1,
 ) -> TrainingTable:
     """Run the simulator M times per design point, fit all three families
     per run, and aggregate into one row per point.
 
     A family that fails on any of the M runs is marked missing for that row
-    (the other families keep their data). Rows come back in design order
-    regardless of thread scheduling, and the 80/20 split is a seeded
-    shuffle, so the table is a pure function of (design, m_runs, cfg, seed).
+    (the other families keep their data). Rows come back in design order,
+    and the 80/20 split is a seeded shuffle, so the table is a pure
+    function of (design, m_runs, cfg, seed).
     """
     if m_runs < 2:
         raise ConfigurationError(f"m_runs must be >= 2 (std undefined), got {m_runs}")
     seeds = [[derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)] for i in range(len(design))]
-    if threads > 1 and len(design) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda args: _table_row(*args),
-                                 [(r, m_runs, cfg, seeds[i]) for i, r in enumerate(design)]))
-    else:
-        rows = [_table_row(r, m_runs, cfg, seeds[i]) for i, r in enumerate(design)]
+    rows = [_table_row(r, m_runs, cfg, seeds[i]) for i, r in enumerate(design)]
     n = len(rows)
     if n:
         rng = np.random.default_rng(derive_seed(seed, TAG_SPLIT))

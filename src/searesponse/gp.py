@@ -42,6 +42,8 @@ MAX_COORDINATE_PASSES = 15
 _GOLDEN_TOL = 1e-3  # log-space interval width
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+PREDICT_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -315,14 +317,20 @@ def predict_batch(model: GPModel, points: np.ndarray,
     """Posterior mean and std at many points (raw units).
 
     The predictive variance is epistemic only; include_noise adds the mean
-    training noise variance as a homoscedastic stand-in.
+    training noise variance as a homoscedastic stand-in. Rows are evaluated
+    PREDICT_BLOCK_ROWS at a time, which bounds the (n_train, rows) kernel
+    matrices for long weather sequences.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     points_std = (points - model.input_mean) / model.input_scale
-    kstar = matern52_matrix(model.train_inputs, points_std, model.kernel)
-    mean_std = kstar.T @ model.weights
-    half = solve_triangular(model.factor, kstar, lower=True, check_finite=False)
-    var = model.kernel.signal_variance - np.einsum("ij,ij->j", half, half)
+    mean_std = np.empty(len(points_std))
+    var = np.empty(len(points_std))
+    for start in range(0, len(points_std), PREDICT_BLOCK_ROWS):
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        kstar = matern52_matrix(model.train_inputs, points_std[rows], model.kernel)
+        mean_std[rows] = kstar.T @ model.weights
+        half = solve_triangular(model.factor, kstar, lower=True, check_finite=False)
+        var[rows] = model.kernel.signal_variance - np.einsum("ij,ij->j", half, half)
     if include_noise:
         var = var + float(np.mean(model.noise_variances))
     var = np.maximum(var, 0.0)
@@ -335,13 +343,6 @@ def predict(model: GPModel, x: np.ndarray, include_noise: bool = False) -> Predi
     """Posterior mean and std at one point, de-standardized to target units."""
     means, stds = predict_batch(model, np.atleast_2d(x), include_noise=include_noise)
     return PredictiveMoments(mean=float(means[0]), std=float(stds[0]))
-
-
-def sample_posterior(model: GPModel, x: np.ndarray, seed: int) -> float:
-    """One Gaussian draw from the predictive distribution at x."""
-    moments = predict(model, x)
-    rng = np.random.default_rng(seed)
-    return float(rng.normal(moments.mean, moments.std))
 
 
 def subsample_cap(n: int, n_max: int, seed: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Streams every hour's peak array (from the simulator or a surrogate) through
 a bounded top-k accumulator, repeats the whole sweep M times with derived
 seeds to estimate the distribution of Y_k, and compares candidate results
-against a reference run.
+against a reference run. The simulator gets one seed per (realization,
+hour); a surrogate gets one generator per realization.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import csv
 import heapq
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from searesponse.errors import ConfigurationError, InsufficientDataError, SchemaError
+from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import SimConfig, simulate
 from searesponse.surrogate import (
@@ -79,11 +79,6 @@ class TopK:
         return np.sort(np.asarray(self._heap, dtype=float))[::-1]
 
 
-def topk_update(acc: TopK, batch: Sequence[float]) -> TopK:
-    """Fold a batch of responses into the accumulator."""
-    return acc.update(batch)
-
-
 def extract_yk(acc: TopK) -> float:
     """The kth-largest value seen: the smallest retained value."""
     if len(acc) < acc.k:
@@ -130,12 +125,9 @@ class QoiResult:
     total_count: int
 
 
-def _one_realization(batches, k: int, m: int) -> tuple[np.ndarray, int]:
+def _one_realization(sweep: Callable[[int, TopK], int], k: int, m: int) -> tuple[np.ndarray, int]:
     acc = TopK(k)
-    total = 0
-    for peaks in batches:
-        total += len(peaks)
-        acc.update(peaks)
+    total = sweep(m, acc)
     if len(acc) < k:
         raise InsufficientDataError(
             f"realization {m}: only {len(acc)} peaks total, need {k} for Y_{k}"
@@ -147,14 +139,15 @@ def run_qoi(
     cfg: QoiConfig,
     weather: Sequence[WeatherRecord],
     model: Union[SimConfig, SurrogateModel],
-    threads: int = 1,
 ) -> QoiResult:
     """Estimate the distribution of Y_k by M full sweeps over the weather.
 
-    Every (realization, hour) pair gets a seed derived from the base seed,
-    so results are a pure function of (cfg, weather, model) and independent
-    of thread scheduling. The weather sequence is fixed across
-    realizations; only the seeds vary.
+    The simulator runs each (realization, hour) pair on a seed derived from
+    the base seed; a surrogate draws each realization from one generator
+    seeded by (base seed, realization), after predicting the GP moments
+    once for the whole sequence. Results are a pure function of (cfg,
+    weather, model). The weather sequence is fixed across realizations;
+    only the seeds vary.
     """
     if len(weather) != cfg.n_hours:
         raise ConfigurationError(f"weather length {len(weather)} != configured n_hours {cfg.n_hours}")
@@ -162,45 +155,29 @@ def run_qoi(
         if cfg.source != SOURCE_SIMULATOR:
             raise ConfigurationError(f"source {cfg.source!r} does not match a SimConfig model")
 
-        def realization_batches(m: int):
+        def sweep(m: int, acc: TopK) -> int:
+            total = 0
             for i, record in enumerate(weather):
-                yield simulate(record, model, derive_seed(cfg.base_seed, TAG_QOI, m, i)).peaks
+                peaks = simulate(record, model, derive_seed(cfg.base_seed, TAG_QOI, m, i)).peaks
+                total += len(peaks)
+                acc.update(peaks)
+            return total
 
     elif isinstance(model, SurrogateModel):
         if cfg.source != SOURCE_SURROGATE:
             raise ConfigurationError(f"source {cfg.source!r} does not match a SurrogateModel")
-        # GP moments depend only on the hour, not the realization: compute
-        # them once for the whole sequence. The draws themselves still run
-        # per (realization, hour) with the same seeds and sampling path as
-        # generate_responses, so output is identical to the per-record API.
-        theta_moments, l_moments = predict_moments_batch(model, records_to_array(weather))
-        n_params = len(model.family.param_names)
+        moments = predict_moments_batch(model, records_to_array(weather))
 
-        def realization_batches(m: int):
-            shifts = None
-            if cfg.theta_frozen:
-                shift_rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
-                shifts = shift_rng.standard_normal(n_params)
-            for i in range(len(weather)):
-                out = generate_from_moments(
-                    model.family, theta_moments[i], l_moments[i], model.mode,
-                    derive_seed(cfg.base_seed, TAG_QOI, m, i),
-                    frozen_shifts=shifts,
-                )
-                yield out.peaks
+        def sweep(m: int, acc: TopK) -> int:
+            rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
+            draw = generate_from_moments(model.family, moments, model.mode, rng, acc.update,
+                                         theta_frozen=cfg.theta_frozen)
+            return int(draw.counts.sum())
 
     else:
         raise ConfigurationError(f"model must be SimConfig or SurrogateModel, got {type(model)!r}")
 
-    def one(m: int):
-        return _one_realization(realization_batches(m), cfg.k, m)
-
-    if threads > 1 and cfg.realizations > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(cfg.realizations)))
-    else:
-        results = [one(m) for m in range(cfg.realizations)]
-
+    results = [_one_realization(sweep, cfg.k, m) for m in range(cfg.realizations)]
     ranks = np.vstack([r[0] for r in results])          # (M, k)
     total = int(sum(r[1] for r in results))
     p025, p975 = np.percentile(ranks, [2.5, 97.5], axis=0)
@@ -263,6 +240,8 @@ def compare_qoi(a: QoiResult, b: QoiResult) -> ComparisonReport:
         raise ConfigurationError(f"cannot compare k={a.k} against k={b.k}")
     a_yk = _yk_summary(a.yk_samples)
     b_yk = _yk_summary(b.yk_samples)
+    if b_yk.mean == 0.0:
+        raise DataError("reference mean Y_k is 0; the relative difference is undefined")
     diff = (a_yk.mean - b_yk.mean) / abs(b_yk.mean)
     within = (a.rank_means >= b.rank_p025) & (a.rank_means <= b.rank_p975)
     gaps = np.abs(b.rank_means - a_yk.mean)
@@ -309,29 +288,43 @@ def save_qoi_result(directory: str | Path, result: QoiResult) -> None:
     (directory / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
+def _read_csv(path: Path, header: Sequence[str]) -> list[list[float]]:
+    """Rows of a result CSV as floats, after its header is checked."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != list(header):
+            raise SchemaError(f"{path}: unexpected header {found}")
+        try:
+            return [[float(v) for v in row] for row in reader if row]
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}")
+
+
 def load_qoi_result(directory: str | Path) -> QoiResult:
     directory = Path(directory)
     summary_path = directory / "summary.json"
     if not summary_path.exists():
         raise SchemaError(f"{directory}: missing summary.json")
-    summary = json.loads(summary_path.read_text())
-    with (directory / "yk_samples.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["realization", "yk"]:
-            raise SchemaError(f"{directory}/yk_samples.csv: unexpected header {header}")
-        yk_samples = np.array([float(row[1]) for row in reader if row])
-    with (directory / "rank_summary.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RANK_SUMMARY_COLUMNS:
-            raise SchemaError(f"{directory}/rank_summary.csv: unexpected header {header}")
-        rows = [row for row in reader if row]
-    means = np.array([float(r[1]) for r in rows])
-    p025 = np.array([float(r[2]) for r in rows])
-    p975 = np.array([float(r[3]) for r in rows])
+    try:
+        summary = json.loads(summary_path.read_text())
+        k, realizations = int(summary["k"]), int(summary["realizations"])
+        source, base_seed = summary["source"], int(summary["base_seed"])
+        total_count = int(summary["total_count"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{summary_path}: malformed summary: {exc}")
+    if k < 1 or realizations < 1:
+        raise SchemaError(f"{summary_path}: k and realizations must be >= 1")
+    yk_rows = _read_csv(directory / "yk_samples.csv", ("realization", "yk"))
+    rank_rows = _read_csv(directory / "rank_summary.csv", RANK_SUMMARY_COLUMNS)
+    for name, rows, expected, width in (("yk_samples.csv", yk_rows, realizations, 2),
+                                        ("rank_summary.csv", rank_rows, k, 4)):
+        if len(rows) != expected or any(len(row) != width for row in rows):
+            raise SchemaError(f"{directory}/{name}: expected {expected} rows of {width} values")
+    ranks = np.array(rank_rows)
     return QoiResult(
-        k=int(summary["k"]), source=summary["source"], base_seed=int(summary["base_seed"]),
-        yk_samples=yk_samples, rank_means=means, rank_p025=p025, rank_p975=p975,
-        total_count=int(summary["total_count"]),
+        k=k, source=source, base_seed=base_seed,
+        yk_samples=np.array([row[1] for row in yk_rows]),
+        rank_means=ranks[:, 1], rank_p025=ranks[:, 2], rank_p975=ranks[:, 3],
+        total_count=total_count,
     )

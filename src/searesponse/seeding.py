@@ -1,8 +1,9 @@
 """Deterministic 64-bit seed derivation.
 
 Every stochastic stage takes one explicit base seed; per-task seeds are
-derived with the splitmix64 finalizer so that (realization, hour) pairs map
-to independent streams regardless of execution order or thread count.
+derived with the splitmix64 finalizer, so each task owns an independent
+stream whatever the order the tasks run in: one per (realization, hour)
+for the simulator, one per realization for a surrogate.
 """
 
 _MASK = (1 << 64) - 1
@@ -14,9 +15,6 @@ TAG_DESIGN = 0x22
 TAG_SIM = 0x33
 TAG_SPLIT = 0x44
 TAG_GP_INIT = 0x55
-TAG_THETA = 0x66
-TAG_COUNT = 0x77
-TAG_VALUES = 0x88
 TAG_QOI = 0x99
 TAG_SUBSAMPLE = 0xAA
 

@@ -3,9 +3,12 @@ peak count from weather inputs, then regenerate synthetic peak samples.
 
 One GP per target (each distribution parameter plus the count L), trained
 on the table's per-point means with the per-point standard deviations
-squared as heteroscedastic noise. Generation either uses posterior means
-("point" mode) or draws the parameters from each GP's predictive Gaussian
-("sample" mode), then draws L values from the resulting distribution.
+squared as heteroscedastic noise. predict_moments_batch evaluates every GP
+once over a weather sequence; generate_from_moments then draws one
+realization over the whole sequence from a single generator. Parameters
+are either the posterior means ("point" mode) or draws from each GP's
+predictive Gaussian ("sample" mode); L values are drawn from the resulting
+distribution.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -24,14 +27,12 @@ from searesponse.gp import (
     GPModel,
     fit_hyperparams,
     load_model,
-    predict,
     predict_batch,
     save_model,
     subsample_cap,
     train,
 )
-from searesponse.seeding import TAG_COUNT, TAG_THETA, TAG_VALUES, derive_seed
-from searesponse.weather import WeatherRecord
+from searesponse.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +43,10 @@ MODE_POINT = "point"
 MODE_SAMPLE = "sample"
 
 COUNT_TARGET = "l_count"
+
+# Hours of peak values drawn per call; bounds memory only, since the values
+# do not depend on it.
+DRAW_BLOCK_HOURS = 64
 
 # Relative positivity floors per parameter (fraction of the predicted mean
 # magnitude), applied with a resample-once policy in sample mode. Scale-type
@@ -82,22 +87,6 @@ class SurrogateModel:
                 f"{self.family.value} needs one model per parameter {expected}, "
                 f"got {tuple(self.param_models)}"
             )
-
-
-@dataclass
-class GeneratedOutput:
-    """Synthetic counterpart of a simulator run; same peaks-array shape."""
-
-    peaks: np.ndarray
-    mode: str
-    seed: int
-
-    def __post_init__(self):
-        self.peaks = np.asarray(self.peaks, dtype=float)
-
-    @property
-    def count(self) -> int:
-        return len(self.peaks)
 
 
 def train_surrogate(
@@ -141,110 +130,80 @@ def train_surrogate(
     return SurrogateModel(family=family, param_models=models, l_model=l_model, mode=mode)
 
 
-def _draw_theta(mean: float, std: float, floor_factor: Optional[float], mode: str,
-                rng: np.random.Generator, frozen_shift: Optional[float]) -> float:
-    floor = None if floor_factor is None else floor_factor * abs(mean)
-    if mode == MODE_POINT:
-        value = mean
-    elif frozen_shift is not None:
-        value = mean + frozen_shift * std
-    else:
-        value = float(rng.normal(mean, std))
-        if floor is not None and value < floor:
-            value = float(rng.normal(mean, std))  # resample once, then clamp
-    if floor is not None and value < floor:
-        value = floor
-    return value
+class SurrogateMoments(NamedTuple):
+    """GP predictive moments over a sequence of weather hours."""
+
+    theta_mean: np.ndarray   # (n_hours, p), one column per parameter
+    theta_std: np.ndarray
+    l_mean: np.ndarray       # (n_hours,)
+    l_std: np.ndarray
 
 
-def _moments_at(model: SurrogateModel, x: np.ndarray):
-    theta = [predict(gp, x) for gp in model.param_models.values()]
-    count = predict(model.l_model, x)
-    return [(m.mean, m.std) for m in theta], (count.mean, count.std)
+class SurrogateDraw(NamedTuple):
+    """The parameters and counts one realization drew, per hour."""
+
+    theta: np.ndarray        # (n_hours, p)
+    counts: np.ndarray       # (n_hours,), int
+
+
+def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray) -> SurrogateMoments:
+    """Predictive moments of every target over an (n, 3) input array, one
+    predict_batch call per GP."""
+    inputs = np.atleast_2d(inputs)
+    theta = [predict_batch(gp_model, inputs) for gp_model in model.param_models.values()]
+    l_mean, l_std = predict_batch(model.l_model, inputs)
+    return SurrogateMoments(
+        theta_mean=np.column_stack([mean for mean, _ in theta]),
+        theta_std=np.column_stack([std for _, std in theta]),
+        l_mean=l_mean, l_std=l_std,
+    )
 
 
 def generate_from_moments(
     family: DistFamily,
-    theta_moments: Sequence[tuple[float, float]],
-    l_moments: tuple[float, float],
+    moments: SurrogateMoments,
     mode: str,
-    seed: int,
-    frozen_shifts: Optional[np.ndarray] = None,
-) -> GeneratedOutput:
-    """Draw (theta, L, peak values) from precomputed predictive moments.
+    rng: np.random.Generator,
+    sink: Callable[[np.ndarray], object],
+    theta_frozen: bool = False,
+) -> SurrogateDraw:
+    """Draw one realization of synthetic peaks over all hours of `moments`.
 
-    This is the single sampling path: generate_responses routes through it
-    after a per-point GP prediction, and the order-statistics driver routes
-    through it with moments precomputed for a whole weather sequence, so
-    both produce identical output for identical seeds.
+    From the one generator `rng`, in this order: the parameter shifts
+    (theta_frozen, sample mode only), theta for all hours, all counts, then
+    the peak values, passed to `sink` DRAW_BLOCK_HOURS hours at a time in
+    hour order. Point mode uses the posterior means as theta; sample mode
+    draws each parameter from its predictive Gaussian, or shifts it by a
+    per-realization standard-normal multiple of its std when theta_frozen.
+    A sample-mode draw below its parameter's relative floor is drawn once
+    more; every mode then clamps theta to the floor. Each count is
+    N(l_mean, l_std) rounded and clamped at zero. numpy draws array-parameter values element by element, so the
+    values do not depend on the block size.
     """
-    theta = []
-    for j, (mean, std) in enumerate(theta_moments):
-        rng = np.random.default_rng(derive_seed(seed, TAG_THETA, j))
-        shift = None if frozen_shifts is None else float(frozen_shifts[j])
-        theta.append(_draw_theta(mean, std, _FLOOR_FACTORS[family][j], mode, rng, shift))
-    rng = np.random.default_rng(derive_seed(seed, TAG_COUNT))
-    count = int(np.rint(rng.normal(l_moments[0], l_moments[1])))
-    count = max(count, 0)
-    rng = np.random.default_rng(derive_seed(seed, TAG_VALUES))
-    if count == 0:
-        values = np.empty(0)
-    elif family is DistFamily.GUMBEL:
-        values = rng.gumbel(theta[0], theta[1], size=count)
-    elif family is DistFamily.RAYLEIGH:
-        values = rng.rayleigh(theta[0], size=count)
+    mean, std = moments.theta_mean, moments.theta_std
+    factors = _FLOOR_FACTORS[family]
+    floor = np.where([f is not None for f in factors],
+                     np.array([f or 0.0 for f in factors]) * np.abs(mean), -np.inf)
+    if mode == MODE_POINT:
+        theta = mean
+    elif theta_frozen:
+        theta = mean + rng.standard_normal(mean.shape[1]) * std
     else:
-        values = theta[1] * rng.weibull(theta[0], size=count)
-    return GeneratedOutput(peaks=values, mode=mode, seed=seed)
-
-
-def predict_params(model: SurrogateModel, x: WeatherRecord, seed: int,
-                   frozen_shifts: Optional[np.ndarray] = None) -> tuple[tuple[float, ...], int]:
-    """Map one weather record to distribution parameters and a count draw.
-
-    Point mode returns posterior means for theta; sample mode draws each
-    parameter from its predictive Gaussian (independently across
-    parameters). L is drawn from its predictive Gaussian in both modes,
-    rounded and clamped to >= 0; scale-type parameters are clamped to a
-    relative floor with a resample-once policy in sample mode.
-    """
-    point = np.array([x.hs, x.tp, x.vw])
-    theta_moments, l_moments = _moments_at(model, point)
-    theta = []
-    for j, (mean, std) in enumerate(theta_moments):
-        rng = np.random.default_rng(derive_seed(seed, TAG_THETA, j))
-        shift = None if frozen_shifts is None else float(frozen_shifts[j])
-        theta.append(_draw_theta(mean, std, _FLOOR_FACTORS[model.family][j], model.mode, rng, shift))
-    rng = np.random.default_rng(derive_seed(seed, TAG_COUNT))
-    count = max(int(np.rint(rng.normal(l_moments[0], l_moments[1]))), 0)
-    return tuple(theta), count
-
-
-def generate_responses(model: SurrogateModel, x: WeatherRecord, seed: int,
-                       frozen_shifts: Optional[np.ndarray] = None) -> GeneratedOutput:
-    """One surrogate stand-in for a simulator run at weather record x."""
-    point = np.array([x.hs, x.tp, x.vw])
-    theta_moments, l_moments = _moments_at(model, point)
-    return generate_from_moments(model.family, theta_moments, l_moments,
-                                 model.mode, seed, frozen_shifts)
-
-
-def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray):
-    """Predictive moments for all targets over an (n, 3) input array.
-
-    Returns (theta_moments, l_moments) where theta_moments[i] is a list of
-    (mean, std) per parameter for row i, and l_moments[i] likewise for L.
-    Each row goes through the same single-point prediction path as
-    generate_responses, so cached moments are bit-identical to per-record
-    calls (BLAS results differ across batch shapes at the last ulp).
-    """
-    inputs = np.atleast_2d(inputs)
-    theta, counts = [], []
-    for row in inputs:
-        theta_m, l_m = _moments_at(model, row)
-        theta.append(theta_m)
-        counts.append(l_m)
-    return theta, counts
+        theta = rng.normal(mean, std)
+        low = theta < floor
+        theta[low] = rng.normal(mean[low], std[low])
+    theta = np.maximum(theta, floor)
+    counts = np.maximum(np.rint(rng.normal(moments.l_mean, moments.l_std)), 0.0).astype(np.int64)
+    for start in range(0, len(counts), DRAW_BLOCK_HOURS):
+        hours = slice(start, start + DRAW_BLOCK_HOURS)
+        params = np.repeat(theta[hours], counts[hours], axis=0)
+        if family is DistFamily.GUMBEL:
+            sink(rng.gumbel(params[:, 0], params[:, 1]))
+        elif family is DistFamily.RAYLEIGH:
+            sink(rng.rayleigh(params[:, 0]))
+        else:
+            sink(params[:, 1] * rng.weibull(params[:, 0]))
+    return SurrogateDraw(theta=theta, counts=counts)
 
 
 @dataclass
@@ -315,7 +274,12 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
     manifest_path = directory / "bundle.json"
     if not manifest_path.exists():
         raise SchemaError(f"{directory}: missing bundle.json")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{manifest_path}: not valid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise SchemaError(f"{directory}: unsupported bundle version {manifest.get('format_version')!r}")
     try:
@@ -324,6 +288,6 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
         files = manifest["files"]
         param_models = {name: load_model(directory / files[name]) for name in family.param_names}
         l_model = load_model(directory / files[COUNT_TARGET])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{directory}: malformed bundle: {exc}")
     return SurrogateModel(family=family, param_models=param_models, l_model=l_model, mode=mode)

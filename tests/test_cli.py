@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,30 @@ class TestWeatherCommand:
                          "--out", str(out), "--force"]) == 0
 
 
+class TestForce:
+    def test_force_keeps_files_it_did_not_write(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "thesis.tex").write_text("chapter 1")
+        code = cli.main(["weather", "synth", "--hours", "8", "--seed", "1",
+                         "--out", str(out), "--force"])
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == ["thesis.tex"]
+
+    def test_bad_arguments_leave_output_untouched(self, tmp_path, fast_config_path):
+        out = tmp_path / "d"
+        assert cli.main(["qoi", "--source", "simulator", "--hours", "4", "--k", "2",
+                         "--m", "1", "--seed", "1", "--sim-config", fast_config_path,
+                         "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        wout = tmp_path / "w"
+        cli.main(["weather", "synth", "--hours", "5", "--seed", "5", "--out", str(wout)])
+        code = cli.main(["qoi", "--source", "simulator", "--weather", str(wout / "weather.csv"),
+                         "--hours", "5", "--m", "1", "--seed", "1", "--out", str(out), "--force"])
+        assert code == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestTrainsetCommand:
     def test_smoke_run_has_positive_scales(self, tmp_path, fast_config_path):
         out = tmp_path / "t"
@@ -181,6 +206,18 @@ class TestQoiCommand:
                          "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
+    def test_corrupt_bundle_json_is_data_error(self, tmp_path, bundle_path, content):
+        bundle = tmp_path / "b"
+        bundle.mkdir()
+        for f in Path(bundle_path).glob("gp_*.json"):
+            (bundle / f.name).write_bytes(f.read_bytes())
+        (bundle / "bundle.json").write_text(content)
+        code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
+                         "--hours", "4", "--seed", "2", "--bundle", str(bundle),
+                         "--out", str(tmp_path / "q")])
+        assert code == 3
+
     def test_surrogate_without_bundle_is_usage_error(self, tmp_path):
         code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
                          "--hours", "24", "--seed", "2", "--out", str(out := tmp_path / "q")])
@@ -227,3 +264,40 @@ class TestCompareCommand:
         code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                          "--out", str(tmp_path / "c")])
         assert code == 3
+
+
+class TestCompareInputs:
+    """compare ends with exit 3 on result files that do not hold their
+    summary's k ranks and M realizations."""
+
+    @pytest.fixture()
+    def run(self, tmp_path, fast_config_path):
+        run = tmp_path / "run"
+        assert cli.main(["qoi", "--source", "simulator", "--hours", "6", "--k", "3",
+                         "--m", "2", "--seed", "11", "--sim-config", fast_config_path,
+                         "--out", str(run)]) == 0
+        return run
+
+    def _compare(self, tmp_path, run):
+        return cli.main(["compare", str(run), str(run), "--out", str(tmp_path / "cmp")])
+
+    def test_short_rank_summary(self, tmp_path, run):
+        path = run / "rank_summary.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        assert self._compare(tmp_path, run) == 3
+
+    def test_short_yk_samples(self, tmp_path, run):
+        path = run / "yk_samples.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        assert self._compare(tmp_path, run) == 3
+
+    def test_unparsable_value(self, tmp_path, run):
+        path = run / "rank_summary.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "1,abc,1.0,2.0\n"
+        path.write_text("".join(lines))
+        assert self._compare(tmp_path, run) == 3
+
+    def test_zero_reference_mean(self, tmp_path, run):
+        (run / "yk_samples.csv").write_text("realization,yk\n0,0.0\n1,0.0\n")
+        assert self._compare(tmp_path, run) == 3

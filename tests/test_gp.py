@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from searesponse import gp
+from searesponse.distfit import DistFamily
 from searesponse.errors import ConfigurationError, NumericError
+from searesponse.surrogate import MODE_SAMPLE, SurrogateMoments, generate_from_moments
 
 
 def make_dataset(rng, n, noise=0.05, d=3):
@@ -184,6 +186,19 @@ class TestPredict:
         assert gp.predict(model, q, include_noise=True).std > gp.predict(model, q).std
 
 
+def posterior_draws(model, q, seed, n=1):
+    """n draws from the predictive Gaussian at q through the surrogate
+    sampling path: the GP's moments at q serve as a Gumbel location (a
+    parameter without a floor) at each of n hours of one realization."""
+    m = gp.predict(model, q)
+    moments = SurrogateMoments(theta_mean=np.tile([m.mean, 1.0], (n, 1)),
+                               theta_std=np.tile([m.std, 0.0], (n, 1)),
+                               l_mean=np.zeros(n), l_std=np.zeros(n))
+    draw = generate_from_moments(DistFamily.GUMBEL, moments, MODE_SAMPLE,
+                                 np.random.default_rng(seed), lambda values: None)
+    return draw.theta[:, 0]
+
+
 class TestSamplePosterior:
     def test_near_zero_std_returns_mean(self, rng):
         x, y, _ = make_dataset(rng, 15, noise=0.0)
@@ -191,7 +206,7 @@ class TestSamplePosterior:
         m = gp.predict(model, x[3])
         prior_std = model.target_scale * math.sqrt(model.kernel.signal_variance)
         assert m.std < 1e-3 * prior_std
-        draw = gp.sample_posterior(model, x[3], seed=99)
+        draw = posterior_draws(model, x[3], seed=99)[0]
         assert abs(draw - m.mean) <= 5.0 * m.std
 
     def test_exactly_zero_std_is_degenerate_draw(self):
@@ -202,15 +217,15 @@ class TestSamplePosterior:
         x, y, nv = make_dataset(rng, 15)
         model = gp.train(x, y, nv, gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
         q = np.array([5.0, 5.0, 5.0])
-        assert gp.sample_posterior(model, q, seed=1) == gp.sample_posterior(model, q, seed=1)
-        assert gp.sample_posterior(model, q, seed=1) != gp.sample_posterior(model, q, seed=2)
+        assert posterior_draws(model, q, seed=1) == posterior_draws(model, q, seed=1)
+        assert posterior_draws(model, q, seed=1) != posterior_draws(model, q, seed=2)
 
     def test_monte_carlo_closure(self, rng):
         x, y, nv = make_dataset(rng, 5, noise=0.4)
         model = gp.train(x, y, nv, gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
         q = np.array([4.0, 6.0, 5.0])
         m = gp.predict(model, q)
-        draws = np.array([gp.sample_posterior(model, q, seed=s) for s in range(100_000)])
+        draws = posterior_draws(model, q, seed=0, n=100_000)
         assert draws.mean() == pytest.approx(m.mean, abs=0.01 * max(abs(m.mean), m.std))
         assert draws.std() == pytest.approx(m.std, rel=0.01)
 

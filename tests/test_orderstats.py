@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from searesponse.distfit import DistFamily
-from searesponse.errors import ConfigurationError, InsufficientDataError
+from searesponse.errors import ConfigurationError, DataError, InsufficientDataError
 from searesponse.orderstats import (
     QoiConfig,
     QoiResult,
@@ -12,18 +12,24 @@ from searesponse.orderstats import (
     load_qoi_result,
     run_qoi,
     save_qoi_result,
-    topk_update,
 )
+from searesponse import surrogate
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import simulate
-from searesponse.surrogate import GPSettings, generate_responses, train_surrogate
-from searesponse.weather import synthesize_weather
+from searesponse.surrogate import (
+    GPSettings,
+    SCALE_FLOOR_FACTOR,
+    SHAPE_FLOOR_FACTOR,
+    predict_moments_batch,
+    train_surrogate,
+)
+from searesponse.weather import records_to_array, synthesize_weather
 
 
 class TestTopK:
     def test_hand_checked_insertions(self):
         acc = TopK(2)
-        topk_update(acc, [5.0, 1.0, 9.0, 3.0, 9.0])
+        acc.update([5.0, 1.0, 9.0, 3.0, 9.0])
         assert sorted(acc.values_descending()) == [9.0, 9.0]
         assert extract_yk(acc) == 9.0
 
@@ -31,7 +37,7 @@ class TestTopK:
         values = rng.uniform(0.0, 1.0, 1_000_000)
         acc = TopK(100)
         for chunk in np.array_split(values, 997):
-            topk_update(acc, chunk)
+            acc.update(chunk)
         expected = np.sort(values)[::-1][:100]
         np.testing.assert_array_equal(acc.values_descending(), expected)
         assert extract_yk(acc) == expected[-1]
@@ -43,15 +49,15 @@ class TestTopK:
             values = rng.integers(0, 50, n).astype(float)  # many ties
             acc = TopK(k)
             split = int(rng.integers(0, n + 1))
-            topk_update(acc, values[:split])
-            topk_update(acc, values[split:])
+            acc.update(values[:split])
+            acc.update(values[split:])
             np.testing.assert_array_equal(acc.values_descending(), np.sort(values)[::-1][:k])
 
     def test_empty_batch_unchanged(self):
         acc = TopK(3)
-        topk_update(acc, [4.0, 2.0])
+        acc.update([4.0, 2.0])
         before = sorted(acc.values_descending())
-        topk_update(acc, [])
+        acc.update([])
         assert sorted(acc.values_descending()) == before
 
     def test_merge_equals_concatenated_stream(self, rng):
@@ -72,7 +78,7 @@ class TestTopK:
 
     def test_extract_with_deficit(self):
         acc = TopK(3)
-        topk_update(acc, [1.0, 2.0])
+        acc.update([1.0, 2.0])
         with pytest.raises(InsufficientDataError) as err:
             extract_yk(acc)
         assert "deficit 1" in str(err.value)
@@ -90,6 +96,11 @@ class TestTopK:
 @pytest.fixture(scope="module")
 def short_weather():
     return synthesize_weather(10, seed=71)
+
+
+@pytest.fixture(scope="module")
+def weibull_model(small_table):
+    return train_surrogate(small_table, DistFamily.WEIBULL, GPSettings(restarts=2), seed=7)
 
 
 class TestRunQoi:
@@ -112,10 +123,10 @@ class TestRunQoi:
             expected = np.sort(pool)[::-1][k - 1]
             assert result.yk_samples[m] == expected
 
-    def test_deterministic_and_thread_invariant(self, short_weather, fast_sim_config):
+    def test_deterministic_on_rerun(self, short_weather, fast_sim_config):
         cfg = QoiConfig(k=5, n_hours=10, realizations=4, source="simulator", base_seed=23)
-        a = run_qoi(cfg, short_weather, fast_sim_config, threads=1)
-        b = run_qoi(cfg, short_weather, fast_sim_config, threads=3)
+        a = run_qoi(cfg, short_weather, fast_sim_config)
+        b = run_qoi(cfg, short_weather, fast_sim_config)
         np.testing.assert_array_equal(a.yk_samples, b.yk_samples)
         np.testing.assert_array_equal(a.rank_means, b.rank_means)
         assert a.total_count == b.total_count
@@ -142,16 +153,40 @@ class TestRunQoi:
         with pytest.raises(ConfigurationError):
             run_qoi(cfg, short_weather, fast_sim_config)
 
-    def test_surrogate_path_equals_per_record_api(self, short_weather, small_table):
-        model = train_surrogate(small_table, DistFamily.RAYLEIGH, GPSettings(restarts=2), seed=7)
+    def test_surrogate_path_equals_reference_loop(self, short_weather, weibull_model):
+        # One generator per realization: theta for all hours, then all
+        # counts, then the peak values drawn one hour at a time.
         cfg = QoiConfig(k=5, n_hours=10, realizations=3, source="surrogate", base_seed=29)
-        result = run_qoi(cfg, short_weather, model)
+        result = run_qoi(cfg, short_weather, weibull_model)
+        moments = predict_moments_batch(weibull_model, records_to_array(short_weather))
+        mean, std = moments.theta_mean, moments.theta_std
+        floor = np.array([SHAPE_FLOOR_FACTOR, SCALE_FLOOR_FACTOR]) * np.abs(mean)
+        total = 0
         for m in range(3):
-            pool = np.concatenate([
-                generate_responses(model, rec, derive_seed(29, TAG_QOI, m, i)).peaks
-                for i, rec in enumerate(short_weather)
-            ])
+            rng = np.random.default_rng(derive_seed(29, TAG_QOI, m))
+            theta = rng.normal(mean, std)
+            for i, j in zip(*np.nonzero(theta < floor)):
+                theta[i, j] = rng.normal(mean[i, j], std[i, j])
+            theta = np.maximum(theta, floor)
+            counts = np.maximum(np.rint(rng.normal(moments.l_mean, moments.l_std)), 0).astype(int)
+            pool = np.concatenate([theta[i, 1] * rng.weibull(theta[i, 0], size=counts[i])
+                                   for i in range(10)])
             assert result.yk_samples[m] == np.sort(pool)[::-1][4]
+            total += len(pool)
+        assert result.total_count == total
+
+    @pytest.mark.parametrize("block", [1, 7, 600])
+    def test_surrogate_block_size_invariance(self, block, weibull_model, monkeypatch):
+        weather = synthesize_weather(600, seed=72)
+        cfg = QoiConfig(k=20, n_hours=600, realizations=3, source="surrogate", base_seed=31)
+        default = run_qoi(cfg, weather, weibull_model)
+        monkeypatch.setattr(surrogate, "DRAW_BLOCK_HOURS", block)
+        blocked = run_qoi(cfg, weather, weibull_model)
+        np.testing.assert_array_equal(blocked.yk_samples, default.yk_samples)
+        np.testing.assert_array_equal(blocked.rank_means, default.rank_means)
+        np.testing.assert_array_equal(blocked.rank_p025, default.rank_p025)
+        np.testing.assert_array_equal(blocked.rank_p975, default.rank_p975)
+        assert blocked.total_count == default.total_count
 
     def test_theta_frozen_mode(self, short_weather, small_table):
         model = train_surrogate(small_table, DistFamily.RAYLEIGH, GPSettings(restarts=2), seed=7)
@@ -215,6 +250,12 @@ class TestCompareQoi:
         a = _fake_result([3.0, 2.0], [2.0, 2.0])
         b = _fake_result([3.0, 2.0, 1.0], [1.0, 1.0])
         with pytest.raises(ConfigurationError):
+            compare_qoi(a, b)
+
+    def test_zero_reference_mean_is_data_error(self):
+        a = _fake_result([3.0, 2.0], [2.0, 2.0])
+        b = _fake_result([0.5, 0.0], [0.0, 0.0])
+        with pytest.raises(DataError):
             compare_qoi(a, b)
 
     def test_band_overlap_fraction(self):

@@ -7,26 +7,46 @@ from scipy import stats
 from searesponse import gp
 from searesponse.distfit import DistFamily, TrainingRow, TrainingTable, fit_family
 from searesponse.errors import ConfigurationError, InsufficientDataError
-from searesponse.seeding import derive_seed
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
-    COUNT_TARGET,
     MODE_POINT,
     MODE_SAMPLE,
+    SCALE_FLOOR_FACTOR,
     GPSettings,
-    SurrogateModel,
+    SurrogateMoments,
     evaluate_surrogate,
     generate_from_moments,
-    generate_responses,
     load_surrogate,
     predict_moments_batch,
-    predict_params,
     save_surrogate,
     train_surrogate,
 )
-from searesponse.weather import WeatherRecord, sample_uniform_inputs
+from searesponse.weather import WeatherRecord, records_to_array, sample_uniform_inputs
 
 SETTINGS = GPSettings(restarts=2)
+
+
+def fixed_moments(theta, l_moments, n_hours=1):
+    """The same (mean, std) per parameter and for L at every hour."""
+    theta = np.asarray(theta, dtype=float)
+    return SurrogateMoments(
+        theta_mean=np.tile(theta[:, 0], (n_hours, 1)),
+        theta_std=np.tile(theta[:, 1], (n_hours, 1)),
+        l_mean=np.full(n_hours, float(l_moments[0])),
+        l_std=np.full(n_hours, float(l_moments[1])),
+    )
+
+
+def draw(family, moments, mode, seed, theta_frozen=False):
+    """One realization from generate_from_moments: the draw and all values."""
+    blocks = []
+    result = generate_from_moments(family, moments, mode, np.random.default_rng(seed),
+                                   blocks.append, theta_frozen=theta_frozen)
+    return result, np.concatenate(blocks)
+
+
+def moments_at(model, *points):
+    return predict_moments_batch(model, np.array(points, dtype=float))
 
 
 def synthetic_rows(n=30, include_gumbel=True, seed=0):
@@ -104,106 +124,129 @@ class TestTrainSurrogate:
 
 
 class TestPredictParams:
+    """Parameter and count draws of generate_from_moments."""
+
     def test_deterministic_in_sample_mode(self, rayleigh_model):
-        x = WeatherRecord(hs=4.0, tp=10.0, vw=5.0, index=0)
-        assert predict_params(rayleigh_model, x, seed=5) == predict_params(rayleigh_model, x, seed=5)
-        assert predict_params(rayleigh_model, x, seed=5) != predict_params(rayleigh_model, x, seed=6)
+        moments = moments_at(rayleigh_model, [4.0, 10.0, 5.0], [3.0, 9.0, 2.0])
+        a, _ = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=5)
+        b, _ = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=5)
+        c, _ = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=6)
+        np.testing.assert_array_equal(a.theta, b.theta)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        assert not np.array_equal(a.theta, c.theta)
 
     def test_point_mode_theta_equals_gp_predict(self, small_table):
         model = train_surrogate(small_table, DistFamily.RAYLEIGH, SETTINGS, seed=7, mode=MODE_POINT)
-        x = WeatherRecord(hs=4.0, tp=10.0, vw=5.0, index=0)
-        theta, _ = predict_params(model, x, seed=5)
-        expected = gp.predict(model.param_models["sigma"], np.array([4.0, 10.0, 5.0])).mean
-        assert theta[0] == expected
+        inputs = records_to_array(sample_uniform_inputs(12, seed=41))
+        result, _ = draw(DistFamily.RAYLEIGH, predict_moments_batch(model, inputs), MODE_POINT, seed=5)
+        expected, _ = gp.predict_batch(model.param_models["sigma"], inputs)
+        np.testing.assert_array_equal(result.theta[:, 0], expected)
 
     def test_point_mode_theta_constant_across_seeds(self, small_table):
         model = train_surrogate(small_table, DistFamily.RAYLEIGH, SETTINGS, seed=7, mode=MODE_POINT)
-        x = WeatherRecord(hs=3.0, tp=9.0, vw=2.0, index=0)
-        thetas = {predict_params(model, x, seed=s)[0] for s in range(10)}
-        counts = {predict_params(model, x, seed=s)[1] for s in range(10)}
-        assert len(thetas) == 1
-        assert len(counts) > 1
+        moments = moments_at(model, [3.0, 9.0, 2.0])
+        draws = [draw(DistFamily.RAYLEIGH, moments, MODE_POINT, seed=s)[0] for s in range(10)]
+        assert len({float(d.theta[0, 0]) for d in draws}) == 1
+        assert len({int(d.counts[0]) for d in draws}) > 1
 
     def test_count_rounding(self):
         # L predictive mean 350.4 with std 0 must round to 350.
-        out = generate_from_moments(DistFamily.RAYLEIGH, [(2.0, 0.0)], (350.4, 0.0),
-                                    MODE_POINT, seed=3)
-        assert out.count == 350
+        result, values = draw(DistFamily.RAYLEIGH, fixed_moments([(2.0, 0.0)], (350.4, 0.0)),
+                              MODE_POINT, seed=3)
+        assert result.counts.tolist() == [350]
+        assert len(values) == 350
 
     def test_negative_count_clamped_to_zero(self):
-        out = generate_from_moments(DistFamily.RAYLEIGH, [(2.0, 0.0)], (-25.0, 0.0),
-                                    MODE_POINT, seed=3)
-        assert out.count == 0
-        assert out.peaks.shape == (0,)
+        moments = fixed_moments([(2.0, 0.0)], (-25.0, 0.0), n_hours=3)
+        result, values = draw(DistFamily.RAYLEIGH, moments, MODE_POINT, seed=3)
+        assert result.counts.tolist() == [0, 0, 0]
+        assert values.shape == (0,)
 
     def test_scale_floor_clamp(self):
         # Predictive mean far below zero: the draw and resample both land
         # negative, so the scale clamps to the relative floor.
-        out = generate_from_moments(DistFamily.RAYLEIGH, [(-5.0, 0.0)], (10.0, 0.0),
-                                    MODE_SAMPLE, seed=3)
-        assert np.all(out.peaks >= 0.0)
+        result, values = draw(DistFamily.RAYLEIGH, fixed_moments([(-5.0, 0.0)], (10.0, 0.0)),
+                              MODE_SAMPLE, seed=3)
+        assert result.theta[0, 0] == SCALE_FLOOR_FACTOR * 5.0
+        assert len(values) == 10
+        assert np.all(values >= 0.0)
+
+    def test_resample_once_then_clamp(self):
+        # About a third of N(1, 2) draws fall below the floor: each is drawn
+        # once more, after all first draws, and clamped if still below.
+        moments = fixed_moments([(1.0, 2.0)], (3.0, 1.0), n_hours=200)
+        result, _ = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=8)
+        rng = np.random.default_rng(8)
+        floor = SCALE_FLOOR_FACTOR * 1.0
+        theta = rng.normal(1.0, 2.0, size=200)
+        low = np.nonzero(theta < floor)[0]
+        assert len(low) > 20
+        for i in low:
+            theta[i] = max(rng.normal(1.0, 2.0), floor)
+        counts = [max(int(np.rint(rng.normal(3.0, 1.0))), 0) for _ in range(200)]
+        np.testing.assert_array_equal(result.theta[:, 0], theta)
+        assert result.counts.tolist() == counts
 
 
 class TestGenerateResponses:
     def test_deterministic(self, rayleigh_model):
-        x = WeatherRecord(hs=5.0, tp=11.0, vw=3.0, index=0)
-        a = generate_responses(rayleigh_model, x, seed=11)
-        b = generate_responses(rayleigh_model, x, seed=11)
-        np.testing.assert_array_equal(a.peaks, b.peaks)
-        c = generate_responses(rayleigh_model, x, seed=12)
-        assert not np.array_equal(a.peaks, c.peaks)
+        moments = moments_at(rayleigh_model, [5.0, 11.0, 3.0], [2.0, 8.0, 9.0])
+        _, a = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=11)
+        _, b = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=11)
+        np.testing.assert_array_equal(a, b)
+        _, c = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=12)
+        assert not np.array_equal(a, c)
 
     def test_rayleigh_moment_identity(self):
         # Pooled draws at fixed sigma: RMS must equal sigma * sqrt(2).
         sigma = 3.0
-        pool = np.concatenate([
-            generate_from_moments(DistFamily.RAYLEIGH, [(sigma, 0.0)], (1000.0, 0.0),
-                                  MODE_POINT, seed=s).peaks
-            for s in range(100)
-        ])
+        _, pool = draw(DistFamily.RAYLEIGH, fixed_moments([(sigma, 0.0)], (1000.0, 0.0), 100),
+                       MODE_POINT, seed=0)
         assert len(pool) == 100_000
         rms = math.sqrt(float(np.mean(pool**2)))
         assert rms == pytest.approx(sigma * math.sqrt(2.0), rel=0.01)
 
     def test_weibull_and_gumbel_generation_laws(self):
-        wei = generate_from_moments(DistFamily.WEIBULL, [(2.0, 0.0), (4.0, 0.0)],
-                                    (20000.0, 0.0), MODE_POINT, seed=9)
-        ks = stats.kstest(wei.peaks, "weibull_min", args=(2.0, 0.0, 4.0))
+        _, wei = draw(DistFamily.WEIBULL, fixed_moments([(2.0, 0.0), (4.0, 0.0)], (20000.0, 0.0)),
+                      MODE_POINT, seed=9)
+        ks = stats.kstest(wei, "weibull_min", args=(2.0, 0.0, 4.0))
         assert ks.pvalue > 0.001
-        gum = generate_from_moments(DistFamily.GUMBEL, [(10.0, 0.0), (2.0, 0.0)],
-                                    (20000.0, 0.0), MODE_POINT, seed=9)
-        ks = stats.kstest(gum.peaks, "gumbel_r", args=(10.0, 2.0))
+        _, gum = draw(DistFamily.GUMBEL, fixed_moments([(10.0, 0.0), (2.0, 0.0)], (20000.0, 0.0)),
+                      MODE_POINT, seed=9)
+        ks = stats.kstest(gum, "gumbel_r", args=(10.0, 2.0))
         assert ks.pvalue > 0.001
 
     def test_interface_matches_simulator_output(self, rayleigh_model, fast_sim_config):
         x = WeatherRecord(hs=4.0, tp=10.0, vw=2.0, index=0)
-        gen = generate_responses(rayleigh_model, x, seed=1)
+        blocks = []
+        result = generate_from_moments(DistFamily.RAYLEIGH, moments_at(rayleigh_model, [4.0, 10.0, 2.0]),
+                                       MODE_SAMPLE, np.random.default_rng(1), blocks.append)
         sim = simulate(x, fast_sim_config, seed=1)
-        assert isinstance(gen.peaks, np.ndarray) and isinstance(sim.peaks, np.ndarray)
-        assert gen.count == len(gen.peaks)
+        assert all(isinstance(b, np.ndarray) and b.dtype == sim.peaks.dtype and b.ndim == 1
+                   for b in blocks)
+        assert sum(len(b) for b in blocks) == int(result.counts.sum())
         assert sim.count == len(sim.peaks)
 
     def test_frozen_shifts_reproduce_theta(self, rayleigh_model):
-        x = WeatherRecord(hs=4.0, tp=10.0, vw=2.0, index=0)
-        shift = np.array([0.7])
-        theta_a, _ = predict_params(rayleigh_model, x, seed=1, frozen_shifts=shift)
-        theta_b, _ = predict_params(rayleigh_model, x, seed=2, frozen_shifts=shift)
-        assert theta_a == theta_b  # seed only affects the count draw
-        moments = gp.predict(rayleigh_model.param_models["sigma"], np.array([4.0, 10.0, 2.0]))
-        assert theta_a[0] == pytest.approx(moments.mean + 0.7 * moments.std, rel=1e-12)
+        moments = moments_at(rayleigh_model, [4.0, 10.0, 2.0], [6.0, 12.0, 8.0])
+        result, _ = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=1, theta_frozen=True)
+        shift = np.random.default_rng(1).standard_normal(1)
+        expected = moments.theta_mean + shift * moments.theta_std
+        np.testing.assert_allclose(result.theta, expected, rtol=1e-12)
 
 
 class TestBatchedMoments:
     def test_batch_equals_per_record_generation(self, rayleigh_model):
-        records = sample_uniform_inputs(8, seed=77)
-        inputs = np.array([[r.hs, r.tp, r.vw] for r in records])
-        theta_m, l_m = predict_moments_batch(rayleigh_model, inputs)
-        for i, record in enumerate(records):
-            seed = derive_seed(900, i)
-            direct = generate_responses(rayleigh_model, record, seed)
-            batched = generate_from_moments(rayleigh_model.family, theta_m[i], l_m[i],
-                                            rayleigh_model.mode, seed)
-            np.testing.assert_array_equal(direct.peaks, batched.peaks)
+        inputs = records_to_array(sample_uniform_inputs(8, seed=77))
+        batch = predict_moments_batch(rayleigh_model, inputs)
+        rows = [predict_moments_batch(rayleigh_model, x) for x in inputs]
+        per_record = SurrogateMoments(*(np.concatenate(parts) for parts in zip(*rows)))
+        # Batch shapes change BLAS rounding, and the std carries cancellation.
+        for a, b in zip(batch, per_record):
+            np.testing.assert_allclose(a, b, rtol=1e-9)
+        _, direct = draw(DistFamily.RAYLEIGH, per_record, MODE_SAMPLE, seed=900)
+        _, batched = draw(DistFamily.RAYLEIGH, batch, MODE_SAMPLE, seed=900)
+        np.testing.assert_allclose(direct, batched, rtol=1e-9)
 
 
 class TestDistributionalMatch:
@@ -220,9 +263,8 @@ class TestDistributionalMatch:
             scores[family] = fit.log_likelihood
         best = max(scores, key=scores.get)
         model = train_surrogate(small_table, best, SETTINGS, seed=3, mode=MODE_POINT)
-        sur_pool = np.concatenate([
-            generate_responses(model, x, seed=1000 + s).peaks for s in range(60)
-        ])
+        moments = moments_at(model, *[[row.hs, row.tp, row.vw]] * 60)
+        _, sur_pool = draw(best, moments, MODE_POINT, seed=1000)
         result = stats.ks_2samp(sim_pool, sur_pool)
         assert result.pvalue > 0.001
 
@@ -258,10 +300,10 @@ class TestBundlePersistence:
         loaded = load_surrogate(tmp_path / "bundle")
         assert loaded.family is DistFamily.RAYLEIGH
         assert loaded.mode == rayleigh_model.mode
-        x = WeatherRecord(hs=4.4, tp=9.5, vw=6.0, index=0)
-        a = generate_responses(rayleigh_model, x, seed=31)
-        b = generate_responses(loaded, x, seed=31)
-        np.testing.assert_array_equal(a.peaks, b.peaks)
+        inputs = records_to_array(sample_uniform_inputs(6, seed=31))
+        for a, b in zip(predict_moments_batch(rayleigh_model, inputs),
+                        predict_moments_batch(loaded, inputs)):
+            np.testing.assert_array_equal(a, b)
 
     def test_gumbel_bundle_has_three_model_files(self, tmp_path):
         model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, SETTINGS, seed=1)
