@@ -17,7 +17,6 @@ import csv
 import json
 import logging
 import os
-import shutil
 import sys
 import time
 from datetime import datetime, timezone
@@ -77,12 +76,15 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _written_by_us(out: Path) -> bool:
+def _our_manifest(out: Path) -> dict | None:
+    """The manifest.json of an earlier searesponse run in out, if any."""
     try:
         manifest = json.loads((out / "manifest.json").read_text())
     except (OSError, ValueError):
-        return False
-    return isinstance(manifest, dict) and manifest.get("tool") == "searesponse"
+        return None
+    if isinstance(manifest, dict) and manifest.get("tool") == "searesponse":
+        return manifest
+    return None
 
 
 def _check_out(path: str, force: bool) -> Path:
@@ -95,26 +97,32 @@ def _check_out(path: str, force: bool) -> Path:
     if out.exists() and any(out.iterdir()):
         if not force:
             raise ConfigurationError(f"output directory {out} is not empty (use --force to overwrite)")
-        if not _written_by_us(out):
+        if _our_manifest(out) is None:
             raise ConfigurationError(f"refusing to clear {out}: it holds no searesponse manifest.json")
     return out
 
 
 def _prepare_out(out: Path) -> Path:
-    """Empty a directory passed by _check_out, or create it; called once the
-    command's arguments and inputs have been checked."""
-    if out.exists():
-        for child in out.iterdir():
-            shutil.rmtree(child) if child.is_dir() else child.unlink()
+    """Remove an earlier run's manifest.json and the outputs it lists from a
+    directory passed by _check_out, or create the directory; called once the
+    command's arguments and inputs have been checked. Outputs are matched by
+    file name, since the manifest stores them relative to the working
+    directory of that run; other files stay."""
+    manifest = _our_manifest(out) or {}
+    outputs = manifest.get("outputs")
+    if isinstance(outputs, list):
+        for name in ["manifest.json", *(Path(p).name for p in outputs if isinstance(p, str))]:
+            if (out / name).is_file():
+                (out / name).unlink()
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_manifest(out: Path, command: str, args: argparse.Namespace, *,
                     seeds: dict, inputs: list[str], outputs: list[str],
-                    started: float, extra: dict | None = None) -> None:
+                    extra: dict | None = None) -> None:
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "command", "_t0")}
+              if k not in ("func", "command") and not k.startswith("_")}
     manifest = {
         "tool": "searesponse",
         "version": __version__,
@@ -124,7 +132,7 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace, *,
         "inputs": inputs,
         "outputs": outputs,
         "format_versions": FORMAT_VERSIONS,
-        "started_at": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
+        "started_at": datetime.fromtimestamp(args._started, tz=timezone.utc).isoformat(),
         "wall_seconds": time.monotonic() - args._t0,
     }
     if extra:
@@ -167,7 +175,6 @@ def _resolve_weather(args: argparse.Namespace) -> tuple[list, dict, list[str]]:
 
 def cmd_weather(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    started = time.time()
     if args.weather_mode == "synth":
         records = synthesize_weather(args.hours, _box_from_args(args), args.seed)
         seeds = {"seed": args.seed}
@@ -179,7 +186,7 @@ def cmd_weather(args: argparse.Namespace) -> int:
     target = _prepare_out(out) / "weather.csv"
     write_weather(target, records)
     _write_manifest(out, f"weather {args.weather_mode}", args, seeds=seeds,
-                    inputs=inputs, outputs=[str(target)], started=started,
+                    inputs=inputs, outputs=[str(target)],
                     extra={"n_records": len(records)})
     print(f"wrote {len(records)} weather records to {target}")
     return EXIT_OK
@@ -187,7 +194,6 @@ def cmd_weather(args: argparse.Namespace) -> int:
 
 def cmd_trainset(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    started = time.time()
     cfg = _sim_config_from_args(args)
     box = _box_from_args(args)
     design = sample_uniform_inputs(args.n, box, args.seed)
@@ -198,7 +204,7 @@ def cmd_trainset(args: argparse.Namespace) -> int:
     write_sim_config(config_path, cfg)
     _write_manifest(out, "trainset", args, seeds={"seed": args.seed},
                     inputs=[str(args.sim_config)] if args.sim_config else [],
-                    outputs=[str(target), str(config_path)], started=started,
+                    outputs=[str(target), str(config_path)],
                     extra={"n_rows": len(table.rows),
                            "n_train": len(table.train_indices),
                            "n_test": len(table.test_indices)})
@@ -209,7 +215,6 @@ def cmd_trainset(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    started = time.time()
     table = load_training_table(args.table)
     family = DistFamily(args.family)
     settings = GPSettings(restarts=args.restarts, max_points=args.max_points)
@@ -219,14 +224,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_manifest(out, "train", args, seeds={"seed": args.seed},
                     inputs=[str(args.table)],
                     outputs=[str(out / f) for f in files] + [str(out / "bundle.json")],
-                    started=started, extra={"family": family.value, "targets": files})
+                    extra={"family": family.value, "targets": files})
     print(f"trained {family.value} surrogate ({len(files)} GP models) into {out}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    started = time.time()
     table = load_training_table(args.table)
     model = load_surrogate(args.bundle)
     evals = evaluate_surrogate(model, table.test_rows(), include_noise=args.include_noise)
@@ -245,7 +249,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     (out / "eval_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     outputs.append(str(out / "eval_summary.json"))
     _write_manifest(out, "eval", args, seeds={}, inputs=[str(args.table), str(args.bundle)],
-                    outputs=outputs, started=started, extra={"summary": summary})
+                    outputs=outputs, extra={"summary": summary})
     for ev in evals:
         print(f"{model.family.value}/{ev.target}: rmse={ev.rmse:.6g} coverage95={ev.coverage95:.3f}")
     return EXIT_OK
@@ -253,7 +257,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_qoi(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    started = time.time()
     weather, extra_seeds, weather_inputs = _resolve_weather(args)
     if args.source == "simulator":
         model = _sim_config_from_args(args)
@@ -270,7 +273,7 @@ def cmd_qoi(args: argparse.Namespace) -> int:
     save_qoi_result(_prepare_out(out), result)
     outputs = [str(out / n) for n in ("yk_samples.csv", "rank_summary.csv", "summary.json")]
     _write_manifest(out, "qoi", args, seeds={"seed": args.seed, **extra_seeds},
-                    inputs=inputs, outputs=outputs, started=started,
+                    inputs=inputs, outputs=outputs,
                     extra={"total_count": result.total_count,
                            "yk_mean": float(result.yk_samples.mean())})
     print(f"Y_{args.k} over {len(weather)} hours x {args.m} realizations "
@@ -280,7 +283,6 @@ def cmd_qoi(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    started = time.time()
     a = load_qoi_result(args.candidate)
     b = load_qoi_result(args.reference)
     report = compare_qoi(a, b)
@@ -322,7 +324,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_manifest(out, "compare", args, seeds={},
                     inputs=[str(args.candidate), str(args.reference)],
                     outputs=[str(report_path), str(ranks_path), str(samples_path)],
-                    started=started, extra={"report": payload})
+                    extra={"report": payload})
     print(f"relative mean difference: {report.relative_mean_difference:+.4%} "
           f"({'conservative' if report.conservative else 'non-conservative'}); "
           f"closest reference rank: {report.closest_rank}; "
@@ -427,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._t0 = time.monotonic()
+    args._started = time.time()
     try:
         return args.func(args)
     except ConfigurationError as exc:

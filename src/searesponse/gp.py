@@ -6,8 +6,8 @@ rescaled accordingly. Inference is a dense Cholesky factorization of
 K + diag(noise) + jitter*I, with jitter escalating from 1e-8 of the mean
 diagonal by factors of 100 (at most 3 times) on factorization failure.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
-a derivative-free coordinate-wise golden-section search over
-log-parameters, restarted from seeded log-uniform initializations.
+scipy's bounded quasi-Newton L-BFGS-B over log-parameters, restarted from
+seeded log-uniform initializations.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
@@ -37,10 +38,6 @@ JITTER_MAX_ESCALATIONS = 3
 
 LENGTHSCALE_BOUNDS = (1e-2, 1e2)
 SIGNAL_VARIANCE_BOUNDS = (1e-3, 1e3)
-LML_REL_TOL = 1e-6
-MAX_COORDINATE_PASSES = 15
-_GOLDEN_TOL = 1e-3  # log-space interval width
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 PREDICT_BLOCK_ROWS = 512
 
@@ -209,8 +206,8 @@ def _lml_from_gram(gram: np.ndarray, targets_std: np.ndarray, noise_std: np.ndar
 
 class _LMLObjective:
     """LML as a function of log-hyperparameters, with the per-dimension
-    squared-difference matrices precomputed once (the search evaluates the
-    objective thousands of times on the same point set)."""
+    squared-difference matrices precomputed once (the optimizer evaluates
+    the objective hundreds of times per restart on the same point set)."""
 
     def __init__(self, inputs_std: np.ndarray, targets_std: np.ndarray, noise_std: np.ndarray):
         self.targets = targets_std
@@ -226,37 +223,15 @@ class _LMLObjective:
         return _lml_from_gram(gram, self.targets, self.noise)
 
 
-def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of fun on [lo, hi] (log-space coords)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > _GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    x = c if fc >= fd else d
-    return (x, fc) if fc >= fd else (x, fd)
-
-
 def fit_hyperparams(inputs: np.ndarray, targets: np.ndarray, noise_variances: np.ndarray,
-                    restarts: int = 5, seed: int = 0,
-                    lengthscale_bounds: tuple[float, float] = LENGTHSCALE_BOUNDS,
-                    signal_variance_bounds: tuple[float, float] = SIGNAL_VARIANCE_BOUNDS,
-                    ) -> KernelParams:
+                    restarts: int = 5, seed: int = 0) -> KernelParams:
     """Maximize the log marginal likelihood over log-hyperparameters.
 
-    Coordinate-wise golden-section passes (lengthscales first, then signal
-    variance) repeat until the relative LML improvement over a full pass
-    drops below 1e-6; the best of `restarts` initializations wins, ties
-    broken by the lowest restart index. Restart 0 is anchored at unit
-    hyperparameters, the rest are log-uniform over the bounds.
+    Each restart runs scipy's L-BFGS-B (finite-difference gradient, default
+    tolerances) within the log bounds; the best of `restarts`
+    initializations wins, ties broken by the lowest restart index. Restart
+    0 is anchored at unit hyperparameters, the rest are log-uniform over
+    the bounds.
     """
     inputs_std, targets_std, noise_std, *_ = _standardize(inputs, targets, noise_variances)
     n, dim = inputs_std.shape
@@ -265,12 +240,8 @@ def fit_hyperparams(inputs: np.ndarray, targets: np.ndarray, noise_variances: np
     if restarts < 1:
         raise ConfigurationError("restarts must be >= 1")
 
-    log_bounds = [(math.log(signal_variance_bounds[0]), math.log(signal_variance_bounds[1]))]
-    log_bounds += [(math.log(lengthscale_bounds[0]), math.log(lengthscale_bounds[1]))] * dim
-    # Optimize lengthscales before the signal variance: with noisy targets
-    # this settles the correlation structure while the amplitude is still
-    # order one.
-    coord_order = list(range(1, dim + 1)) + [0]
+    log_bounds = [(math.log(SIGNAL_VARIANCE_BOUNDS[0]), math.log(SIGNAL_VARIANCE_BOUNDS[1]))]
+    log_bounds += [(math.log(LENGTHSCALE_BOUNDS[0]), math.log(LENGTHSCALE_BOUNDS[1]))] * dim
 
     def to_params(log_vec: np.ndarray) -> KernelParams:
         return KernelParams(signal_variance=math.exp(log_vec[0]),
@@ -286,26 +257,10 @@ def fit_hyperparams(inputs: np.ndarray, targets: np.ndarray, noise_variances: np
         else:
             rng = np.random.default_rng(derive_seed(seed, TAG_GP_INIT, restart))
             vec = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
-        current = lml_of(vec)
-        for _ in range(MAX_COORDINATE_PASSES):
-            previous = current
-            for coord in coord_order:
-                lo, hi = log_bounds[coord]
-
-                def line(v, _coord=coord):
-                    trial = vec.copy()
-                    trial[_coord] = v
-                    return lml_of(trial)
-
-                x, fx = _golden_max(line, lo, hi)
-                if fx > current:
-                    vec[coord] = x
-                    current = fx
-            if current - previous < LML_REL_TOL * max(1.0, abs(previous)):
-                break
-        if current > best_lml:
-            best_lml = current
-            best_vec = vec.copy()
+        result = minimize(lambda v: -lml_of(v), vec, method="L-BFGS-B", bounds=log_bounds)
+        if -result.fun > best_lml:
+            best_lml = -result.fun
+            best_vec = result.x
     if best_vec is None or not math.isfinite(best_lml):
         raise NumericError("hyperparameter search failed: no factorizable candidate found")
     logger.debug("fit_hyperparams: lml=%.4f params=%s", best_lml, to_params(best_vec))

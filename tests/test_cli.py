@@ -102,6 +102,21 @@ class TestForce:
         assert code == 2
         assert sorted(p.name for p in out.iterdir()) == ["thesis.tex"]
 
+    def test_force_clears_only_the_earlier_runs_outputs(self, tmp_path):
+        out = tmp_path / "d"
+        argv = ["weather", "synth", "--hours", "8", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        (out / "thesis.tex").write_text("chapter 1")
+        (out / "weather.csv").write_text("stale")
+        (out / "manifest.json").write_text(
+            (out / "manifest.json").read_text().replace('"n_records": 8', '"n_records": -1'))
+        assert cli.main(argv + ["--force"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "thesis.tex",
+                                                         "weather.csv"]
+        assert (out / "thesis.tex").read_text() == "chapter 1"
+        assert len(load_weather(out / "weather.csv")) == 8
+        assert json.loads((out / "manifest.json").read_text())["n_records"] == 8
+
     def test_bad_arguments_leave_output_untouched(self, tmp_path, fast_config_path):
         out = tmp_path / "d"
         assert cli.main(["qoi", "--source", "simulator", "--hours", "4", "--k", "2",
