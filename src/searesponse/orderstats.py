@@ -1,10 +1,12 @@
 """Brute-force order statistics over a weather sequence.
 
 Streams every hour's peak array (from the simulator or a surrogate) through
-a bounded top-k accumulator, repeats the whole sweep M times with derived
-seeds to estimate the distribution of Y_k, and compares candidate results
-against a reference run. The simulator gets one seed per (realization,
-hour); a surrogate gets one generator per realization.
+one bounded top-k accumulator per realization, with derived seeds, to
+estimate the distribution of Y_k over M realizations, and compares
+candidate results against a reference run. The simulator sweeps hour by
+hour, running all M realizations of an hour from one spectrum, with one
+seed per (realization, hour); a surrogate gets one generator per
+realization and draws it over all hours.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.seeding import TAG_QOI, derive_seed
-from searesponse.simulator import SimConfig, simulate
+from searesponse.simulator import SimConfig, check_weather, simulate_hour
 from searesponse.surrogate import (
     SurrogateModel,
     generate_from_moments,
@@ -125,61 +127,57 @@ class QoiResult:
     total_count: int
 
 
-def _one_realization(sweep: Callable[[int, TopK], int], k: int, m: int) -> tuple[np.ndarray, int]:
-    acc = TopK(k)
-    total = sweep(m, acc)
-    if len(acc) < k:
-        raise InsufficientDataError(
-            f"realization {m}: only {len(acc)} peaks total, need {k} for Y_{k}"
-        )
-    return acc.values_descending(), total
-
-
 def run_qoi(
     cfg: QoiConfig,
     weather: Sequence[WeatherRecord],
     model: Union[SimConfig, SurrogateModel],
 ) -> QoiResult:
-    """Estimate the distribution of Y_k by M full sweeps over the weather.
+    """Estimate the distribution of Y_k from M realizations of the weather
+    sequence, each with its own top-k accumulator and peak total.
 
-    The simulator runs each (realization, hour) pair on a seed derived from
-    the base seed; a surrogate draws each realization from one generator
-    seeded by (base seed, realization), after predicting the GP moments
-    once for the whole sequence. Results are a pure function of (cfg,
-    weather, model). The weather sequence is fixed across realizations;
-    only the seeds vary.
+    The simulator sweeps the hours in order and runs all M realizations of
+    an hour together, realization m on the seed derived from (base seed, m,
+    hour), after checking every hour against the config. A surrogate draws
+    each realization from one generator seeded by (base seed, realization),
+    after predicting the GP moments once for the whole sequence. Either way
+    each accumulator sees its realization's values in hour order, so
+    results are a pure function of (cfg, weather, model). The weather
+    sequence is fixed across realizations; only the seeds vary.
     """
     if len(weather) != cfg.n_hours:
         raise ConfigurationError(f"weather length {len(weather)} != configured n_hours {cfg.n_hours}")
+    accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
+    totals = [0] * cfg.realizations
     if isinstance(model, SimConfig):
         if cfg.source != SOURCE_SIMULATOR:
             raise ConfigurationError(f"source {cfg.source!r} does not match a SimConfig model")
-
-        def sweep(m: int, acc: TopK) -> int:
-            total = 0
-            for i, record in enumerate(weather):
-                peaks = simulate(record, model, derive_seed(cfg.base_seed, TAG_QOI, m, i)).peaks
-                total += len(peaks)
-                acc.update(peaks)
-            return total
+        check_weather(weather, model)
+        for i, record in enumerate(weather):
+            seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
+            for m, out in enumerate(simulate_hour(record, model, seeds)):
+                totals[m] += out.count
+                accs[m].update(out.peaks)
 
     elif isinstance(model, SurrogateModel):
         if cfg.source != SOURCE_SURROGATE:
             raise ConfigurationError(f"source {cfg.source!r} does not match a SurrogateModel")
         moments = predict_moments_batch(model, records_to_array(weather))
-
-        def sweep(m: int, acc: TopK) -> int:
+        for m, acc in enumerate(accs):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
             draw = generate_from_moments(model.family, moments, model.mode, rng, acc.update,
                                          theta_frozen=cfg.theta_frozen)
-            return int(draw.counts.sum())
+            totals[m] = int(draw.counts.sum())
 
     else:
         raise ConfigurationError(f"model must be SimConfig or SurrogateModel, got {type(model)!r}")
 
-    results = [_one_realization(sweep, cfg.k, m) for m in range(cfg.realizations)]
-    ranks = np.vstack([r[0] for r in results])          # (M, k)
-    total = int(sum(r[1] for r in results))
+    for m, acc in enumerate(accs):
+        if len(acc) < cfg.k:
+            raise InsufficientDataError(
+                f"realization {m}: only {len(acc)} peaks total, need {cfg.k} for Y_{cfg.k}"
+            )
+    ranks = np.vstack([acc.values_descending() for acc in accs])   # (M, k)
+    total = sum(totals)
     p025, p975 = np.percentile(ranks, [2.5, 97.5], axis=0)
     logger.info("qoi %s: k=%d M=%d hours=%d, %d responses processed",
                 cfg.source, cfg.k, cfg.realizations, cfg.n_hours, total)

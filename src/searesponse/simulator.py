@@ -4,16 +4,21 @@ Maps one hour of weather to an array of peak structural responses:
 parametric wave spectrum -> transfer-function filtering -> random-phase
 time-domain realization -> constant wind-moment offset -> mean-crossing
 peak extraction. The number of peaks L is itself random, varying with the
-realization seed.
+realization seed. `simulate_hour` builds the hour's spectrum once and
+realizes any number of seeds from it in one batched inverse transform;
+`simulate` is its one-seed case.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +31,17 @@ PEAK_ENHANCEMENT = 3.3
 
 # Relative tolerance for matching a spectrum grid against FFT bins.
 _GRID_RTOL = 1e-9
+
+
+def _require_positive(name: str, value: float) -> None:
+    # Written so that NaN fails too.
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -44,12 +60,10 @@ class TransferFunction:
     gain: float = 3.2e4
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
-            raise ConfigurationError(f"omega0 must be positive, got {self.omega0}")
+        _require_positive("omega0", self.omega0)
         if not 0.0 < self.zeta < 1.0:
             raise ConfigurationError(f"zeta must be in (0, 1), got {self.zeta}")
-        if self.gain <= 0.0:
-            raise ConfigurationError(f"gain must be positive, got {self.gain}")
+        _require_positive("gain", self.gain)
 
     def magnitude_squared(self, omega: np.ndarray) -> np.ndarray:
         w0sq = self.omega0 * self.omega0
@@ -73,12 +87,11 @@ class ThrustCurve:
     rated_force: float = 100.0
 
     def __post_init__(self):
-        if not 0.0 < self.rated_speed < self.cutout_speed:
+        if not 0.0 < self.rated_speed < self.cutout_speed < math.inf:
             raise ConfigurationError(
-                f"need 0 < rated_speed < cutout_speed, got {self.rated_speed}, {self.cutout_speed}"
+                f"need 0 < rated_speed < cutout_speed < inf, got {self.rated_speed}, {self.cutout_speed}"
             )
-        if self.rated_force <= 0.0:
-            raise ConfigurationError(f"rated_force must be positive, got {self.rated_force}")
+        _require_positive("rated_force", self.rated_force)
 
 
 @dataclass
@@ -105,6 +118,13 @@ class WaveSpectrum:
         """Spectral moment m_n by trapezoid quadrature."""
         return float(np.trapezoid(self.density * self.omega**order, self.omega))
 
+    def filtered(self, gain: np.ndarray) -> "WaveSpectrum":
+        """This spectrum times a non-negative gain, on the same grid, which
+        was checked when this spectrum was built."""
+        out = copy.copy(self)
+        out.density = gain * self.density
+        return out
+
 
 @dataclass
 class SimOutput:
@@ -127,6 +147,8 @@ class SimConfig:
     duration/dt fixes the sample count (>= 1024, zero-padded to the next
     power of two for the transform); the omega grid is matched to the
     transform bins so the Nyquist frequency pi/dt caps the grid exactly.
+    The grid and |H(omega)|^2 on it are computed once per config and
+    shared read-only by every run.
     """
 
     duration: float = 3600.0
@@ -136,14 +158,14 @@ class SimConfig:
     lever_arm: float = 50.0
 
     def __post_init__(self):
-        if self.duration <= 0.0 or self.dt <= 0.0:
-            raise ConfigurationError("duration and dt must be positive")
+        _require_positive("duration", self.duration)
+        _require_positive("dt", self.dt)
+        _require_positive("duration/dt", self.duration / self.dt)
         if self.n_samples < 1024:
             raise ConfigurationError(
                 f"duration/dt must give at least 1024 samples, got {self.n_samples}"
             )
-        if self.lever_arm <= 0.0:
-            raise ConfigurationError(f"lever_arm must be positive, got {self.lever_arm}")
+        _require_positive("lever_arm", self.lever_arm)
 
     @property
     def n_samples(self) -> int:
@@ -153,10 +175,15 @@ class SimConfig:
     def n_fft(self) -> int:
         return 1 << math.ceil(math.log2(self.n_samples))
 
-    @property
+    @cached_property
     def omega_grid(self) -> np.ndarray:
         """Angular frequencies of the rfft bins, 0 .. pi/dt."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt)
+        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt))
+
+    @cached_property
+    def transfer_squared(self) -> np.ndarray:
+        """|H(omega)|^2 on omega_grid."""
+        return _read_only(self.transfer.magnitude_squared(self.omega_grid))
 
 
 DEFAULT_SIM_CONFIG = SimConfig()
@@ -184,6 +211,9 @@ def load_sim_config(path: str | Path) -> SimConfig:
         values = {k: float(raw[k]) for k in _SIM_CONFIG_KEYS}
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: non-numeric value: {exc}")
+    non_finite = [k for k, v in values.items() if not math.isfinite(v)]
+    if non_finite:
+        raise SchemaError(f"{path}: non-finite values for {non_finite}")
     return SimConfig(
         duration=values["duration"],
         dt=values["dt"],
@@ -208,6 +238,38 @@ def write_sim_config(path: str | Path, cfg: SimConfig) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _check_sea_state(hs: float, tp: float, omega_top: float) -> float:
+    """The peak angular frequency, after checking that a grid reaching
+    omega_top can hold the sea state."""
+    if hs < 0.0:
+        raise ConfigurationError(f"hs must be non-negative, got {hs}")
+    if tp <= 0.0:
+        raise ConfigurationError(f"tp must be positive, got {tp}")
+    wp = 2.0 * np.pi / tp
+    if wp > omega_top:
+        raise ConfigurationError(
+            f"peak frequency {wp:.4f} rad/s above top of grid {omega_top:.4f} rad/s (tp={tp})"
+        )
+    return wp
+
+
+def _check_wind(vw: float) -> None:
+    if vw < 0.0:
+        raise ConfigurationError(f"vw must be non-negative, got {vw}")
+
+
+def check_weather(weather: Sequence[WeatherRecord], cfg: SimConfig) -> None:
+    """Raise, before any hour runs, the ConfigurationError that `simulate`
+    would raise at the first hour it cannot run, with that hour's index."""
+    omega_top = cfg.omega_grid[-1]
+    for i, record in enumerate(weather):
+        try:
+            _check_sea_state(record.hs, record.tp, omega_top)
+            _check_wind(record.vw)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"hour {i}: {exc}") from None
+
+
 def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
     """Single-peak parametric wave spectrum on the given grid.
 
@@ -215,16 +277,8 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
     rescales so the zeroth spectral moment equals hs^2/16 exactly on the
     discrete grid (trapezoid rule). hs = 0 yields a zero density.
     """
-    if hs < 0.0:
-        raise ConfigurationError(f"hs must be non-negative, got {hs}")
-    if tp <= 0.0:
-        raise ConfigurationError(f"tp must be positive, got {tp}")
     omega = np.asarray(omega, dtype=float)
-    wp = 2.0 * np.pi / tp
-    if wp > omega[-1]:
-        raise ConfigurationError(
-            f"peak frequency {wp:.4f} rad/s above top of grid {omega[-1]:.4f} rad/s (tp={tp})"
-        )
+    wp = _check_sea_state(hs, tp, omega[-1])
     density = np.zeros_like(omega)
     if hs > 0.0:
         w = omega[omega > 0.0]
@@ -239,25 +293,23 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
 
 def response_spectrum(wave: WaveSpectrum, tf: TransferFunction) -> WaveSpectrum:
     """Filter the wave density through |H(omega)|^2."""
-    return WaveSpectrum(omega=wave.omega, density=tf.magnitude_squared(wave.omega) * wave.density)
+    return wave.filtered(tf.magnitude_squared(wave.omega))
 
 
-def _fft_layout(dt: float, duration: float) -> tuple[int, int]:
-    n_samples = int(round(duration / dt))
-    if n_samples < 1024:
-        raise ConfigurationError(f"duration/dt must give at least 1024 samples, got {n_samples}")
-    return n_samples, 1 << math.ceil(math.log2(n_samples))
-
-
-def realize_time_series(resp: WaveSpectrum, dt: float, duration: float, seed: int) -> np.ndarray:
-    """Synthesize one zero-mean stationary realization of the response.
+def realize_time_series(
+    resp: WaveSpectrum, dt: float, duration: float, seed: int | Sequence[int]
+) -> np.ndarray:
+    """Synthesize zero-mean stationary realizations of the response.
 
     Each frequency bin gets deterministic amplitude sqrt(2 S(w_k) dw) and an
     independent uniform random phase; the series is the inverse transform,
     truncated to duration/dt samples. The series variance equals the
-    trapezoid integral of the density in expectation.
+    trapezoid integral of the density in expectation. One int seed gives one
+    series; a sequence of seeds gives one row per seed, each row equal to
+    the series of its seed alone, from one batched inverse transform.
     """
-    n_samples, n_fft = _fft_layout(dt, duration)
+    layout = SimConfig(duration=duration, dt=dt)  # checks and holds the sample/FFT layout
+    n_samples, n_fft = layout.n_samples, layout.n_fft
     omega = resp.omega
     if len(omega) != n_fft // 2 + 1 or omega[0] != 0.0:
         raise ConfigurationError(
@@ -269,20 +321,20 @@ def realize_time_series(resp: WaveSpectrum, dt: float, duration: float, seed: in
         raise ConfigurationError(
             f"grid spacing {omega[1]:.6e} does not match transform bin width {domega:.6e}"
         )
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, len(omega))
-    amplitude = np.sqrt(2.0 * resp.density * domega)
-    spectrum = (n_fft / 2.0) * amplitude * np.exp(1j * phases)
-    spectrum[0] = 0.0   # zero mean
-    spectrum[-1] = 0.0  # drop the (phase-less) Nyquist bin
-    series = np.fft.irfft(spectrum, n=n_fft)
-    return series[:n_samples]
+    single = np.isscalar(seed)
+    phases = np.stack([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(omega))
+                       for s in ([seed] if single else seed)])
+    amplitude = (n_fft / 2.0) * np.sqrt(2.0 * resp.density * domega)
+    spectrum = amplitude * np.exp(1j * phases)
+    spectrum[:, 0] = 0.0   # zero mean
+    spectrum[:, -1] = 0.0  # drop the (phase-less) Nyquist bin
+    series = np.fft.irfft(spectrum, n=n_fft, axis=-1)[:, :n_samples]
+    return series[0] if single else series
 
 
 def wind_moment(vw: float, thrust: ThrustCurve, lever_arm: float) -> float:
     """Quasi-static wind-induced moment from the thrust curve."""
-    if vw < 0.0:
-        raise ConfigurationError(f"vw must be non-negative, got {vw}")
+    _check_wind(vw)
     if vw < thrust.rated_speed:
         force = thrust.rated_force * (vw / thrust.rated_speed) ** 3
     elif vw <= thrust.cutout_speed:
@@ -314,16 +366,26 @@ def extract_peaks(series: np.ndarray, threshold: float) -> SimOutput:
     return SimOutput(peaks=peaks)
 
 
-def simulate(record: WeatherRecord, cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int = 0) -> SimOutput:
-    """One stochastic simulator run: weather in, peak response array out.
+def simulate_hour(record: WeatherRecord, cfg: SimConfig, seeds: Sequence[int]) -> list[SimOutput]:
+    """One stochastic simulator run per seed, all on the same hour.
 
-    The wind moment enters as a constant offset over the hour and the
-    up-crossing threshold is the arithmetic mean of the realized series, so
-    peak values are absolute moments while the crossing structure follows
-    the wave-induced part alone.
+    The wave and response spectra are built once and every seed's series
+    comes from one batched inverse transform. The wind moment enters as a
+    constant offset over the hour and the up-crossing threshold is the
+    arithmetic mean of each realized series, so peak values are absolute
+    moments while the crossing structure follows the wave-induced part
+    alone.
     """
     wave = wave_spectrum(record.hs, record.tp, cfg.omega_grid)
-    resp = response_spectrum(wave, cfg.transfer)
-    series = realize_time_series(resp, cfg.dt, cfg.duration, seed)
-    series = series + wind_moment(record.vw, cfg.thrust, cfg.lever_arm)
-    return extract_peaks(series, threshold=float(series.mean()))
+    resp = wave.filtered(cfg.transfer_squared)
+    offset = wind_moment(record.vw, cfg.thrust, cfg.lever_arm)
+    outputs = []
+    for row in realize_time_series(resp, cfg.dt, cfg.duration, seeds):
+        series = row + offset
+        outputs.append(extract_peaks(series, threshold=float(series.mean())))
+    return outputs
+
+
+def simulate(record: WeatherRecord, cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int = 0) -> SimOutput:
+    """One stochastic simulator run: weather in, peak response array out."""
+    return simulate_hour(record, cfg, [seed])[0]

@@ -4,12 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from searesponse import cli
+from searesponse import cli, simulator
 from searesponse.distfit import load_training_table, write_training_table
 from searesponse.gp import predict
 from searesponse.simulator import write_sim_config
 from searesponse.surrogate import load_surrogate
-from searesponse.weather import load_weather
+from searesponse.weather import WeatherRecord, load_weather, write_weather
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +247,37 @@ class TestQoiCommand:
                          "--k", "2", "--m", "1", "--seed", "3",
                          "--sim-config", fast_config_path, "--out", str(out)])
         assert code == 0
+
+    def test_weather_off_the_grid_fails_before_any_hour_runs(self, tmp_path, fast_config_path,
+                                                               monkeypatch, capsys):
+        # pi/dt = 6.28 rad/s on the fast grid; tp = 0.9 s peaks at 6.98 rad/s.
+        records = [WeatherRecord(hs=2.0, tp=9.0, vw=5.0, index=i) for i in range(4)]
+        records.append(WeatherRecord(hs=2.0, tp=0.9, vw=5.0, index=4))
+        write_weather(tmp_path / "weather.csv", records)
+        calls = []
+        original = simulator.wave_spectrum
+        monkeypatch.setattr(simulator, "wave_spectrum",
+                            lambda *a: calls.append(a) or original(*a))
+        code = cli.main(["qoi", "--source", "simulator", "--weather", str(tmp_path / "weather.csv"),
+                         "--k", "2", "--m", "3", "--seed", "3",
+                         "--sim-config", fast_config_path, "--out", str(tmp_path / "q")])
+        assert code == 2
+        assert calls == []
+        assert "hour 4: peak frequency 6.9813 rad/s above top of grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("dt", float("nan")), ("duration", float("inf")),
+                                           ("omega0", float("nan"))])
+    def test_non_finite_sim_config_is_data_error(self, tmp_path, fast_config_path, capsys,
+                                                 key, value):
+        raw = json.loads(Path(fast_config_path).read_text())
+        raw[key] = value
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))  # NaN / Infinity tokens, which json accepts
+        code = cli.main(["qoi", "--source", "simulator", "--hours", "5", "--k", "2",
+                         "--m", "1", "--seed", "1", "--sim-config", str(path),
+                         "--out", str(tmp_path / "q")])
+        assert code == 3
+        assert f"non-finite values for ['{key}']" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path, fast_config_path):
         outs = []

@@ -142,6 +142,11 @@ class TestRunQoi:
         with pytest.raises(InsufficientDataError) as err:
             run_qoi(cfg, weather, fast_sim_config)
         assert "realization 0" in str(err.value)
+        # Hour-major: all three realizations of the hour run before any check.
+        cfg = QoiConfig(k=10**6, n_hours=1, realizations=3, source="simulator", base_seed=1)
+        with pytest.raises(InsufficientDataError) as err:
+            run_qoi(cfg, weather, fast_sim_config)
+        assert "realization 0" in str(err.value)
 
     def test_weather_length_mismatch(self, short_weather, fast_sim_config):
         cfg = QoiConfig(k=5, n_hours=99, realizations=1, source="simulator", base_seed=1)

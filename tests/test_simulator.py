@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from searesponse.errors import ConfigurationError, SchemaError
+from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
     SimConfig,
     ThrustCurve,
     TransferFunction,
     WaveSpectrum,
+    check_weather,
     extract_peaks,
     load_sim_config,
     realize_time_series,
     response_spectrum,
     simulate,
+    simulate_hour,
     wave_spectrum,
     wind_moment,
     write_sim_config,
@@ -110,6 +113,26 @@ class TestRealizeTimeSeries:
         wave = wave_spectrum(2.0, 9.0, fast_sim_config.omega_grid)
         with pytest.raises(ConfigurationError):
             realize_time_series(wave, dt=0.5, duration=100.0, seed=0)
+
+    @pytest.mark.parametrize("m_total", [1, 3, 30])
+    def test_seed_rows_equal_one_seed_reference_bitwise(self, m_total):
+        cfg = DEFAULT_SIM_CONFIG
+        resp = response_spectrum(wave_spectrum(3.0, 10.0, cfg.omega_grid), cfg.transfer)
+        seeds = [derive_seed(5, TAG_QOI, m, 0) for m in range(m_total)]
+        rows = realize_time_series(resp, cfg.dt, cfg.duration, seeds)
+        assert rows.shape == (m_total, cfg.n_samples)
+        n_samples = int(round(cfg.duration / cfg.dt))
+        n_fft = 1 << math.ceil(math.log2(n_samples))
+        domega = 2.0 * np.pi / (n_fft * cfg.dt)
+        for seed, row in zip(seeds, rows):
+            phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(resp.omega))
+            spectrum = (n_fft / 2.0) * np.sqrt(2.0 * resp.density * domega) * np.exp(1j * phases)
+            spectrum[0] = 0.0
+            spectrum[-1] = 0.0
+            expected = np.fft.irfft(spectrum, n=n_fft)[:n_samples]
+            np.testing.assert_array_equal(row, expected)
+            np.testing.assert_array_equal(
+                realize_time_series(resp, cfg.dt, cfg.duration, seed), expected)
 
 
 class TestWindMoment:
@@ -219,6 +242,60 @@ class TestSimulate:
         record = WeatherRecord(hs=3.0, tp=10.0, vw=0.0, index=0)
         counts = {simulate(record, fast_sim_config, seed=s).count for s in range(25)}
         assert len(counts) > 1
+
+    def test_hour_rows_equal_one_seed_runs(self, fast_sim_config):
+        record = WeatherRecord(hs=3.0, tp=10.0, vw=7.0, index=0)
+        seeds = [derive_seed(9, TAG_QOI, m, 0) for m in range(4)]
+        for seed, out in zip(seeds, simulate_hour(record, fast_sim_config, seeds)):
+            np.testing.assert_array_equal(out.peaks, simulate(record, fast_sim_config, seed).peaks)
+
+
+class TestCheckWeather:
+    @pytest.mark.parametrize("field,value,message", [
+        ("hs", -0.1, "hour 2: hs must be non-negative"),
+        ("tp", 0.0, "hour 2: tp must be positive"),
+        ("tp", 0.9, "hour 2: peak frequency 6.9813 rad/s above top of grid 6.2832 rad/s"),
+        ("vw", -1.0, "hour 2: vw must be non-negative"),
+    ])
+    def test_first_bad_hour_is_named(self, fast_sim_config, field, value, message):
+        weather = [WeatherRecord(hs=2.0, tp=9.0, vw=5.0, index=i) for i in range(4)]
+        weather[2] = WeatherRecord(**{**weather[2].__dict__, field: value})
+        weather[3] = WeatherRecord(hs=-1.0, tp=9.0, vw=5.0, index=3)
+        with pytest.raises(ConfigurationError, match=message):
+            check_weather(weather, fast_sim_config)
+
+    def test_values_on_the_bounds_pass(self, fast_sim_config):
+        check_weather([WeatherRecord(hs=0.0, tp=1.0, vw=0.0, index=0)], fast_sim_config)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": float("nan")}, {"duration": float("inf")}, {"dt": 1e-320},
+        {"lever_arm": float("nan")},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TransferFunction(omega0=float("nan")),
+        lambda: TransferFunction(gain=float("inf")),
+        lambda: ThrustCurve(cutout_speed=float("inf")),
+        lambda: ThrustCurve(rated_force=float("nan")),
+    ])
+    def test_non_finite_model_rejected(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
+
+    def test_per_config_arrays_are_shared_and_read_only(self, fast_sim_config):
+        assert fast_sim_config.omega_grid is fast_sim_config.omega_grid
+        assert fast_sim_config.transfer_squared is fast_sim_config.transfer_squared
+        for array in (fast_sim_config.omega_grid, fast_sim_config.transfer_squared):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        np.testing.assert_array_equal(
+            fast_sim_config.transfer_squared,
+            fast_sim_config.transfer.magnitude_squared(fast_sim_config.omega_grid))
 
 
 class TestSimConfigFile:
