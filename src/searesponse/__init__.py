@@ -64,7 +64,6 @@ from searesponse.simulator import (
     wind_moment,
 )
 from searesponse.surrogate import (
-    GPSettings,
     SurrogateModel,
     load_surrogate,
     save_surrogate,
@@ -103,7 +102,7 @@ __all__ = [
     "KernelParams", "GPModel", "PredictiveMoments",
     "matern52", "fit_hyperparams", "train", "predict",
     # surrogate
-    "SurrogateModel", "GPSettings",
+    "SurrogateModel",
     "train_surrogate", "save_surrogate", "load_surrogate",
     # order statistics
     "TopK", "QoiConfig", "QoiResult",

@@ -2,9 +2,11 @@
 
 Subcommands wire the pipeline end to end: weather generation/ingestion,
 training-table construction, surrogate training, hold-out evaluation, Y_k
-runs, and comparisons. Every invocation writes one manifest.json next to
-its outputs; all stochastic commands require an explicit --seed, and data
-outputs are byte-identical across reruns with identical flags.
+runs, and comparisons. qoi reads its weather only from the CSV named by
+--weather, which weather synth or weather load writes. Every invocation
+writes one manifest.json next to its outputs; all stochastic commands
+require an explicit --seed, and data outputs are byte-identical across
+reruns with identical flags.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numeric error.
@@ -38,12 +40,9 @@ from searesponse.orderstats import (
     run_qoi,
     save_qoi_result,
 )
-from searesponse.seeding import derive_seed
 from searesponse.simulator import DEFAULT_SIM_CONFIG, load_sim_config, write_sim_config
 from searesponse.surrogate import (
     BUNDLE_FORMAT_VERSION,
-    COUNT_TARGET,
-    GPSettings,
     evaluate_surrogate,
     load_surrogate,
     save_surrogate,
@@ -143,7 +142,7 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace, *,
 def _box_from_args(args: argparse.Namespace) -> InputBox:
     kwargs = {}
     for name in ("hs", "tp", "vw"):
-        bounds = getattr(args, f"box_{name}", None)
+        bounds = getattr(args, f"box_{name}")
         if bounds is not None:
             kwargs[name] = tuple(bounds)
     return InputBox(**kwargs) if kwargs else DEFAULT_BOX
@@ -153,24 +152,6 @@ def _sim_config_from_args(args: argparse.Namespace):
     if getattr(args, "sim_config", None):
         return load_sim_config(args.sim_config)
     return DEFAULT_SIM_CONFIG
-
-
-def _resolve_weather(args: argparse.Namespace) -> tuple[list, dict, list[str]]:
-    """Weather records for qoi: from --weather CSV or inline synthesis."""
-    if args.weather and args.hours is not None:
-        raise ConfigurationError("--weather and --hours are mutually exclusive")
-    if args.weather:
-        return load_weather(args.weather), {}, [str(args.weather)]
-    if args.hours is None:
-        raise ConfigurationError("provide either --weather or --hours for inline synthesis")
-    weather_seed = args.weather_seed
-    if weather_seed is None:
-        weather_seed = derive_seed(args.seed, 0xEA)
-    return (
-        synthesize_weather(args.hours, _box_from_args(args), weather_seed),
-        {"weather_seed": weather_seed},
-        [],
-    )
 
 
 def cmd_weather(args: argparse.Namespace) -> int:
@@ -217,13 +198,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
     table = load_training_table(args.table)
     family = DistFamily(args.family)
-    settings = GPSettings(restarts=args.restarts, max_points=args.max_points)
-    model = train_surrogate(table, family, settings, seed=args.seed, mode=args.mode)
-    save_surrogate(_prepare_out(out), model)
-    files = sorted(p.name for p in out.glob("gp_*.json"))
+    model = train_surrogate(table, family, args.restarts, seed=args.seed, mode=args.mode)
+    written = save_surrogate(_prepare_out(out), model)
+    files = sorted(p.name for p in written[:-1])  # the GP files; bundle.json comes last
     _write_manifest(out, "train", args, seeds={"seed": args.seed},
-                    inputs=[str(args.table)],
-                    outputs=[str(out / f) for f in files] + [str(out / "bundle.json")],
+                    inputs=[str(args.table)], outputs=[str(p) for p in written],
                     extra={"family": family.value, "targets": files})
     print(f"trained {family.value} surrogate ({len(files)} GP models) into {out}")
     return EXIT_OK
@@ -257,23 +236,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_qoi(args: argparse.Namespace) -> int:
     out = _check_out(args.out, args.force)
-    weather, extra_seeds, weather_inputs = _resolve_weather(args)
+    weather = load_weather(args.weather)
     if args.source == "simulator":
         model = _sim_config_from_args(args)
-        inputs = weather_inputs + ([str(args.sim_config)] if args.sim_config else [])
+        inputs = [str(args.weather)] + ([str(args.sim_config)] if args.sim_config else [])
     else:
         if not args.bundle:
             raise ConfigurationError("--bundle is required for --source surrogate")
         model = load_surrogate(args.bundle)
-        inputs = weather_inputs + [str(args.bundle)]
-    cfg = QoiConfig(k=args.k, n_hours=len(weather), realizations=args.m,
-                    source=args.source, base_seed=args.seed,
+        inputs = [str(args.weather), str(args.bundle)]
+    cfg = QoiConfig(k=args.k, realizations=args.m, base_seed=args.seed,
                     theta_frozen=args.theta_frozen)
     result = run_qoi(cfg, weather, model)
-    save_qoi_result(_prepare_out(out), result)
-    outputs = [str(out / n) for n in ("yk_samples.csv", "rank_summary.csv", "summary.json")]
-    _write_manifest(out, "qoi", args, seeds={"seed": args.seed, **extra_seeds},
-                    inputs=inputs, outputs=outputs,
+    outputs = save_qoi_result(_prepare_out(out), result)
+    _write_manifest(out, "qoi", args, seeds={"seed": args.seed},
+                    inputs=inputs, outputs=[str(p) for p in outputs],
                     extra={"total_count": result.total_count,
                            "yk_mean": float(result.yk_samples.mean())})
     print(f"Y_{args.k} over {len(weather)} hours x {args.m} realizations "
@@ -359,13 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_weather = sub.add_parser("weather", help="generate or ingest hourly weather")
     wsub = p_weather.add_subparsers(dest="weather_mode", required=True)
     p_synth = wsub.add_parser("synth", help="synthesize a correlated hourly sequence")
-    p_synth.add_argument("--hours", "--synth-hours", dest="hours", type=int, required=True,
-                         help="number of hourly records")
+    p_synth.add_argument("--hours", type=int, required=True, help="number of hourly records")
     _add_box_flags(p_synth)
     _add_common(p_synth)
     p_synth.set_defaults(func=cmd_weather)
     p_load = wsub.add_parser("load", help="validate a weather CSV and re-emit it canonically")
-    p_load.add_argument("--path", "--weather", dest="path", required=True, help="weather CSV path")
+    p_load.add_argument("--path", required=True, help="weather CSV path")
     _add_common(p_load, seed=False)
     p_load.set_defaults(func=cmd_weather)
 
@@ -382,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--family", required=True, choices=[f.value for f in DistFamily])
     p_train.add_argument("--restarts", type=int, default=5,
                          help="hyperparameter search restarts (default 5)")
-    p_train.add_argument("--max-points", type=int, default=2000,
-                         help="cap on GP training points (seeded subsample, default 2000)")
     p_train.add_argument("--mode", choices=["point", "sample"], default="sample",
                          help="parameter generation mode (default sample)")
     _add_common(p_train)
@@ -399,11 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qoi = sub.add_parser("qoi", help="estimate Y_k over a weather sequence")
     p_qoi.add_argument("--source", required=True, choices=["simulator", "surrogate"])
-    p_qoi.add_argument("--weather", help="weather CSV (alternative to --hours)")
-    p_qoi.add_argument("--hours", "--synth-hours", dest="hours", type=int,
-                       help="synthesize this many hours inline instead of --weather")
-    p_qoi.add_argument("--weather-seed", type=int,
-                       help="seed for inline synthesis (default: derived from --seed)")
+    p_qoi.add_argument("--weather", required=True,
+                       help="weather CSV, e.g. the output of weather synth or weather load")
     p_qoi.add_argument("--k", type=int, default=100, help="order statistic rank (default 100)")
     p_qoi.add_argument("--m", type=int, required=True, help="number of realizations")
     p_qoi.add_argument("--sim-config", help="simulator configuration JSON")
@@ -411,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_qoi.add_argument("--theta-frozen", action="store_true",
                        help="draw surrogate parameter shifts once per realization "
                             "instead of per hour")
-    _add_box_flags(p_qoi)
     _add_common(p_qoi)
     p_qoi.set_defaults(func=cmd_qoi)
 
@@ -441,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

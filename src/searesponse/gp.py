@@ -337,6 +337,8 @@ def load_model(path: str | Path) -> GPModel:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported format version {version!r}")
@@ -356,5 +358,5 @@ def load_model(path: str | Path) -> GPModel:
             float(std["target_mean"]),
             float(std["target_scale"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}")

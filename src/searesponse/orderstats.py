@@ -1,12 +1,13 @@
 """Brute-force order statistics over a weather sequence.
 
-Streams every hour's peak array (from the simulator or a surrogate) through
-one bounded top-k accumulator per realization, with derived seeds, to
-estimate the distribution of Y_k over M realizations, and compares
-candidate results against a reference run. The simulator sweeps hour by
-hour, running all M realizations of an hour from one spectrum, with one
-seed per (realization, hour); a surrogate gets one generator per
-realization and draws it over all hours.
+Streams every hour's peak array (from the simulator or a surrogate, as the
+model passed to run_qoi says) through one bounded top-k accumulator per
+realization, with derived seeds, to estimate the distribution of Y_k over
+M realizations, and compares candidate results against a reference run.
+The hour count is the weather's. The simulator sweeps hour by hour,
+running all M realizations of an hour from one spectrum, with one seed
+per (realization, hour); a surrogate gets one generator per realization
+and draws it over all hours.
 """
 
 from __future__ import annotations
@@ -69,14 +70,6 @@ class TopK:
                 heapq.heappushpop(heap, float(v))
         return self
 
-    def merge(self, other: "TopK") -> "TopK":
-        if other.k != self.k:
-            raise ConfigurationError(f"cannot merge TopK with k={other.k} into k={self.k}")
-        merged = TopK(self.k)
-        merged.update(np.asarray(self._heap))
-        merged.update(np.asarray(other._heap))
-        return merged
-
     def values_descending(self) -> np.ndarray:
         return np.sort(np.asarray(self._heap, dtype=float))[::-1]
 
@@ -93,24 +86,19 @@ def extract_yk(acc: TopK) -> float:
 @dataclass(frozen=True)
 class QoiConfig:
     """k: order-statistic rank; theta_frozen: draw the surrogate's parameter
-    shifts once per realization instead of per (realization, hour)."""
+    shifts once per realization instead of per (realization, hour). run_qoi
+    takes the hour count from the weather and the source from the model."""
 
     k: int = 100
-    n_hours: int = 0
     realizations: int = 1
-    source: str = SOURCE_SIMULATOR
     base_seed: int = 0
     theta_frozen: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if self.n_hours < 1:
-            raise ConfigurationError(f"n_hours must be >= 1, got {self.n_hours}")
         if self.realizations < 1:
             raise ConfigurationError(f"realizations must be >= 1, got {self.realizations}")
-        if self.source not in (SOURCE_SIMULATOR, SOURCE_SURROGATE):
-            raise ConfigurationError(f"unknown source {self.source!r}")
 
 
 @dataclass
@@ -142,15 +130,16 @@ def run_qoi(
     after predicting the GP moments once for the whole sequence. Either way
     each accumulator sees its realization's values in hour order, so
     results are a pure function of (cfg, weather, model). The weather
-    sequence is fixed across realizations; only the seeds vary.
+    sequence, of at least one hour, is fixed across realizations; only the
+    seeds vary. The result's source is the model's: "simulator" for a
+    SimConfig, "surrogate" for a SurrogateModel.
     """
-    if len(weather) != cfg.n_hours:
-        raise ConfigurationError(f"weather length {len(weather)} != configured n_hours {cfg.n_hours}")
+    if len(weather) < 1:
+        raise ConfigurationError("weather must hold at least one hour")
     accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
     totals = [0] * cfg.realizations
     if isinstance(model, SimConfig):
-        if cfg.source != SOURCE_SIMULATOR:
-            raise ConfigurationError(f"source {cfg.source!r} does not match a SimConfig model")
+        source = SOURCE_SIMULATOR
         check_weather(weather, model)
         for i, record in enumerate(weather):
             seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
@@ -159,8 +148,7 @@ def run_qoi(
                 accs[m].update(out.peaks)
 
     elif isinstance(model, SurrogateModel):
-        if cfg.source != SOURCE_SURROGATE:
-            raise ConfigurationError(f"source {cfg.source!r} does not match a SurrogateModel")
+        source = SOURCE_SURROGATE
         moments = predict_moments_batch(model, records_to_array(weather))
         for m, acc in enumerate(accs):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
@@ -180,9 +168,9 @@ def run_qoi(
     total = sum(totals)
     p025, p975 = np.percentile(ranks, [2.5, 97.5], axis=0)
     logger.info("qoi %s: k=%d M=%d hours=%d, %d responses processed",
-                cfg.source, cfg.k, cfg.realizations, cfg.n_hours, total)
+                source, cfg.k, cfg.realizations, len(weather), total)
     return QoiResult(
-        k=cfg.k, source=cfg.source, base_seed=cfg.base_seed,
+        k=cfg.k, source=source, base_seed=cfg.base_seed,
         yk_samples=ranks[:, cfg.k - 1].copy(),
         rank_means=ranks.mean(axis=0), rank_p025=p025, rank_p975=p975,
         total_count=total,
@@ -256,16 +244,18 @@ def compare_qoi(a: QoiResult, b: QoiResult) -> ComparisonReport:
     )
 
 
-def save_qoi_result(directory: str | Path, result: QoiResult) -> None:
-    """Write yk_samples.csv, rank_summary.csv, and summary.json."""
+def save_qoi_result(directory: str | Path, result: QoiResult) -> list[Path]:
+    """Write yk_samples.csv, rank_summary.csv, and summary.json; returns
+    their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "yk_samples.csv").open("w", newline="") as fh:
+    written = [directory / name for name in ("yk_samples.csv", "rank_summary.csv", "summary.json")]
+    with written[0].open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["realization", "yk"])
         for m, value in enumerate(result.yk_samples):
             writer.writerow([m, repr(float(value))])
-    with (directory / "rank_summary.csv").open("w", newline="") as fh:
+    with written[1].open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RANK_SUMMARY_COLUMNS)
         for j in range(result.k):
@@ -283,7 +273,8 @@ def save_qoi_result(directory: str | Path, result: QoiResult) -> None:
         "total_count": result.total_count,
         "yk": _yk_summary(result.yk_samples).__dict__,
     }
-    (directory / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    written[2].write_text(json.dumps(summary, indent=2) + "\n")
+    return written
 
 
 def _read_csv(path: Path, header: Sequence[str]) -> list[list[float]]:

@@ -11,7 +11,6 @@ _MASK = (1 << 64) - 1
 # Context tags keep seed streams of different pipeline stages disjoint even
 # when the same (base, index) pair occurs in more than one of them.
 TAG_WEATHER = 0x11
-TAG_DESIGN = 0x22
 TAG_SIM = 0x33
 TAG_SPLIT = 0x44
 TAG_GP_INIT = 0x55

@@ -44,6 +44,10 @@ MODE_SAMPLE = "sample"
 
 COUNT_TARGET = "l_count"
 
+# Cap on GP training points; larger tables are subsampled with a seeded
+# draw, since exact GP inference costs O(n^3).
+MAX_TRAIN_POINTS = 2000
+
 # Hours of peak values drawn per call; bounds memory only, since the values
 # do not depend on it.
 DRAW_BLOCK_HOURS = 64
@@ -61,14 +65,6 @@ _FLOOR_FACTORS: dict[DistFamily, tuple] = {
     DistFamily.RAYLEIGH: (SCALE_FLOOR_FACTOR,),
     DistFamily.WEIBULL: (SHAPE_FLOOR_FACTOR, SCALE_FLOOR_FACTOR),
 }
-
-
-@dataclass(frozen=True)
-class GPSettings:
-    """Knobs for surrogate GP training."""
-
-    restarts: int = 5
-    max_points: int = 2000
 
 
 @dataclass
@@ -92,14 +88,16 @@ class SurrogateModel:
 def train_surrogate(
     table: Union[TrainingTable, Sequence[TrainingRow]],
     family: DistFamily,
-    settings: GPSettings = GPSettings(),
+    restarts: int = 5,
     seed: int = 0,
     mode: str = MODE_SAMPLE,
 ) -> SurrogateModel:
     """Fit one GP per distribution parameter and one for the peak count.
 
     Uses the train-split rows whose fits for `family` are present; requires
-    at least 20 of them. Hyperparameters are optimized per target.
+    at least 20 of them, and a seeded subsample of MAX_TRAIN_POINTS of
+    them when there are more. Hyperparameters are optimized per target from
+    `restarts` seeded starts.
     """
     rows = table.train_rows() if isinstance(table, TrainingTable) else list(table)
     usable = [(r, r.family_values(family)) for r in rows]
@@ -114,7 +112,7 @@ def train_surrogate(
     l_means = np.array([r.l_mean for r, _ in usable])
     l_stds = np.array([r.l_std for r, _ in usable])
 
-    idx = subsample_cap(len(inputs), settings.max_points, seed)
+    idx = subsample_cap(len(inputs), MAX_TRAIN_POINTS, seed)
     inputs = inputs[idx]
     targets = {name: (means[idx, j], stds[idx, j] ** 2)
                for j, name in enumerate(family.param_names)}
@@ -123,7 +121,7 @@ def train_surrogate(
     models = {}
     for j, (name, (y, noise)) in enumerate(targets.items()):
         kernel = fit_hyperparams(inputs, y, noise,
-                                 restarts=settings.restarts, seed=derive_seed(seed, j))
+                                 restarts=restarts, seed=derive_seed(seed, j))
         models[name] = train(inputs, y, noise, kernel)
         logger.info("trained %s/%s GP on %d rows: %s", family.value, name, len(inputs), kernel)
     l_model = models.pop(COUNT_TARGET)
@@ -251,8 +249,9 @@ def evaluate_surrogate(model: SurrogateModel, rows: Sequence[TrainingRow],
     return out
 
 
-def save_surrogate(directory: str | Path, model: SurrogateModel) -> None:
-    """Persist the bundle: one GP file per target plus a manifest."""
+def save_surrogate(directory: str | Path, model: SurrogateModel) -> list[Path]:
+    """Persist the bundle: one GP file per target plus a manifest. Returns
+    the paths written: the GP files in target order, then bundle.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     targets = list(model.param_models) + [COUNT_TARGET]
@@ -263,10 +262,12 @@ def save_surrogate(directory: str | Path, model: SurrogateModel) -> None:
         "targets": targets,
         "files": {name: f"gp_{name}.json" for name in targets},
     }
-    for name, gp_model in model.param_models.items():
-        save_model(directory / f"gp_{name}.json", gp_model)
-    save_model(directory / f"gp_{COUNT_TARGET}.json", model.l_model)
-    (directory / "bundle.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    written = [directory / f"gp_{name}.json" for name in targets]
+    for path, gp_model in zip(written, [*model.param_models.values(), model.l_model]):
+        save_model(path, gp_model)
+    written.append(directory / "bundle.json")
+    written[-1].write_text(json.dumps(manifest, indent=2) + "\n")
+    return written
 
 
 def load_surrogate(directory: str | Path) -> SurrogateModel:

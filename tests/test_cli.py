@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,20 @@ from searesponse.distfit import load_training_table, write_training_table
 from searesponse.gp import predict
 from searesponse.simulator import write_sim_config
 from searesponse.surrogate import load_surrogate
-from searesponse.weather import WeatherRecord, load_weather, write_weather
+from searesponse.weather import WeatherRecord, load_weather, synthesize_weather, write_weather
 
 
 @pytest.fixture(scope="module")
 def fast_config_path(tmp_path_factory, fast_sim_config):
     path = tmp_path_factory.mktemp("cfg") / "sim.json"
     write_sim_config(path, fast_sim_config)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def weather_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weather") / "weather.csv"
+    write_weather(path, synthesize_weather(6, seed=5))
     return str(path)
 
 
@@ -117,18 +125,48 @@ class TestForce:
         assert len(load_weather(out / "weather.csv")) == 8
         assert json.loads((out / "manifest.json").read_text())["n_records"] == 8
 
-    def test_bad_arguments_leave_output_untouched(self, tmp_path, fast_config_path):
+    def test_bad_arguments_leave_output_untouched(self, tmp_path, fast_config_path, weather_csv):
         out = tmp_path / "d"
-        assert cli.main(["qoi", "--source", "simulator", "--hours", "4", "--k", "2",
-                         "--m", "1", "--seed", "1", "--sim-config", fast_config_path,
-                         "--out", str(out)]) == 0
+        argv = ["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
+                "--seed", "1", "--sim-config", fast_config_path, "--out", str(out)]
+        assert cli.main(argv + ["--m", "1"]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        wout = tmp_path / "w"
-        cli.main(["weather", "synth", "--hours", "5", "--seed", "5", "--out", str(wout)])
-        code = cli.main(["qoi", "--source", "simulator", "--weather", str(wout / "weather.csv"),
-                         "--hours", "5", "--m", "1", "--seed", "1", "--out", str(out), "--force"])
-        assert code == 2
+        assert cli.main(argv + ["--m", "0", "--force"]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_train_force_keeps_a_users_gp_file(self, tmp_path, table_path):
+        out = tmp_path / "bb"
+        argv = ["train", "--table", table_path, "--family", "rayleigh", "--restarts", "1",
+                "--seed", "5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        (out / "gp_notes.json").write_text("{}")
+        for _ in range(2):
+            assert cli.main(argv + ["--force"]) == 0
+        assert (out / "gp_notes.json").read_text() == "{}"
+        assert sorted(Path(p).name for p in _read_manifest(out)["outputs"]) == [
+            "bundle.json", "gp_l_count.json", "gp_sigma.json"]
+
+
+class TestUnreadableInputs:
+    """Input paths that are directories or binary files are data errors."""
+
+    def _train(self, tmp_path, table):
+        return cli.main(["train", "--table", str(table), "--family", "rayleigh",
+                         "--seed", "1", "--out", str(tmp_path / "b")])
+
+    def test_train_table_is_directory(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        assert self._train(tmp_path, tmp_path / "dir") == 3
+
+    def test_train_table_is_binary(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(bytes(range(256)))
+        assert self._train(tmp_path, path) == 3
+
+    def test_weather_load_path_is_directory(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        assert cli.main(["weather", "load", "--path", str(tmp_path / "dir"),
+                         "--out", str(tmp_path / "w")]) == 3
 
 
 class TestTrainsetCommand:
@@ -203,39 +241,65 @@ class TestEvalCommand:
 
 
 class TestQoiCommand:
-    def test_simulator_smoke(self, tmp_path, fast_config_path):
+    def test_simulator_smoke(self, tmp_path, fast_config_path, weather_csv):
         out = tmp_path / "q"
-        code = cli.main(["qoi", "--source", "simulator", "--hours", "6", "--k", "3",
+        code = cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "3",
                          "--m", "2", "--seed", "11", "--sim-config", fast_config_path,
                          "--out", str(out)])
         assert code == 0
         samples = (out / "yk_samples.csv").read_text().strip().splitlines()
         assert len(samples) == 3  # header + 2 realizations
         manifest = _read_manifest(out)
-        assert "weather_seed" in manifest["seeds"]
+        assert manifest["seeds"] == {"seed": 11}
+        assert manifest["inputs"] == [weather_csv, fast_config_path]
 
-    def test_surrogate_smoke_k1_m1(self, tmp_path, bundle_path):
+    def test_weather_is_required(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["qoi", "--source", "simulator", "--m", "1", "--seed", "1",
+                      "--out", str(tmp_path / "q")])
+        assert err.value.code == 2
+
+    def test_surrogate_smoke_k1_m1(self, tmp_path, bundle_path, weather_csv):
         out = tmp_path / "q"
         code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
-                         "--hours", "24", "--seed", "2", "--bundle", bundle_path,
+                         "--weather", weather_csv, "--seed", "2", "--bundle", bundle_path,
                          "--out", str(out)])
         assert code == 0
 
     @pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
-    def test_corrupt_bundle_json_is_data_error(self, tmp_path, bundle_path, content):
+    def test_corrupt_bundle_json_is_data_error(self, tmp_path, bundle_path, weather_csv, content):
         bundle = tmp_path / "b"
         bundle.mkdir()
         for f in Path(bundle_path).glob("gp_*.json"):
             (bundle / f.name).write_bytes(f.read_bytes())
         (bundle / "bundle.json").write_text(content)
         code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
-                         "--hours", "4", "--seed", "2", "--bundle", str(bundle),
+                         "--weather", weather_csv, "--seed", "2", "--bundle", str(bundle),
                          "--out", str(tmp_path / "q")])
         assert code == 3
 
-    def test_surrogate_without_bundle_is_usage_error(self, tmp_path):
-        code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
-                         "--hours", "24", "--seed", "2", "--out", str(out := tmp_path / "q")])
+    def _qoi_with_gp_sigma(self, tmp_path, bundle_path, weather_csv, text):
+        """Surrogate qoi on a copy of the bundle whose gp_sigma.json holds text."""
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_path, bundle)
+        (bundle / "gp_sigma.json").write_text(text)
+        return cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
+                         "--weather", weather_csv, "--seed", "2", "--bundle", str(bundle),
+                         "--out", str(tmp_path / "q")])
+
+    def test_gp_model_not_an_object_is_data_error(self, tmp_path, bundle_path, weather_csv):
+        assert self._qoi_with_gp_sigma(tmp_path, bundle_path, weather_csv, "[]") == 3
+
+    def test_gp_model_bad_kernel_is_data_error(self, tmp_path, bundle_path, weather_csv, capsys):
+        payload = json.loads((Path(bundle_path) / "gp_sigma.json").read_text())
+        payload["kernel"]["signal_variance"] = 0.0
+        assert self._qoi_with_gp_sigma(tmp_path, bundle_path, weather_csv,
+                                       json.dumps(payload)) == 3
+        assert "signal_variance must be positive" in capsys.readouterr().err
+
+    def test_surrogate_without_bundle_is_usage_error(self, tmp_path, weather_csv):
+        code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1", "--weather",
+                         weather_csv, "--seed", "2", "--out", str(out := tmp_path / "q")])
         assert code == 2
         assert not (out / "summary.json").exists()
 
@@ -267,23 +331,23 @@ class TestQoiCommand:
 
     @pytest.mark.parametrize("key,value", [("dt", float("nan")), ("duration", float("inf")),
                                            ("omega0", float("nan"))])
-    def test_non_finite_sim_config_is_data_error(self, tmp_path, fast_config_path, capsys,
-                                                 key, value):
+    def test_non_finite_sim_config_is_data_error(self, tmp_path, fast_config_path, weather_csv,
+                                                 capsys, key, value):
         raw = json.loads(Path(fast_config_path).read_text())
         raw[key] = value
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(raw))  # NaN / Infinity tokens, which json accepts
-        code = cli.main(["qoi", "--source", "simulator", "--hours", "5", "--k", "2",
+        code = cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
                          "--m", "1", "--seed", "1", "--sim-config", str(path),
                          "--out", str(tmp_path / "q")])
         assert code == 3
         assert f"non-finite values for ['{key}']" in capsys.readouterr().err
 
-    def test_rerun_byte_identical(self, tmp_path, fast_config_path):
+    def test_rerun_byte_identical(self, tmp_path, fast_config_path, weather_csv):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            cli.main(["qoi", "--source", "simulator", "--hours", "5", "--k", "2",
+            cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
                       "--m", "2", "--seed", "13", "--sim-config", fast_config_path,
                       "--out", str(out)])
             outs.append(out)
@@ -292,9 +356,9 @@ class TestQoiCommand:
 
 
 class TestCompareCommand:
-    def test_identical_directories_zero_difference(self, tmp_path, fast_config_path):
+    def test_identical_directories_zero_difference(self, tmp_path, fast_config_path, weather_csv):
         run = tmp_path / "run"
-        cli.main(["qoi", "--source", "simulator", "--hours", "6", "--k", "3", "--m", "2",
+        cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "3", "--m", "2",
                   "--seed", "11", "--sim-config", fast_config_path, "--out", str(run)])
         out = tmp_path / "cmp"
         code = cli.main(["compare", str(run), str(run), "--out", str(out)])
@@ -317,9 +381,9 @@ class TestCompareInputs:
     summary's k ranks and M realizations."""
 
     @pytest.fixture()
-    def run(self, tmp_path, fast_config_path):
+    def run(self, tmp_path, fast_config_path, weather_csv):
         run = tmp_path / "run"
-        assert cli.main(["qoi", "--source", "simulator", "--hours", "6", "--k", "3",
+        assert cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "3",
                          "--m", "2", "--seed", "11", "--sim-config", fast_config_path,
                          "--out", str(run)]) == 0
         return run

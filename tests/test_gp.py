@@ -8,7 +8,6 @@ from searesponse.distfit import DistFamily
 from searesponse.errors import ConfigurationError, NumericError
 from searesponse.surrogate import (
     MODE_SAMPLE,
-    GPSettings,
     SurrogateMoments,
     generate_from_moments,
     train_surrogate,
@@ -274,7 +273,7 @@ class TestFitHyperparams:
 
     @pytest.mark.parametrize("family", list(DistFamily), ids=lambda f: f.value)
     def test_lml_not_below_recorded_search(self, small_table, family):
-        model = train_surrogate(small_table, family, GPSettings(restarts=2), seed=7)
+        model = train_surrogate(small_table, family, restarts=2, seed=7)
         fitted = dict(model.param_models, l_count=model.l_model)
         recorded = RECORDED_TABLE_LML[family]
         assert set(fitted) == set(recorded)

@@ -17,7 +17,6 @@ from searesponse import surrogate
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
-    GPSettings,
     SCALE_FLOOR_FACTOR,
     SHAPE_FLOOR_FACTOR,
     predict_moments_batch,
@@ -60,22 +59,6 @@ class TestTopK:
         acc.update([])
         assert sorted(acc.values_descending()) == before
 
-    def test_merge_equals_concatenated_stream(self, rng):
-        for _ in range(100):
-            k = int(rng.integers(1, 20))
-            a_vals = rng.normal(size=int(rng.integers(0, 300)))
-            b_vals = rng.normal(size=int(rng.integers(0, 300)))
-            a = TopK(k).update(a_vals)
-            b = TopK(k).update(b_vals)
-            merged = a.merge(b)
-            combined = TopK(k).update(np.concatenate([a_vals, b_vals]))
-            np.testing.assert_array_equal(merged.values_descending(),
-                                          combined.values_descending())
-
-    def test_merge_mismatched_k(self):
-        with pytest.raises(ConfigurationError):
-            TopK(2).merge(TopK(3))
-
     def test_extract_with_deficit(self):
         acc = TopK(3)
         acc.update([1.0, 2.0])
@@ -100,12 +83,12 @@ def short_weather():
 
 @pytest.fixture(scope="module")
 def weibull_model(small_table):
-    return train_surrogate(small_table, DistFamily.WEIBULL, GPSettings(restarts=2), seed=7)
+    return train_surrogate(small_table, DistFamily.WEIBULL, restarts=2, seed=7)
 
 
 class TestRunQoi:
     def test_single_realization_collapses_interval(self, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=5, n_hours=10, realizations=1, source="simulator", base_seed=3)
+        cfg = QoiConfig(k=5, realizations=1, base_seed=3)
         result = run_qoi(cfg, short_weather, fast_sim_config)
         assert result.yk_samples.shape == (1,)
         np.testing.assert_array_equal(result.rank_p025, result.rank_means)
@@ -113,7 +96,7 @@ class TestRunQoi:
 
     def test_matches_concatenate_and_sort_oracle(self, short_weather, fast_sim_config):
         k, m_total = 7, 5
-        cfg = QoiConfig(k=k, n_hours=10, realizations=m_total, source="simulator", base_seed=17)
+        cfg = QoiConfig(k=k, realizations=m_total, base_seed=17)
         result = run_qoi(cfg, short_weather, fast_sim_config)
         for m in range(m_total):
             pool = np.concatenate([
@@ -124,7 +107,7 @@ class TestRunQoi:
             assert result.yk_samples[m] == expected
 
     def test_deterministic_on_rerun(self, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=5, n_hours=10, realizations=4, source="simulator", base_seed=23)
+        cfg = QoiConfig(k=5, realizations=4, base_seed=23)
         a = run_qoi(cfg, short_weather, fast_sim_config)
         b = run_qoi(cfg, short_weather, fast_sim_config)
         np.testing.assert_array_equal(a.yk_samples, b.yk_samples)
@@ -132,36 +115,36 @@ class TestRunQoi:
         assert a.total_count == b.total_count
 
     def test_ranks_non_increasing(self, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=20, n_hours=10, realizations=3, source="simulator", base_seed=5)
+        cfg = QoiConfig(k=20, realizations=3, base_seed=5)
         result = run_qoi(cfg, short_weather, fast_sim_config)
         assert np.all(np.diff(result.rank_means) <= 0)
 
     def test_insufficient_peaks_identifies_realization(self, fast_sim_config):
         weather = synthesize_weather(1, seed=4)
-        cfg = QoiConfig(k=10**6, n_hours=1, realizations=2, source="simulator", base_seed=1)
+        cfg = QoiConfig(k=10**6, realizations=2, base_seed=1)
         with pytest.raises(InsufficientDataError) as err:
             run_qoi(cfg, weather, fast_sim_config)
         assert "realization 0" in str(err.value)
         # Hour-major: all three realizations of the hour run before any check.
-        cfg = QoiConfig(k=10**6, n_hours=1, realizations=3, source="simulator", base_seed=1)
+        cfg = QoiConfig(k=10**6, realizations=3, base_seed=1)
         with pytest.raises(InsufficientDataError) as err:
             run_qoi(cfg, weather, fast_sim_config)
         assert "realization 0" in str(err.value)
 
-    def test_weather_length_mismatch(self, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=5, n_hours=99, realizations=1, source="simulator", base_seed=1)
-        with pytest.raises(ConfigurationError):
-            run_qoi(cfg, short_weather, fast_sim_config)
+    def test_empty_weather_is_configuration_error(self, fast_sim_config, weibull_model):
+        for model in (fast_sim_config, weibull_model):
+            with pytest.raises(ConfigurationError, match="at least one hour"):
+                run_qoi(QoiConfig(k=5), [], model)
 
-    def test_source_model_mismatch(self, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=5, n_hours=10, realizations=1, source="surrogate", base_seed=1)
-        with pytest.raises(ConfigurationError):
-            run_qoi(cfg, short_weather, fast_sim_config)
+    def test_source_follows_the_model(self, short_weather, fast_sim_config, weibull_model):
+        cfg = QoiConfig(k=5, realizations=1, base_seed=1)
+        assert run_qoi(cfg, short_weather, fast_sim_config).source == "simulator"
+        assert run_qoi(cfg, short_weather, weibull_model).source == "surrogate"
 
     def test_surrogate_path_equals_reference_loop(self, short_weather, weibull_model):
         # One generator per realization: theta for all hours, then all
         # counts, then the peak values drawn one hour at a time.
-        cfg = QoiConfig(k=5, n_hours=10, realizations=3, source="surrogate", base_seed=29)
+        cfg = QoiConfig(k=5, realizations=3, base_seed=29)
         result = run_qoi(cfg, short_weather, weibull_model)
         moments = predict_moments_batch(weibull_model, records_to_array(short_weather))
         mean, std = moments.theta_mean, moments.theta_std
@@ -183,7 +166,7 @@ class TestRunQoi:
     @pytest.mark.parametrize("block", [1, 7, 600])
     def test_surrogate_block_size_invariance(self, block, weibull_model, monkeypatch):
         weather = synthesize_weather(600, seed=72)
-        cfg = QoiConfig(k=20, n_hours=600, realizations=3, source="surrogate", base_seed=31)
+        cfg = QoiConfig(k=20, realizations=3, base_seed=31)
         default = run_qoi(cfg, weather, weibull_model)
         monkeypatch.setattr(surrogate, "DRAW_BLOCK_HOURS", block)
         blocked = run_qoi(cfg, weather, weibull_model)
@@ -194,10 +177,9 @@ class TestRunQoi:
         assert blocked.total_count == default.total_count
 
     def test_theta_frozen_mode(self, short_weather, small_table):
-        model = train_surrogate(small_table, DistFamily.RAYLEIGH, GPSettings(restarts=2), seed=7)
-        base = QoiConfig(k=5, n_hours=10, realizations=3, source="surrogate", base_seed=29)
-        frozen = QoiConfig(k=5, n_hours=10, realizations=3, source="surrogate",
-                           base_seed=29, theta_frozen=True)
+        model = train_surrogate(small_table, DistFamily.RAYLEIGH, restarts=2, seed=7)
+        base = QoiConfig(k=5, realizations=3, base_seed=29)
+        frozen = QoiConfig(k=5, realizations=3, base_seed=29, theta_frozen=True)
         a = run_qoi(base, short_weather, model)
         b = run_qoi(frozen, short_weather, model)
         assert not np.array_equal(a.yk_samples, b.yk_samples)
@@ -221,7 +203,7 @@ def _fake_result(rank_means, yk_samples, k=None, source="simulator", spread=1.0)
 
 class TestCompareQoi:
     def test_identity_comparison(self, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=5, n_hours=10, realizations=4, source="simulator", base_seed=23)
+        cfg = QoiConfig(k=5, realizations=4, base_seed=23)
         result = run_qoi(cfg, short_weather, fast_sim_config)
         report = compare_qoi(result, result)
         assert report.relative_mean_difference == 0.0
@@ -272,13 +254,13 @@ class TestCompareQoi:
 
 class TestQoiPersistence:
     def test_rank_summary_header_is_pinned(self, tmp_path, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=3, n_hours=10, realizations=2, source="simulator", base_seed=1)
+        cfg = QoiConfig(k=3, realizations=2, base_seed=1)
         save_qoi_result(tmp_path / "r", run_qoi(cfg, short_weather, fast_sim_config))
         first = (tmp_path / "r" / "rank_summary.csv").read_text().splitlines()[0]
         assert first == "rank,mean,p2.5,p97.5"
 
     def test_round_trip(self, tmp_path, short_weather, fast_sim_config):
-        cfg = QoiConfig(k=5, n_hours=10, realizations=4, source="simulator", base_seed=23)
+        cfg = QoiConfig(k=5, realizations=4, base_seed=23)
         result = run_qoi(cfg, short_weather, fast_sim_config)
         save_qoi_result(tmp_path / "run", result)
         loaded = load_qoi_result(tmp_path / "run")

@@ -12,7 +12,6 @@ from searesponse.surrogate import (
     MODE_POINT,
     MODE_SAMPLE,
     SCALE_FLOOR_FACTOR,
-    GPSettings,
     SurrogateMoments,
     evaluate_surrogate,
     generate_from_moments,
@@ -23,7 +22,7 @@ from searesponse.surrogate import (
 )
 from searesponse.weather import WeatherRecord, records_to_array, sample_uniform_inputs
 
-SETTINGS = GPSettings(restarts=2)
+RESTARTS = 2
 
 
 def fixed_moments(theta, l_moments, n_hours=1):
@@ -75,17 +74,17 @@ def synthetic_rows(n=30, include_gumbel=True, seed=0):
 
 @pytest.fixture(scope="module")
 def rayleigh_model(small_table):
-    return train_surrogate(small_table, DistFamily.RAYLEIGH, SETTINGS, seed=7)
+    return train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7)
 
 
 class TestTrainSurrogate:
     def test_gumbel_arity(self):
-        model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, SETTINGS, seed=1)
+        model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, RESTARTS, seed=1)
         assert tuple(model.param_models) == ("mu", "beta")
         assert model.l_model is not None
 
     def test_rayleigh_arity(self):
-        model = train_surrogate(synthetic_rows(), DistFamily.RAYLEIGH, SETTINGS, seed=1)
+        model = train_surrogate(synthetic_rows(), DistFamily.RAYLEIGH, RESTARTS, seed=1)
         assert tuple(model.param_models) == ("sigma",)
         assert model.l_model is not None
 
@@ -94,7 +93,7 @@ class TestTrainSurrogate:
         rows[0].hs, rows[0].tp, rows[0].vw = 3.2, 11.3, 1.2
         rows[0].gumbel_mu, rows[0].gumbel_mu_std = 75371.0, 891.0
         rows[0].gumbel_beta, rows[0].gumbel_beta_std = 20983.0, 530.0
-        model = train_surrogate(rows, DistFamily.GUMBEL, SETTINGS, seed=1)
+        model = train_surrogate(rows, DistFamily.GUMBEL, RESTARTS, seed=1)
         mu_gp = model.param_models["mu"]
         raw_targets = mu_gp.target_mean + mu_gp.target_scale * mu_gp.train_targets
         raw_inputs = mu_gp.train_inputs * mu_gp.input_scale + mu_gp.input_mean
@@ -109,18 +108,18 @@ class TestTrainSurrogate:
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
-            train_surrogate(synthetic_rows(10), DistFamily.RAYLEIGH, SETTINGS, seed=1)
+            train_surrogate(synthetic_rows(10), DistFamily.RAYLEIGH, RESTARTS, seed=1)
 
     def test_missing_family_rows_excluded(self):
         rows = synthetic_rows(40, include_gumbel=False)
         with pytest.raises(InsufficientDataError):
-            train_surrogate(rows, DistFamily.GUMBEL, SETTINGS, seed=1)
-        model = train_surrogate(rows, DistFamily.WEIBULL, SETTINGS, seed=1)
+            train_surrogate(rows, DistFamily.GUMBEL, RESTARTS, seed=1)
+        model = train_surrogate(rows, DistFamily.WEIBULL, RESTARTS, seed=1)
         assert tuple(model.param_models) == ("k", "lambda")
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            train_surrogate(synthetic_rows(), DistFamily.RAYLEIGH, SETTINGS, seed=1, mode="magic")
+            train_surrogate(synthetic_rows(), DistFamily.RAYLEIGH, RESTARTS, seed=1, mode="magic")
 
 
 class TestPredictParams:
@@ -136,14 +135,14 @@ class TestPredictParams:
         assert not np.array_equal(a.theta, c.theta)
 
     def test_point_mode_theta_equals_gp_predict(self, small_table):
-        model = train_surrogate(small_table, DistFamily.RAYLEIGH, SETTINGS, seed=7, mode=MODE_POINT)
+        model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7, mode=MODE_POINT)
         inputs = records_to_array(sample_uniform_inputs(12, seed=41))
         result, _ = draw(DistFamily.RAYLEIGH, predict_moments_batch(model, inputs), MODE_POINT, seed=5)
         expected, _ = gp.predict_batch(model.param_models["sigma"], inputs)
         np.testing.assert_array_equal(result.theta[:, 0], expected)
 
     def test_point_mode_theta_constant_across_seeds(self, small_table):
-        model = train_surrogate(small_table, DistFamily.RAYLEIGH, SETTINGS, seed=7, mode=MODE_POINT)
+        model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7, mode=MODE_POINT)
         moments = moments_at(model, [3.0, 9.0, 2.0])
         draws = [draw(DistFamily.RAYLEIGH, moments, MODE_POINT, seed=s)[0] for s in range(10)]
         assert len({float(d.theta[0, 0]) for d in draws}) == 1
@@ -262,7 +261,7 @@ class TestDistributionalMatch:
             fit = fit_family(family, sim_pool)
             scores[family] = fit.log_likelihood
         best = max(scores, key=scores.get)
-        model = train_surrogate(small_table, best, SETTINGS, seed=3, mode=MODE_POINT)
+        model = train_surrogate(small_table, best, RESTARTS, seed=3, mode=MODE_POINT)
         moments = moments_at(model, *[[row.hs, row.tp, row.vw]] * 60)
         _, sur_pool = draw(best, moments, MODE_POINT, seed=1000)
         result = stats.ks_2samp(sim_pool, sur_pool)
@@ -278,7 +277,7 @@ class TestEvaluateSurrogate:
         train_rows, test_rows = rows[:45], rows[45:]
         for r in test_rows:
             r.split = "test"
-        model = train_surrogate(train_rows, DistFamily.RAYLEIGH, SETTINGS, seed=2)
+        model = train_surrogate(train_rows, DistFamily.RAYLEIGH, RESTARTS, seed=2)
         evals = {e.target: e for e in evaluate_surrogate(model, test_rows)}
         sigma_eval = evals["sigma"]
         spread = float(np.std(sigma_eval.true))
@@ -306,7 +305,7 @@ class TestBundlePersistence:
             np.testing.assert_array_equal(a, b)
 
     def test_gumbel_bundle_has_three_model_files(self, tmp_path):
-        model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, SETTINGS, seed=1)
+        model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, RESTARTS, seed=1)
         save_surrogate(tmp_path / "b", model)
         names = sorted(p.name for p in (tmp_path / "b").glob("gp_*.json"))
         assert names == ["gp_beta.json", "gp_l_count.json", "gp_mu.json"]
