@@ -12,7 +12,6 @@ from searesponse.distfit import (
     FitResult,
     TrainingRow,
     TrainingTable,
-    aggregate_fits,
     build_training_table,
     fit_gumbel,
     fit_rayleigh,
@@ -96,7 +95,7 @@ __all__ = [
     "simulate_hour",
     # distribution fitting
     "DistFamily", "FitResult", "TrainingRow", "TrainingTable",
-    "fit_rayleigh", "fit_gumbel", "fit_weibull", "aggregate_fits",
+    "fit_rayleigh", "fit_gumbel", "fit_weibull",
     "build_training_table", "write_training_table", "load_training_table",
     # gp
     "KernelParams", "GPModel", "PredictiveMoments",

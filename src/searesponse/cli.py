@@ -3,10 +3,13 @@
 Subcommands wire the pipeline end to end: weather generation/ingestion,
 training-table construction, surrogate training, hold-out evaluation, Y_k
 runs, and comparisons. qoi reads its weather only from the CSV named by
---weather, which weather synth or weather load writes. Every invocation
-writes one manifest.json next to its outputs; all stochastic commands
-require an explicit --seed, and data outputs are byte-identical across
-reruns with identical flags.
+--weather, which weather synth or weather load writes. Each cmd_* function
+only reads and checks its inputs and computes its result; _run_stage owns
+the output directory: it refuses a directory the command may not write
+into, clears the earlier run's outputs once the command has succeeded, and
+writes one manifest.json that lists exactly the files the command wrote.
+All stochastic commands require an explicit --seed, and data outputs are
+byte-identical across reruns with identical flags.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numeric error.
@@ -21,8 +24,10 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from searesponse import __version__
 from searesponse.distfit import (
@@ -43,6 +48,7 @@ from searesponse.orderstats import (
 from searesponse.simulator import DEFAULT_SIM_CONFIG, load_sim_config, write_sim_config
 from searesponse.surrogate import (
     BUNDLE_FORMAT_VERSION,
+    COUNT_TARGET,
     evaluate_surrogate,
     load_surrogate,
     save_surrogate,
@@ -117,26 +123,44 @@ def _prepare_out(out: Path) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, args: argparse.Namespace, *,
-                    seeds: dict, inputs: list[str], outputs: list[str],
-                    extra: dict | None = None) -> None:
+@dataclass
+class Stage:
+    """What a command hands to _run_stage: the input paths it read, a writer
+    that puts its data files into the output directory and returns their
+    paths, extra manifest fields, and the text printed on success."""
+
+    inputs: list[str]
+    write: Callable[[Path], list[Path]]
+    extra: dict
+    message: str
+
+
+def _run_stage(args: argparse.Namespace) -> int:
+    """Run one command against its output directory: check the directory
+    before any input is read, run the command, clear the earlier run's
+    outputs only once it has succeeded, then write its files and a
+    manifest.json that lists exactly the paths the writer returned."""
+    out = _check_out(args.out, args.force)
+    stage = args.func(args)
+    written = stage.write(_prepare_out(out))
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command") and not k.startswith("_")}
     manifest = {
         "tool": "searesponse",
         "version": __version__,
-        "command": command,
+        "command": " ".join(filter(None, (args.command, getattr(args, "weather_mode", None)))),
         "config": config,
-        "seeds": seeds,
-        "inputs": inputs,
-        "outputs": outputs,
+        "seeds": {"seed": args.seed} if "seed" in vars(args) else {},
+        "inputs": stage.inputs,
+        "outputs": [str(p) for p in written],
         "format_versions": FORMAT_VERSIONS,
         "started_at": datetime.fromtimestamp(args._started, tz=timezone.utc).isoformat(),
         "wall_seconds": time.monotonic() - args._t0,
+        **stage.extra,
     }
-    if extra:
-        manifest.update(extra)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    print(stage.message)
+    return EXIT_OK
 
 
 def _box_from_args(args: argparse.Namespace) -> InputBox:
@@ -154,88 +178,75 @@ def _sim_config_from_args(args: argparse.Namespace):
     return DEFAULT_SIM_CONFIG
 
 
-def cmd_weather(args: argparse.Namespace) -> int:
-    out = _check_out(args.out, args.force)
+def cmd_weather(args: argparse.Namespace) -> Stage:
     if args.weather_mode == "synth":
         records = synthesize_weather(args.hours, _box_from_args(args), args.seed)
-        seeds = {"seed": args.seed}
         inputs: list[str] = []
     else:
         records = load_weather(args.path)
-        seeds = {}
         inputs = [str(args.path)]
-    target = _prepare_out(out) / "weather.csv"
-    write_weather(target, records)
-    _write_manifest(out, f"weather {args.weather_mode}", args, seeds=seeds,
-                    inputs=inputs, outputs=[str(target)],
-                    extra={"n_records": len(records)})
-    print(f"wrote {len(records)} weather records to {target}")
-    return EXIT_OK
+
+    def write(out: Path) -> list[Path]:
+        write_weather(out / "weather.csv", records)
+        return [out / "weather.csv"]
+
+    return Stage(inputs, write, {"n_records": len(records)},
+                 f"wrote {len(records)} weather records to {Path(args.out) / 'weather.csv'}")
 
 
-def cmd_trainset(args: argparse.Namespace) -> int:
-    out = _check_out(args.out, args.force)
+def cmd_trainset(args: argparse.Namespace) -> Stage:
     cfg = _sim_config_from_args(args)
-    box = _box_from_args(args)
-    design = sample_uniform_inputs(args.n, box, args.seed)
+    design = sample_uniform_inputs(args.n, _box_from_args(args), args.seed)
     table = build_training_table(design, args.m, cfg, args.seed)
-    target = _prepare_out(out) / "training_table.csv"
-    write_training_table(target, table)
-    config_path = out / "sim_config.json"
-    write_sim_config(config_path, cfg)
-    _write_manifest(out, "trainset", args, seeds={"seed": args.seed},
-                    inputs=[str(args.sim_config)] if args.sim_config else [],
-                    outputs=[str(target), str(config_path)],
-                    extra={"n_rows": len(table.rows),
-                           "n_train": len(table.train_indices),
-                           "n_test": len(table.test_indices)})
-    print(f"wrote {len(table.rows)} training rows to {target} "
-          f"({len(table.train_indices)} train / {len(table.test_indices)} test)")
-    return EXIT_OK
+    n_train, n_test = len(table.train_rows()), len(table.test_rows())
+
+    def write(out: Path) -> list[Path]:
+        write_training_table(out / "training_table.csv", table)
+        write_sim_config(out / "sim_config.json", cfg)
+        return [out / "training_table.csv", out / "sim_config.json"]
+
+    return Stage([str(args.sim_config)] if args.sim_config else [], write,
+                 {"n_rows": len(table.rows), "n_train": n_train, "n_test": n_test},
+                 f"wrote {len(table.rows)} training rows to "
+                 f"{Path(args.out) / 'training_table.csv'} ({n_train} train / {n_test} test)")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    out = _check_out(args.out, args.force)
+def cmd_train(args: argparse.Namespace) -> Stage:
     table = load_training_table(args.table)
     family = DistFamily(args.family)
     model = train_surrogate(table, family, args.restarts, seed=args.seed, mode=args.mode)
-    written = save_surrogate(_prepare_out(out), model)
-    files = sorted(p.name for p in written[:-1])  # the GP files; bundle.json comes last
-    _write_manifest(out, "train", args, seeds={"seed": args.seed},
-                    inputs=[str(args.table)], outputs=[str(p) for p in written],
-                    extra={"family": family.value, "targets": files})
-    print(f"trained {family.value} surrogate ({len(files)} GP models) into {out}")
-    return EXIT_OK
+    files = sorted(f"gp_{name}.json" for name in [*model.param_models, COUNT_TARGET])
+    return Stage([str(args.table)], lambda out: save_surrogate(out, model),
+                 {"family": family.value, "targets": files},
+                 f"trained {family.value} surrogate ({len(files)} GP models) into {Path(args.out)}")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    out = _check_out(args.out, args.force)
+def cmd_eval(args: argparse.Namespace) -> Stage:
     table = load_training_table(args.table)
     model = load_surrogate(args.bundle)
     evals = evaluate_surrogate(model, table.test_rows(), include_noise=args.include_noise)
-    _prepare_out(out)
-    outputs = []
-    summary = {"family": model.family.value, "n_test": len(evals[0].true), "targets": {}}
-    for ev in evals:
-        path = out / f"eval_{ev.target}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["true", "pred_mean", "pred_std"])
-            for t, m, s in zip(ev.true, ev.pred_mean, ev.pred_std):
-                writer.writerow([repr(float(t)), repr(float(m)), repr(float(s))])
-        outputs.append(str(path))
-        summary["targets"][ev.target] = {"rmse": ev.rmse, "coverage95": ev.coverage95}
-    (out / "eval_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    outputs.append(str(out / "eval_summary.json"))
-    _write_manifest(out, "eval", args, seeds={}, inputs=[str(args.table), str(args.bundle)],
-                    outputs=outputs, extra={"summary": summary})
-    for ev in evals:
-        print(f"{model.family.value}/{ev.target}: rmse={ev.rmse:.6g} coverage95={ev.coverage95:.3f}")
-    return EXIT_OK
+    summary = {"family": model.family.value, "n_test": len(evals[0].true),
+               "targets": {ev.target: {"rmse": ev.rmse, "coverage95": ev.coverage95}
+                           for ev in evals}}
+
+    def write(out: Path) -> list[Path]:
+        written = [out / f"eval_{ev.target}.csv" for ev in evals]
+        for path, ev in zip(written, evals):
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["true", "pred_mean", "pred_std"])
+                for t, m, s in zip(ev.true, ev.pred_mean, ev.pred_std):
+                    writer.writerow([repr(float(t)), repr(float(m)), repr(float(s))])
+        written.append(out / "eval_summary.json")
+        written[-1].write_text(json.dumps(summary, indent=2) + "\n")
+        return written
+
+    return Stage([str(args.table), str(args.bundle)], write, {"summary": summary},
+                 "\n".join(f"{model.family.value}/{ev.target}: rmse={ev.rmse:.6g} "
+                           f"coverage95={ev.coverage95:.3f}" for ev in evals))
 
 
-def cmd_qoi(args: argparse.Namespace) -> int:
-    out = _check_out(args.out, args.force)
+def cmd_qoi(args: argparse.Namespace) -> Stage:
     weather = load_weather(args.weather)
     if args.source == "simulator":
         model = _sim_config_from_args(args)
@@ -248,42 +259,17 @@ def cmd_qoi(args: argparse.Namespace) -> int:
     cfg = QoiConfig(k=args.k, realizations=args.m, base_seed=args.seed,
                     theta_frozen=args.theta_frozen)
     result = run_qoi(cfg, weather, model)
-    outputs = save_qoi_result(_prepare_out(out), result)
-    _write_manifest(out, "qoi", args, seeds={"seed": args.seed},
-                    inputs=inputs, outputs=[str(p) for p in outputs],
-                    extra={"total_count": result.total_count,
-                           "yk_mean": float(result.yk_samples.mean())})
-    print(f"Y_{args.k} over {len(weather)} hours x {args.m} realizations "
-          f"({args.source}): mean={result.yk_samples.mean():.6g}")
-    return EXIT_OK
+    return Stage(inputs, lambda out: save_qoi_result(out, result),
+                 {"total_count": result.total_count,
+                  "yk_mean": float(result.yk_samples.mean())},
+                 f"Y_{args.k} over {len(weather)} hours x {args.m} realizations "
+                 f"({args.source}): mean={result.yk_samples.mean():.6g}")
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    out = _check_out(args.out, args.force)
+def cmd_compare(args: argparse.Namespace) -> Stage:
     a = load_qoi_result(args.candidate)
     b = load_qoi_result(args.reference)
     report = compare_qoi(a, b)
-    ranks_path = _prepare_out(out) / "rank_comparison.csv"
-    with ranks_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "a_mean", "a_p2.5", "a_p97.5",
-                         "b_mean", "b_p2.5", "b_p97.5", "a_within_b_band"])
-        for j in range(report.k):
-            inside = report.b_rank_p025[j] <= report.a_rank_means[j] <= report.b_rank_p975[j]
-            writer.writerow([
-                j + 1,
-                repr(float(report.a_rank_means[j])), repr(float(report.a_rank_p025[j])),
-                repr(float(report.a_rank_p975[j])), repr(float(report.b_rank_means[j])),
-                repr(float(report.b_rank_p025[j])), repr(float(report.b_rank_p975[j])),
-                int(inside),
-            ])
-    samples_path = out / "yk_samples_combined.csv"
-    with samples_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "realization", "yk"])
-        for label, res in (("a", a), ("b", b)):
-            for m, value in enumerate(res.yk_samples):
-                writer.writerow([label, m, repr(float(value))])
     payload = {
         "k": report.k,
         "a_source": report.a_source,
@@ -296,17 +282,37 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "closest_rank": report.closest_rank,
         "format_version": FORMAT_VERSIONS["comparison_report"],
     }
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2) + "\n")
-    _write_manifest(out, "compare", args, seeds={},
-                    inputs=[str(args.candidate), str(args.reference)],
-                    outputs=[str(report_path), str(ranks_path), str(samples_path)],
-                    extra={"report": payload})
-    print(f"relative mean difference: {report.relative_mean_difference:+.4%} "
-          f"({'conservative' if report.conservative else 'non-conservative'}); "
-          f"closest reference rank: {report.closest_rank}; "
-          f"band overlap: {report.band_overlap_fraction:.1%}")
-    return EXIT_OK
+
+    def write(out: Path) -> list[Path]:
+        written = [out / "report.json", out / "rank_comparison.csv",
+                   out / "yk_samples_combined.csv"]
+        written[0].write_text(json.dumps(payload, indent=2) + "\n")
+        with written[1].open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["rank", "a_mean", "a_p2.5", "a_p97.5",
+                             "b_mean", "b_p2.5", "b_p97.5", "a_within_b_band"])
+            for j in range(report.k):
+                inside = report.b_rank_p025[j] <= report.a_rank_means[j] <= report.b_rank_p975[j]
+                writer.writerow([
+                    j + 1,
+                    repr(float(report.a_rank_means[j])), repr(float(report.a_rank_p025[j])),
+                    repr(float(report.a_rank_p975[j])), repr(float(report.b_rank_means[j])),
+                    repr(float(report.b_rank_p025[j])), repr(float(report.b_rank_p975[j])),
+                    int(inside),
+                ])
+        with written[2].open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["source", "realization", "yk"])
+            for label, res in (("a", a), ("b", b)):
+                for m, value in enumerate(res.yk_samples):
+                    writer.writerow([label, m, repr(float(value))])
+        return written
+
+    return Stage([str(args.candidate), str(args.reference)], write, {"report": payload},
+                 f"relative mean difference: {report.relative_mean_difference:+.4%} "
+                 f"({'conservative' if report.conservative else 'non-conservative'}); "
+                 f"closest reference rank: {report.closest_rank}; "
+                 f"band overlap: {report.band_overlap_fraction:.1%}")
 
 
 def _add_box_flags(parser: argparse.ArgumentParser) -> None:
@@ -401,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args._t0 = time.monotonic()
     args._started = time.time()
     try:
-        return args.func(args)
+        return _run_stage(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

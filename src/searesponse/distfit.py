@@ -71,17 +71,6 @@ class FitResult:
     log_likelihood: float
 
 
-@dataclass(frozen=True)
-class FitAggregate:
-    """Mean/std of parameters over M fits of one family, plus L statistics."""
-
-    family: DistFamily
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-    l_mean: float
-    l_std: float
-
-
 @dataclass
 class TrainingRow:
     """One design point of the training table; None marks a failed fit."""
@@ -122,14 +111,6 @@ TABLE_COLUMNS = tuple(f.name for f in fields(TrainingRow))
 @dataclass
 class TrainingTable:
     rows: list[TrainingRow]
-
-    @property
-    def train_indices(self) -> np.ndarray:
-        return np.array([i for i, r in enumerate(self.rows) if r.split == "train"], dtype=int)
-
-    @property
-    def test_indices(self) -> np.ndarray:
-        return np.array([i for i, r in enumerate(self.rows) if r.split == "test"], dtype=int)
 
     def train_rows(self) -> list[TrainingRow]:
         return [r for r in self.rows if r.split == "train"]
@@ -262,27 +243,6 @@ def fit_family(family: DistFamily, data: Sequence[float]) -> FitResult:
     return _FITTERS[family](data)
 
 
-def aggregate_fits(fits: Sequence[FitResult], counts: Sequence[int]) -> FitAggregate:
-    """Mean and sample standard deviation (M-1 denominator) of the M
-    parameter estimates of one family, plus statistics of the peak count."""
-    if len(fits) < 2:
-        raise ConfigurationError(f"need at least 2 fits to aggregate, got {len(fits)}")
-    if len(counts) != len(fits):
-        raise ConfigurationError("counts must have one entry per fit")
-    family = fits[0].family
-    if any(f.family is not family for f in fits):
-        raise ConfigurationError("all fits must be of the same family")
-    params = np.array([f.params for f in fits])
-    counts = np.asarray(counts, dtype=float)
-    return FitAggregate(
-        family=family,
-        means=tuple(float(v) for v in params.mean(axis=0)),
-        stds=tuple(float(v) for v in params.std(axis=0, ddof=1)),
-        l_mean=float(counts.mean()),
-        l_std=float(counts.std(ddof=1)),
-    )
-
-
 def _table_row(record: WeatherRecord, m_runs: int, cfg: SimConfig, seeds: list[int]) -> TrainingRow:
     fits: dict[DistFamily, list[FitResult]] = {fam: [] for fam in DistFamily}
     failed: set[DistFamily] = set()
@@ -305,10 +265,11 @@ def _table_row(record: WeatherRecord, m_runs: int, cfg: SimConfig, seeds: list[i
     for fam in DistFamily:
         if fam in failed:
             continue
-        agg = aggregate_fits(fits[fam], counts)
-        for name, mean, std in zip(fam.param_names, agg.means, agg.stds):
-            setattr(row, f"{fam.value}_{name}", mean)
-            setattr(row, f"{fam.value}_{name}_std", std)
+        params = np.array([f.params for f in fits[fam]])
+        for name, mean, std in zip(fam.param_names, params.mean(axis=0),
+                                   params.std(axis=0, ddof=1)):
+            setattr(row, f"{fam.value}_{name}", float(mean))
+            setattr(row, f"{fam.value}_{name}_std", float(std))
     return row
 
 
@@ -390,6 +351,8 @@ def load_training_table(path: str | Path) -> TrainingTable:
                         kwargs[col] = float(value)
                     except ValueError:
                         raise ParseError(f"non-numeric value {value!r} in column {col}", line=line)
+                    if not math.isfinite(kwargs[col]):
+                        raise ParseError(f"non-finite value {value!r} in column {col}", line=line)
             for col in ("hs", "tp", "vw", "l_mean", "l_std"):
                 if kwargs[col] is None:
                     raise ParseError(f"column {col} may not be empty", line=line)

@@ -51,10 +51,10 @@ class KernelParams:
     lengthscales: tuple[float, ...]
 
     def __post_init__(self):
-        if self.signal_variance <= 0.0:
-            raise ConfigurationError(f"signal_variance must be positive, got {self.signal_variance}")
-        if any(l <= 0.0 for l in self.lengthscales):
-            raise ConfigurationError(f"lengthscales must be positive, got {self.lengthscales}")
+        if not 0.0 < self.signal_variance < math.inf:
+            raise ConfigurationError(f"signal_variance must be positive and finite, got {self.signal_variance}")
+        if not all(0.0 < l < math.inf for l in self.lengthscales):
+            raise ConfigurationError(f"lengthscales must be positive and finite, got {self.lengthscales}")
 
 
 @dataclass(frozen=True)
@@ -348,15 +348,15 @@ def load_model(path: str | Path) -> GPModel:
             lengthscales=tuple(float(v) for v in payload["kernel"]["lengthscales"]),
         )
         std = payload["standardization"]
-        return _assemble(
-            kernel,
-            np.asarray(payload["train_inputs"], dtype=float),
-            np.asarray(payload["train_targets"], dtype=float),
-            np.asarray(payload["noise_variances"], dtype=float),
-            np.asarray(std["input_mean"], dtype=float),
-            np.asarray(std["input_scale"], dtype=float),
-            float(std["target_mean"]),
-            float(std["target_scale"]),
-        )
+        arrays = [np.asarray(v, dtype=float) for v in (
+            payload["train_inputs"], payload["train_targets"], payload["noise_variances"],
+            std["input_mean"], std["input_scale"])]
+        target_mean, target_scale = float(std["target_mean"]), float(std["target_scale"])
+        if not all(np.isfinite(a).all() for a in [*arrays, target_mean, target_scale]):
+            raise ValueError("non-finite values")
+        noise_variances, input_scale = arrays[2], arrays[4]
+        if (noise_variances < 0.0).any() or (input_scale <= 0.0).any() or target_scale <= 0.0:
+            raise ValueError("negative noise variance or non-positive scale")
+        return _assemble(kernel, *arrays, target_mean, target_scale)
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}")

@@ -285,9 +285,12 @@ def _read_csv(path: Path, header: Sequence[str]) -> list[list[float]]:
         if found != list(header):
             raise SchemaError(f"{path}: unexpected header {found}")
         try:
-            return [[float(v) for v in row] for row in reader if row]
+            rows = [[float(v) for v in row] for row in reader if row]
         except ValueError as exc:
             raise SchemaError(f"{path}: line {reader.line_num}: {exc}")
+    if not np.isfinite([v for row in rows for v in row]).all():
+        raise SchemaError(f"{path}: non-finite value")
+    return rows
 
 
 def load_qoi_result(directory: str | Path) -> QoiResult:

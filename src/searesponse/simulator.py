@@ -114,10 +114,6 @@ class WaveSpectrum:
         if np.any(self.density < 0.0):
             raise ConfigurationError("spectral density must be non-negative")
 
-    def moment(self, order: int = 0) -> float:
-        """Spectral moment m_n by trapezoid quadrature."""
-        return float(np.trapezoid(self.density * self.omega**order, self.omega))
-
     def filtered(self, gain: np.ndarray) -> "WaveSpectrum":
         """This spectrum times a non-negative gain, on the same grid, which
         was checked when this spectrum was built."""

@@ -43,6 +43,16 @@ def bundle_path(tmp_path_factory, table_path):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def qoi_run(tmp_path_factory, fast_config_path, weather_csv):
+    """A simulator qoi output directory (k=2, M=2)."""
+    out = tmp_path_factory.mktemp("qoi") / "run"
+    assert cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
+                     "--m", "2", "--seed", "7", "--sim-config", fast_config_path,
+                     "--out", str(out)]) == 0
+    return str(out)
+
+
 def _read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
 
@@ -147,8 +157,44 @@ class TestForce:
             "bundle.json", "gp_l_count.json", "gp_sigma.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    "weather synth --hours 6 --seed 1",
+    "weather load --path {weather_csv}",
+    "trainset --n 5 --m 2 --seed 3 --sim-config {fast_config_path}",
+    "train --table {table_path} --family rayleigh --restarts 1 --seed 5",
+    "eval --table {table_path} --bundle {bundle_path}",
+    "qoi --source simulator --weather {weather_csv} --k 2 --m 2 --seed 7 "
+    "--sim-config {fast_config_path}",
+    "qoi --source surrogate --weather {weather_csv} --k 2 --m 2 --seed 7 --bundle {bundle_path}",
+    "compare {qoi_run} {qoi_run}",
+], ids=["weather-synth", "weather-load", "trainset", "train", "eval", "qoi-simulator",
+        "qoi-surrogate", "compare"])
+def test_manifest_lists_what_force_replaces(tmp_path, argv, weather_csv, fast_config_path,
+                                            table_path, bundle_path, qoi_run):
+    """Every command's manifest lists exactly the files it wrote, and a
+    --force rerun replaces those and keeps a user's file."""
+    out = tmp_path / "out"
+    argv = argv.format(weather_csv=weather_csv, fast_config_path=fast_config_path,
+                       table_path=table_path, bundle_path=bundle_path,
+                       qoi_run=qoi_run).split() + ["--out", str(out)]
+
+    def data_files():
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name not in ("manifest.json", "gp_notes.json")}
+
+    assert cli.main(argv) == 0
+    first = data_files()
+    assert sorted(Path(p).name for p in _read_manifest(out)["outputs"]) == sorted(first)
+    (out / "gp_notes.json").write_text("{}")
+    assert cli.main(argv + ["--force"]) == 0
+    assert (out / "gp_notes.json").read_text() == "{}"
+    assert data_files() == first
+    assert sorted(Path(p).name for p in _read_manifest(out)["outputs"]) == sorted(first)
+
+
 class TestUnreadableInputs:
-    """Input paths that are directories or binary files are data errors."""
+    """Input paths that are directories or binary files, and tables that
+    hold NaN or infinity, are data errors."""
 
     def _train(self, tmp_path, table):
         return cli.main(["train", "--table", str(table), "--family", "rayleigh",
@@ -162,6 +208,17 @@ class TestUnreadableInputs:
         path = tmp_path / "table.csv"
         path.write_bytes(bytes(range(256)))
         assert self._train(tmp_path, path) == 3
+
+    def test_train_table_non_finite(self, tmp_path, table_path, capsys):
+        lines = Path(table_path).read_text().splitlines(keepends=True)
+        header = lines[0].strip().split(",")
+        for line, column, value in ((2, "gumbel_mu", "nan"), (3, "l_mean", "inf")):
+            fields = lines[line - 1].rstrip("\n").split(",")
+            fields[header.index(column)] = value
+            lines[line - 1] = ",".join(fields) + "\n"
+        (tmp_path / "table.csv").write_text("".join(lines))
+        assert self._train(tmp_path, tmp_path / "table.csv") == 3
+        assert "line 2: non-finite value 'nan' in column gumbel_mu" in capsys.readouterr().err
 
     def test_weather_load_path_is_directory(self, tmp_path):
         (tmp_path / "dir").mkdir()
@@ -297,6 +354,30 @@ class TestQoiCommand:
                                        json.dumps(payload)) == 3
         assert "signal_variance must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value", [
+        (("kernel", "signal_variance"), float("nan")),
+        (("kernel", "lengthscales", 1), float("inf")),
+        (("train_targets", 0), float("nan")),
+        (("noise_variances", 2), float("inf")),
+        (("standardization", "input_scale", 0), float("nan")),
+        (("standardization", "target_scale"), float("inf")),
+        (("noise_variances", 0), -0.05),
+        (("standardization", "input_scale", 1), 0.0),
+        (("standardization", "target_scale"), -1.0),
+    ], ids=["signal_variance", "lengthscale", "target", "noise", "input_scale", "target_scale",
+            "negative_noise", "zero_input_scale", "negative_target_scale"])
+    def test_gp_model_bad_value_is_data_error(self, tmp_path, bundle_path, weather_csv,
+                                              capsys, path, value):
+        payload = json.loads((Path(bundle_path) / "gp_sigma.json").read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert self._qoi_with_gp_sigma(tmp_path, bundle_path, weather_csv,
+                                       json.dumps(payload)) == 3  # NaN / Infinity tokens
+        assert "gp_sigma.json: malformed model file" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
     def test_surrogate_without_bundle_is_usage_error(self, tmp_path, weather_csv):
         code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1", "--weather",
                          weather_csv, "--seed", "2", "--out", str(out := tmp_path / "q")])
@@ -407,6 +488,11 @@ class TestCompareInputs:
         lines[1] = "1,abc,1.0,2.0\n"
         path.write_text("".join(lines))
         assert self._compare(tmp_path, run) == 3
+
+    def test_non_finite_yk(self, tmp_path, run, capsys):
+        (run / "yk_samples.csv").write_text("realization,yk\n0,nan\n1,1.0\n")
+        assert self._compare(tmp_path, run) == 3
+        assert "yk_samples.csv: non-finite value" in capsys.readouterr().err
 
     def test_zero_reference_mean(self, tmp_path, run):
         (run / "yk_samples.csv").write_text("realization,yk\n0,0.0\n1,0.0\n")

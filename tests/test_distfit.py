@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from searesponse import distfit
 from searesponse.distfit import (
     DistFamily,
     FitResult,
     TrainingRow,
-    aggregate_fits,
     build_training_table,
     fit_family,
     fit_gumbel,
@@ -26,6 +26,8 @@ from searesponse.errors import (
     DomainError,
     InsufficientDataError,
 )
+from searesponse.seeding import TAG_SIM, derive_seed
+from searesponse.simulator import SimOutput, simulate
 from searesponse.weather import sample_uniform_inputs
 
 EULER_GAMMA = 0.5772156649015329
@@ -171,47 +173,62 @@ class TestMleOptimality:
 
 
 class TestAggregateFits:
-    def test_identical_fits_zero_std(self):
-        fit = FitResult(DistFamily.RAYLEIGH, (2.5,), -10.0)
-        agg = aggregate_fits([fit, fit], [100, 100])
-        assert agg.means == (2.5,)
-        assert agg.stds == (0.0,)
-        assert agg.l_mean == 100.0 and agg.l_std == 0.0
+    """build_training_table turns each family's M fits at a design point into
+    the row's mean and sample standard deviation (M-1 denominator), and the
+    M peak counts into l_mean and l_std."""
 
-    def test_hand_computed_mean_and_std(self):
-        fits = [
-            FitResult(DistFamily.GUMBEL, (75000.0, 20000.0), -1.0),
-            FitResult(DistFamily.GUMBEL, (75742.0, 21000.0), -1.0),
-        ]
-        agg = aggregate_fits(fits, [400, 410])
-        assert agg.means[0] == pytest.approx(75371.0)
-        assert agg.stds[0] == pytest.approx(742.0 / math.sqrt(2.0), abs=0.01)
-        assert agg.stds[0] == pytest.approx(524.67, abs=0.01)
+    def _row(self, cfg, m_runs=2):
+        return build_training_table(sample_uniform_inputs(1, seed=2), m_runs, cfg, seed=1).rows[0]
 
-    def test_matches_two_pass_reference(self, rng):
-        values = rng.normal(10.0, 2.0, (7, 2))
-        fits = [FitResult(DistFamily.WEIBULL, tuple(v), 0.0) for v in values]
-        counts = list(rng.integers(50, 150, 7))
-        agg = aggregate_fits(fits, counts)
-        for j in range(2):
-            col = values[:, j]
-            mean = sum(col) / len(col)
-            var = sum((v - mean) ** 2 for v in col) / (len(col) - 1)
-            assert agg.means[j] == pytest.approx(mean, rel=1e-12)
-            assert agg.stds[j] == pytest.approx(math.sqrt(var), rel=1e-12)
+    def test_identical_fits_zero_std(self, monkeypatch, fast_sim_config, rng):
+        peaks = rng.rayleigh(2.5, 100) + 0.1
+        monkeypatch.setattr(distfit, "simulate", lambda record, cfg, seed: SimOutput(peaks))
+        row = self._row(fast_sim_config)
+        for family in DistFamily:
+            params = fit_family(family, peaks).params
+            assert row.family_values(family) == (params, (0.0,) * len(params))
+        assert row.l_mean == 100.0 and row.l_std == 0.0
 
-    def test_single_fit_rejected(self):
-        fit = FitResult(DistFamily.RAYLEIGH, (2.5,), -10.0)
-        with pytest.raises(ConfigurationError):
-            aggregate_fits([fit], [10])
+    def test_hand_computed_mean_and_std(self, monkeypatch, fast_sim_config):
+        scripted = iter([(75000.0, 20000.0), (75742.0, 21000.0)])
+        real = distfit.fit_family
 
-    def test_mixed_families_rejected(self):
-        fits = [
-            FitResult(DistFamily.RAYLEIGH, (2.5,), -10.0),
-            FitResult(DistFamily.GUMBEL, (1.0, 2.0), -10.0),
-        ]
-        with pytest.raises(ConfigurationError):
-            aggregate_fits(fits, [10, 10])
+        def fit(family, data):
+            if family is DistFamily.GUMBEL:
+                return FitResult(family, next(scripted), -1.0)
+            return real(family, data)
+
+        monkeypatch.setattr(distfit, "fit_family", fit)
+        row = self._row(fast_sim_config)
+        assert row.gumbel_mu == pytest.approx(75371.0)
+        assert row.gumbel_mu_std == pytest.approx(742.0 / math.sqrt(2.0), abs=0.01)
+        assert row.gumbel_mu_std == pytest.approx(524.67, abs=0.01)
+        assert row.gumbel_beta == 20500.0
+        assert row.gumbel_beta_std == pytest.approx(1000.0 / math.sqrt(2.0))
+
+    def test_matches_two_pass_reference(self, fast_sim_config):
+        design = sample_uniform_inputs(4, seed=21)
+        m_runs = 3
+        table = build_training_table(design, m_runs, fast_sim_config, seed=5)
+
+        def two_pass(values):
+            mean = sum(values) / len(values)
+            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            return mean, math.sqrt(var)
+
+        for i, (record, row) in enumerate(zip(design, table.rows)):
+            outs = [simulate(record, fast_sim_config, derive_seed(5, TAG_SIM, i, m))
+                    for m in range(m_runs)]
+            for family in DistFamily:
+                params = [fit_family(family, out.peaks).params for out in outs]
+                means, stds = row.family_values(family)
+                for j in range(len(params[0])):
+                    mean, std = two_pass([p[j] for p in params])
+                    assert means[j] == pytest.approx(mean, rel=1e-12)
+                    assert stds[j] == pytest.approx(std, rel=1e-10)
+            mean, std = two_pass([float(out.count) for out in outs])
+            assert row.l_mean == pytest.approx(mean, rel=1e-12)
+            assert row.l_std == pytest.approx(std, rel=1e-10)
 
 
 class TestBuildTrainingTable:
@@ -223,8 +240,8 @@ class TestBuildTrainingTable:
         design = sample_uniform_inputs(10, seed=21)
         table = build_training_table(design, 2, fast_sim_config, seed=5)
         assert len(table.rows) == 10
-        assert len(table.train_indices) == 8
-        assert len(table.test_indices) == 2
+        assert len(table.train_rows()) == 8
+        assert len(table.test_rows()) == 2
         for record, row in zip(design, table.rows):
             assert (row.hs, row.tp, row.vw) == (record.hs, record.tp, record.vw)
         assert all(r.rayleigh_sigma > 0 for r in table.rows)

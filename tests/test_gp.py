@@ -90,6 +90,13 @@ class TestMatern52:
         with pytest.raises(ConfigurationError):
             gp.KernelParams(signal_variance=1.0, lengthscales=(1.0, -2.0))
 
+    @pytest.mark.parametrize("signal_variance,lengthscales", [
+        (math.nan, (1.0, 1.0, 1.0)), (math.inf, (1.0, 1.0, 1.0)),
+        (1.0, (1.0, math.nan, 1.0)), (1.0, (1.0, math.inf, 1.0))])
+    def test_non_finite_params_rejected(self, signal_variance, lengthscales):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            gp.KernelParams(signal_variance, lengthscales)
+
 
 class TestTrain:
     def test_two_point_interpolation(self):
