@@ -261,7 +261,8 @@ def cmd_qoi(args: argparse.Namespace) -> Stage:
     result = run_qoi(cfg, weather, model)
     return Stage(inputs, lambda out: save_qoi_result(out, result),
                  {"total_count": result.total_count,
-                  "yk_mean": float(result.yk_samples.mean())},
+                  "yk_mean": float(result.yk_samples.mean()),
+                  "workers": result.workers},
                  f"Y_{args.k} over {len(weather)} hours x {args.m} realizations "
                  f"({args.source}): mean={result.yk_samples.mean():.6g}")
 
@@ -321,13 +322,23 @@ def _add_box_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"bounds for {name} [{unit}]")
 
 
+def _u64(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
     parser.add_argument("--out", required=True, help="output directory (created fresh)")
     parser.add_argument("--force", action="store_true",
                         help="overwrite a non-empty output directory that holds the "
                              "manifest.json of an earlier searesponse run")
     if seed:
-        parser.add_argument("--seed", type=int, required=True, help="base RNG seed (u64)")
+        parser.add_argument("--seed", type=_u64, required=True, help="base RNG seed (u64)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,10 +4,11 @@ Streams every hour's peak array (from the simulator or a surrogate, as the
 model passed to run_qoi says) through one bounded top-k accumulator per
 realization, with derived seeds, to estimate the distribution of Y_k over
 M realizations, and compares candidate results against a reference run.
-The hour count is the weather's. The simulator sweeps hour by hour,
-running all M realizations of an hour from one spectrum, with one seed
-per (realization, hour); a surrogate gets one generator per realization
-and draws it over all hours.
+The hour count is the weather's. The simulator sweeps contiguous hour
+blocks on one thread per usable CPU, running all M realizations of an hour
+from one spectrum, with one seed per (realization, hour), and merges the
+blocks' accumulators; a surrogate gets one generator per realization and
+draws it over all hours.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import csv
 import heapq
 import json
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -103,7 +106,9 @@ class QoiConfig:
 
 @dataclass
 class QoiResult:
-    """M realized values of Y_k plus per-rank summaries across realizations."""
+    """M realized values of Y_k plus per-rank summaries across realizations;
+    workers is the number of threads the sweep ran on (1 for a surrogate or
+    a result loaded from disk)."""
 
     k: int
     source: str
@@ -113,6 +118,32 @@ class QoiResult:
     rank_p025: np.ndarray
     rank_p975: np.ndarray
     total_count: int
+    workers: int = 1
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: a simulator sweep's
+    thread count, at most one thread per hour."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_hours(
+    cfg: QoiConfig, weather: Sequence[WeatherRecord], model: SimConfig, start: int, stop: int,
+) -> tuple[list[TopK], list[int]]:
+    """One accumulator and one peak total per realization over hours
+    start..stop-1, realization m of hour i on the seed derived from
+    (base seed, m, i)."""
+    accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
+    totals = [0] * cfg.realizations
+    for i in range(start, stop):
+        seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
+        for m, out in enumerate(simulate_hour(weather[i], model, seeds)):
+            totals[m] += out.count
+            accs[m].update(out.peaks)
+    return accs, totals
 
 
 def run_qoi(
@@ -123,32 +154,44 @@ def run_qoi(
     """Estimate the distribution of Y_k from M realizations of the weather
     sequence, each with its own top-k accumulator and peak total.
 
-    The simulator sweeps the hours in order and runs all M realizations of
-    an hour together, realization m on the seed derived from (base seed, m,
-    hour), after checking every hour against the config. A surrogate draws
-    each realization from one generator seeded by (base seed, realization),
-    after predicting the GP moments once for the whole sequence. Either way
-    each accumulator sees its realization's values in hour order, so
-    results are a pure function of (cfg, weather, model). The weather
-    sequence, of at least one hour, is fixed across realizations; only the
-    seeds vary. The result's source is the model's: "simulator" for a
-    SimConfig, "surrogate" for a SurrogateModel.
+    After checking every hour against the config, the simulator splits the
+    hours into one contiguous block per worker thread, min(usable CPUs,
+    hours) of them, and sweeps each block in hour order, running all M
+    realizations of an hour together, realization m on the seed derived
+    from (base seed, m, hour). Each realization's block accumulators are
+    then merged; the k largest values of a multiset do not depend on the
+    order they arrive in, so results do not depend on the worker count. A
+    surrogate draws each realization from one generator seeded by (base
+    seed, realization), after predicting the GP moments once for the whole
+    sequence. Either way results are a pure function of (cfg, weather,
+    model). The weather sequence, of at least one hour, is fixed across
+    realizations; only the seeds vary. The result's source is the model's:
+    "simulator" for a SimConfig, "surrogate" for a SurrogateModel.
     """
     if len(weather) < 1:
         raise ConfigurationError("weather must hold at least one hour")
-    accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
-    totals = [0] * cfg.realizations
+    workers = 1
     if isinstance(model, SimConfig):
         source = SOURCE_SIMULATOR
         check_weather(weather, model)
-        for i, record in enumerate(weather):
-            seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-            for m, out in enumerate(simulate_hour(record, model, seeds)):
-                totals[m] += out.count
-                accs[m].update(out.peaks)
+        # Build the config's shared arrays before any thread reads them.
+        model.omega_grid, model.transfer_squared
+        workers = min(usable_cpus(), len(weather))
+        bounds = [len(weather) * b // workers for b in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_sweep_hours, cfg, weather, model, start, stop)
+                       for start, stop in zip(bounds, bounds[1:])]
+            blocks = [future.result() for future in futures]
+        accs, totals = blocks[0]
+        for block_accs, block_totals in blocks[1:]:
+            for m, acc in enumerate(block_accs):
+                totals[m] += block_totals[m]
+                accs[m].update(acc.values_descending())
 
     elif isinstance(model, SurrogateModel):
         source = SOURCE_SURROGATE
+        accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
+        totals = [0] * cfg.realizations
         moments = predict_moments_batch(model, records_to_array(weather))
         for m, acc in enumerate(accs):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
@@ -167,13 +210,13 @@ def run_qoi(
     ranks = np.vstack([acc.values_descending() for acc in accs])   # (M, k)
     total = sum(totals)
     p025, p975 = np.percentile(ranks, [2.5, 97.5], axis=0)
-    logger.info("qoi %s: k=%d M=%d hours=%d, %d responses processed",
-                source, cfg.k, cfg.realizations, len(weather), total)
+    logger.info("qoi %s: k=%d M=%d hours=%d workers=%d, %d responses processed",
+                source, cfg.k, cfg.realizations, len(weather), workers, total)
     return QoiResult(
         k=cfg.k, source=source, base_seed=cfg.base_seed,
         yk_samples=ranks[:, cfg.k - 1].copy(),
         rank_means=ranks.mean(axis=0), rank_p025=p025, rank_p975=p975,
-        total_count=total,
+        total_count=total, workers=workers,
     )
 
 

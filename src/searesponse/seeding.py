@@ -6,6 +6,8 @@ stream whatever the order the tasks run in: one per (realization, hour)
 for the simulator, one per realization for a surrogate.
 """
 
+import operator
+
 _MASK = (1 << 64) - 1
 
 # Context tags keep seed streams of different pipeline stages disjoint even
@@ -27,8 +29,9 @@ def mix64(x: int) -> int:
 
 
 def derive_seed(base: int, *parts: int) -> int:
-    """Fold integer coordinates into the base seed, one mix step per part."""
-    s = mix64(base & _MASK)
+    """Fold integer coordinates into the base seed, one mix step per part.
+    Numpy integers give the seed of the Python int of the same value."""
+    s = mix64(operator.index(base) & _MASK)
     for p in parts:
-        s = mix64(s ^ (p & _MASK))
+        s = mix64(s ^ (operator.index(p) & _MASK))
     return s

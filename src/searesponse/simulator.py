@@ -15,8 +15,9 @@ import copy
 import json
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -42,6 +43,17 @@ def _require_positive(name: str, value: float) -> None:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+# Every omega grid a SimConfig built, by id: read-only rfft bins from 0 with
+# uniform spacing by construction, so WaveSpectrum need not check them again
+# for each hour. Held weakly; a lookup compares identity, so an id that a
+# collected grid freed never matches another array.
+_CONFIG_GRIDS: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
+
+
+def _is_config_grid(omega: np.ndarray) -> bool:
+    return _CONFIG_GRIDS.get(id(omega)) is omega
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,10 @@ class ThrustCurve:
 
 @dataclass
 class WaveSpectrum:
-    """One-sided spectral density on a uniform angular-frequency grid."""
+    """One-sided spectral density on a uniform angular-frequency grid.
+
+    The grid is checked unless it is a SimConfig's omega_grid, which is
+    uniform by construction."""
 
     omega: np.ndarray
     density: np.ndarray
@@ -108,9 +123,11 @@ class WaveSpectrum:
             raise ConfigurationError("omega and density must be 1-d arrays of equal length")
         if len(self.omega) < 2:
             raise ConfigurationError("spectrum grid needs at least 2 points")
-        steps = np.diff(self.omega)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ConfigurationError("omega grid must be strictly increasing with uniform spacing")
+        if not _is_config_grid(self.omega):
+            steps = np.diff(self.omega)
+            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
+                raise ConfigurationError(
+                    "omega grid must be strictly increasing with uniform spacing")
         if np.any(self.density < 0.0):
             raise ConfigurationError("spectral density must be non-negative")
 
@@ -144,7 +161,8 @@ class SimConfig:
     power of two for the transform); the omega grid is matched to the
     transform bins so the Nyquist frequency pi/dt caps the grid exactly.
     The grid and |H(omega)|^2 on it are computed once per config and
-    shared read-only by every run.
+    shared read-only by every run; threads that share a config must read
+    both once before they start, as cached_property takes no lock.
     """
 
     duration: float = 3600.0
@@ -174,7 +192,9 @@ class SimConfig:
     @cached_property
     def omega_grid(self) -> np.ndarray:
         """Angular frequencies of the rfft bins, 0 .. pi/dt."""
-        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt))
+        grid = _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt))
+        _CONFIG_GRIDS[id(grid)] = grid
+        return grid
 
     @cached_property
     def transfer_squared(self) -> np.ndarray:
@@ -237,10 +257,11 @@ def write_sim_config(path: str | Path, cfg: SimConfig) -> None:
 def _check_sea_state(hs: float, tp: float, omega_top: float) -> float:
     """The peak angular frequency, after checking that a grid reaching
     omega_top can hold the sea state."""
-    if hs < 0.0:
-        raise ConfigurationError(f"hs must be non-negative, got {hs}")
-    if tp <= 0.0:
-        raise ConfigurationError(f"tp must be positive, got {tp}")
+    # Written so that NaN fails too, like _require_positive.
+    if not (math.isfinite(hs) and hs >= 0.0):
+        raise ConfigurationError(f"hs must be non-negative and finite, got {hs}")
+    if not (math.isfinite(tp) and tp > 0.0):
+        raise ConfigurationError(f"tp must be positive and finite, got {tp}")
     wp = 2.0 * np.pi / tp
     if wp > omega_top:
         raise ConfigurationError(
@@ -250,8 +271,8 @@ def _check_sea_state(hs: float, tp: float, omega_top: float) -> float:
 
 
 def _check_wind(vw: float) -> None:
-    if vw < 0.0:
-        raise ConfigurationError(f"vw must be non-negative, got {vw}")
+    if not (math.isfinite(vw) and vw >= 0.0):
+        raise ConfigurationError(f"vw must be non-negative and finite, got {vw}")
 
 
 def check_weather(weather: Sequence[WeatherRecord], cfg: SimConfig) -> None:
@@ -292,6 +313,13 @@ def response_spectrum(wave: WaveSpectrum, tf: TransferFunction) -> WaveSpectrum:
     return wave.filtered(tf.magnitude_squared(wave.omega))
 
 
+@lru_cache(maxsize=8)
+def _layout(duration: float, dt: float) -> SimConfig:
+    """A config that checks and holds the sample/FFT layout of duration/dt,
+    built once per pair."""
+    return SimConfig(duration=duration, dt=dt)
+
+
 def realize_time_series(
     resp: WaveSpectrum, dt: float, duration: float, seed: int | Sequence[int]
 ) -> np.ndarray:
@@ -304,7 +332,7 @@ def realize_time_series(
     series; a sequence of seeds gives one row per seed, each row equal to
     the series of its seed alone, from one batched inverse transform.
     """
-    layout = SimConfig(duration=duration, dt=dt)  # checks and holds the sample/FFT layout
+    layout = _layout(duration, dt)
     n_samples, n_fft = layout.n_samples, layout.n_fft
     omega = resp.omega
     if len(omega) != n_fft // 2 + 1 or omega[0] != 0.0:

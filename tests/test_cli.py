@@ -8,6 +8,7 @@ import pytest
 from searesponse import cli, simulator
 from searesponse.distfit import load_training_table, write_training_table
 from searesponse.gp import predict
+from searesponse.orderstats import usable_cpus
 from searesponse.simulator import write_sim_config
 from searesponse.surrogate import load_surrogate
 from searesponse.weather import WeatherRecord, load_weather, synthesize_weather, write_weather
@@ -83,6 +84,22 @@ class TestWeatherCommand:
             m.pop("wall_seconds")
             m["config"].pop("force")
         assert first_manifest == second_manifest
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_at_the_u64_ends_runs(self, tmp_path, seed):
+        out = tmp_path / "w"
+        assert cli.main(["weather", "synth", "--hours", "2", "--seed", seed,
+                         "--out", str(out)]) == 0
+        assert _read_manifest(out)["seeds"] == {"seed": int(seed)}
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+    def test_seed_outside_u64_is_usage_error(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["weather", "synth", "--hours", "2", "--seed", seed,
+                      "--out", str(tmp_path / "w")])
+        assert err.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
     def test_zero_hours_is_usage_error(self, tmp_path):
         code = cli.main(["weather", "synth", "--hours", "0", "--seed", "1",
@@ -309,6 +326,7 @@ class TestQoiCommand:
         manifest = _read_manifest(out)
         assert manifest["seeds"] == {"seed": 11}
         assert manifest["inputs"] == [weather_csv, fast_config_path]
+        assert manifest["workers"] == min(usable_cpus(), 6)
 
     def test_weather_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from searesponse.orderstats import (
     run_qoi,
     save_qoi_result,
 )
-from searesponse import surrogate
+from searesponse import orderstats, surrogate
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
@@ -250,6 +252,67 @@ class TestCompareQoi:
         a = _fake_result([10.2, 9.1, 8.4, 3.0], [3.0], spread=0.1, source="surrogate")
         report = compare_qoi(a, b)
         assert report.band_overlap_fraction == pytest.approx(0.75)
+
+
+@pytest.fixture()
+def frequent_thread_switches():
+    """Switch threads every microsecond, so that blocks interleave finely."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+class TestWorkerInvariance:
+    """A simulator sweep's files do not depend on how many threads run it."""
+
+    @staticmethod
+    def _run(monkeypatch, cpus, weather, cfg, model):
+        monkeypatch.setattr(orderstats, "usable_cpus", lambda: cpus)
+        return run_qoi(cfg, weather, model)
+
+    @pytest.mark.parametrize("hours,k,m", [(200, 10, 3), (876, 100, 5)])
+    def test_files_identical_for_1_2_3_workers(self, tmp_path, monkeypatch, fast_sim_config,
+                                               frequent_thread_switches, hours, k, m):
+        weather = synthesize_weather(hours, seed=42)
+        cfg = QoiConfig(k=k, realizations=m, base_seed=45)
+        files = {}
+        for cpus in (1, 2, 3):
+            result = self._run(monkeypatch, cpus, weather, cfg, fast_sim_config)
+            assert result.workers == cpus
+            written = save_qoi_result(tmp_path / str(cpus), result)
+            files[cpus] = [path.read_bytes() for path in written]
+        assert files[2] == files[1]
+        assert files[3] == files[1]
+
+    def test_one_hour_runs_on_one_worker(self, monkeypatch, fast_sim_config):
+        weather = synthesize_weather(1, seed=42)
+        cfg = QoiConfig(k=3, realizations=2, base_seed=45)
+        one = self._run(monkeypatch, 1, weather, cfg, fast_sim_config)
+        three = self._run(monkeypatch, 3, weather, cfg, fast_sim_config)
+        assert three.workers == 1
+        np.testing.assert_array_equal(three.rank_means, one.rank_means)
+        assert three.total_count == one.total_count
+
+    def test_insufficient_peaks_names_first_short_realization(self, monkeypatch,
+                                                              fast_sim_config):
+        weather = synthesize_weather(6, seed=42)
+        totals = [sum(simulate(rec, fast_sim_config, derive_seed(14, TAG_QOI, m, i)).count
+                      for i, rec in enumerate(weather)) for m in range(4)]
+        # k = realization 0's total: realizations below it are short, and
+        # the first of them is named.
+        first_short = next(m for m, total in enumerate(totals) if total < totals[0])
+        assert first_short > 0
+        cfg = QoiConfig(k=totals[0], realizations=4, base_seed=14)
+        messages = []
+        for cpus in (1, 2):
+            with pytest.raises(InsufficientDataError) as err:
+                self._run(monkeypatch, cpus, weather, cfg, fast_sim_config)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"realization {first_short}: only {totals[first_short]} ")
 
 
 class TestQoiPersistence:

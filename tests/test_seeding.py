@@ -1,3 +1,5 @@
+import numpy as np
+
 from searesponse.seeding import derive_seed, mix64
 
 
@@ -23,3 +25,8 @@ def test_derive_seed_order_sensitive():
 def test_no_collisions_over_realization_hour_grid():
     seen = {derive_seed(42, m, h) for m in range(50) for h in range(500)}
     assert len(seen) == 50 * 500
+
+
+def test_numpy_integers_give_the_python_int_seed():
+    assert derive_seed(np.uint64(3), 0x99, np.int64(2), np.int32(5)) == derive_seed(3, 0x99, 2, 5)
+    assert derive_seed(np.int64(-1), np.uint64(2**64 - 1)) == derive_seed(-1, 2**64 - 1)

@@ -256,6 +256,10 @@ class TestCheckWeather:
         ("tp", 0.0, "hour 2: tp must be positive"),
         ("tp", 0.9, "hour 2: peak frequency 6.9813 rad/s above top of grid 6.2832 rad/s"),
         ("vw", -1.0, "hour 2: vw must be non-negative"),
+        ("hs", float("nan"), "hour 2: hs must be non-negative and finite, got nan"),
+        ("tp", float("nan"), "hour 2: tp must be positive and finite, got nan"),
+        ("vw", float("nan"), "hour 2: vw must be non-negative and finite, got nan"),
+        ("vw", float("inf"), "hour 2: vw must be non-negative and finite, got inf"),
     ])
     def test_first_bad_hour_is_named(self, fast_sim_config, field, value, message):
         weather = [WeatherRecord(hs=2.0, tp=9.0, vw=5.0, index=i) for i in range(4)]
