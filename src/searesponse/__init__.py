@@ -58,7 +58,6 @@ from searesponse.simulator import (
     realize_time_series,
     response_spectrum,
     simulate,
-    simulate_hour,
     wave_spectrum,
     wind_moment,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SimConfig", "DEFAULT_SIM_CONFIG", "TransferFunction", "ThrustCurve",
     "WaveSpectrum", "SimOutput", "wave_spectrum", "response_spectrum",
     "realize_time_series", "wind_moment", "extract_peaks", "simulate",
-    "simulate_hour",
     # distribution fitting
     "DistFamily", "FitResult", "TrainingRow", "TrainingTable",
     "fit_rayleigh", "fit_gumbel", "fit_weibull",

@@ -247,6 +247,11 @@ def cmd_eval(args: argparse.Namespace) -> Stage:
 
 
 def cmd_qoi(args: argparse.Namespace) -> Stage:
+    unread = ([("--bundle", args.bundle), ("--theta-frozen", args.theta_frozen)]
+              if args.source == "simulator" else [("--sim-config", args.sim_config)])
+    for flag, value in unread:
+        if value:
+            raise ConfigurationError(f"{flag} does not apply to --source {args.source}")
     weather = load_weather(args.weather)
     if args.source == "simulator":
         model = _sim_config_from_args(args)

@@ -1,7 +1,8 @@
 """Maximum-likelihood fits of peak-response samples and training-table
 construction.
 
-Each simulator run is fitted with Gumbel, Rayleigh, and Weibull
+The M simulator runs of one design point come from one `simulate` call
+with M seeds. Each run is fitted with Gumbel, Rayleigh, and Weibull
 distributions; the M per-run parameter estimates at one design point are
 aggregated into means and standard deviations (the Table-style training
 schema), with the standard deviations later serving as per-point noise
@@ -243,29 +244,18 @@ def fit_family(family: DistFamily, data: Sequence[float]) -> FitResult:
     return _FITTERS[family](data)
 
 
-def _table_row(record: WeatherRecord, m_runs: int, cfg: SimConfig, seeds: list[int]) -> TrainingRow:
-    fits: dict[DistFamily, list[FitResult]] = {fam: [] for fam in DistFamily}
-    failed: set[DistFamily] = set()
-    counts = []
-    for m in range(m_runs):
-        out = simulate(record, cfg, seeds[m])
-        counts.append(out.count)
-        for fam in DistFamily:
-            if fam in failed:
-                continue
-            try:
-                fits[fam].append(fit_family(fam, out.peaks))
-            except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
-                failed.add(fam)
-    counts_arr = np.asarray(counts, dtype=float)
+def _table_row(record: WeatherRecord, cfg: SimConfig, seeds: list[int]) -> TrainingRow:
+    outputs = simulate(record, cfg, seeds)
+    counts = np.array([out.count for out in outputs], dtype=float)
     row = TrainingRow(
         hs=record.hs, tp=record.tp, vw=record.vw,
-        l_mean=float(counts_arr.mean()), l_std=float(counts_arr.std(ddof=1)),
+        l_mean=float(counts.mean()), l_std=float(counts.std(ddof=1)),
     )
     for fam in DistFamily:
-        if fam in failed:
+        try:
+            params = np.array([fit_family(fam, out.peaks).params for out in outputs])
+        except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
             continue
-        params = np.array([f.params for f in fits[fam]])
         for name, mean, std in zip(fam.param_names, params.mean(axis=0),
                                    params.std(axis=0, ddof=1)):
             setattr(row, f"{fam.value}_{name}", float(mean))
@@ -279,8 +269,8 @@ def build_training_table(
     cfg: SimConfig,
     seed: int,
 ) -> TrainingTable:
-    """Run the simulator M times per design point, fit all three families
-    per run, and aggregate into one row per point.
+    """Simulate each design point once with M seeds, fit all three
+    families per run, and aggregate into one row per point.
 
     A family that fails on any of the M runs is marked missing for that row
     (the other families keep their data). Rows come back in design order,
@@ -289,8 +279,8 @@ def build_training_table(
     """
     if m_runs < 2:
         raise ConfigurationError(f"m_runs must be >= 2 (std undefined), got {m_runs}")
-    seeds = [[derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)] for i in range(len(design))]
-    rows = [_table_row(r, m_runs, cfg, seeds[i]) for i, r in enumerate(design)]
+    rows = [_table_row(r, cfg, [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
+            for i, r in enumerate(design)]
     n = len(rows)
     if n:
         rng = np.random.default_rng(derive_seed(seed, TAG_SPLIT))

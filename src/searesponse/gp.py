@@ -352,6 +352,10 @@ def load_model(path: str | Path) -> GPModel:
             payload["train_inputs"], payload["train_targets"], payload["noise_variances"],
             std["input_mean"], std["input_scale"])]
         target_mean, target_scale = float(std["target_mean"]), float(std["target_scale"])
+        d = len(kernel.lengthscales)
+        if arrays[0].ndim != 2 or arrays[0].shape[1] != d or {a.shape for a in arrays[3:]} != {(d,)}:
+            raise ValueError(f"train_inputs of shape {arrays[0].shape} need one column per "
+                             f"lengthscale, input_mean and input_scale entry ({d})")
         if not all(np.isfinite(a).all() for a in [*arrays, target_mean, target_scale]):
             raise ValueError("non-finite values")
         noise_variances, input_scale = arrays[2], arrays[4]

@@ -6,8 +6,8 @@ realization, with derived seeds, to estimate the distribution of Y_k over
 M realizations, and compares candidate results against a reference run.
 The hour count is the weather's. The simulator sweeps contiguous hour
 blocks on one thread per usable CPU, running all M realizations of an hour
-from one spectrum, with one seed per (realization, hour), and merges the
-blocks' accumulators; a surrogate gets one generator per realization and
+in one `simulate` call, with one seed per (realization, hour), and merges
+the blocks' accumulators; a surrogate gets one generator per realization and
 draws it over all hours.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.seeding import TAG_QOI, derive_seed
-from searesponse.simulator import SimConfig, check_weather, simulate_hour
+from searesponse.simulator import SimConfig, check_weather, simulate
 from searesponse.surrogate import (
     SurrogateModel,
     generate_from_moments,
@@ -140,7 +140,7 @@ def _sweep_hours(
     totals = [0] * cfg.realizations
     for i in range(start, stop):
         seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-        for m, out in enumerate(simulate_hour(weather[i], model, seeds)):
+        for m, out in enumerate(simulate(weather[i], model, seeds)):
             totals[m] += out.count
             accs[m].update(out.peaks)
     return accs, totals

@@ -4,9 +4,9 @@ Maps one hour of weather to an array of peak structural responses:
 parametric wave spectrum -> transfer-function filtering -> random-phase
 time-domain realization -> constant wind-moment offset -> mean-crossing
 peak extraction. The number of peaks L is itself random, varying with the
-realization seed. `simulate_hour` builds the hour's spectrum once and
-realizes any number of seeds from it in one batched inverse transform;
-`simulate` is its one-seed case.
+realization seed. `simulate` takes one seed or many: it builds the
+hour's spectrum once and realizes every seed from it in one batched
+inverse transform.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import copy
 import json
 import logging
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -30,7 +29,8 @@ logger = logging.getLogger(__name__)
 
 PEAK_ENHANCEMENT = 3.3
 
-# Relative tolerance for matching a spectrum grid against FFT bins.
+# Relative tolerance of a spectrum grid's spacing: uniform, and equal to the
+# FFT bin width.
 _GRID_RTOL = 1e-9
 
 
@@ -43,17 +43,6 @@ def _require_positive(name: str, value: float) -> None:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-# Every omega grid a SimConfig built, by id: read-only rfft bins from 0 with
-# uniform spacing by construction, so WaveSpectrum need not check them again
-# for each hour. Held weakly; a lookup compares identity, so an id that a
-# collected grid freed never matches another array.
-_CONFIG_GRIDS: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
-
-
-def _is_config_grid(omega: np.ndarray) -> bool:
-    return _CONFIG_GRIDS.get(id(omega)) is omega
 
 
 @dataclass(frozen=True)
@@ -108,10 +97,8 @@ class ThrustCurve:
 
 @dataclass
 class WaveSpectrum:
-    """One-sided spectral density on a uniform angular-frequency grid.
-
-    The grid is checked unless it is a SimConfig's omega_grid, which is
-    uniform by construction."""
+    """One-sided spectral density on a strictly increasing, uniform
+    angular-frequency grid."""
 
     omega: np.ndarray
     density: np.ndarray
@@ -123,11 +110,15 @@ class WaveSpectrum:
             raise ConfigurationError("omega and density must be 1-d arrays of equal length")
         if len(self.omega) < 2:
             raise ConfigurationError("spectrum grid needs at least 2 points")
-        if not _is_config_grid(self.omega):
-            steps = np.diff(self.omega)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-                raise ConfigurationError(
-                    "omega grid must be strictly increasing with uniform spacing")
+        # Every step positive and np.isclose to the first (rtol 1e-9, atol
+        # 1e-8). The smallest and largest steps bound every difference from
+        # the first, since rounding is monotone; NaN fails every comparison,
+        # and an infinite first step passes only if every step equals it.
+        steps = np.diff(self.omega)
+        first, lo, hi = steps[0], steps.min(), steps.max()
+        tol = 1e-8 + _GRID_RTOL * abs(first)
+        if not (lo > 0 and (lo == hi or (hi - first <= tol and first - lo <= tol))):
+            raise ConfigurationError("omega grid must be strictly increasing with uniform spacing")
         if np.any(self.density < 0.0):
             raise ConfigurationError("spectral density must be non-negative")
 
@@ -192,9 +183,7 @@ class SimConfig:
     @cached_property
     def omega_grid(self) -> np.ndarray:
         """Angular frequencies of the rfft bins, 0 .. pi/dt."""
-        grid = _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt))
-        _CONFIG_GRIDS[id(grid)] = grid
-        return grid
+        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt))
 
     @cached_property
     def transfer_squared(self) -> np.ndarray:
@@ -390,26 +379,25 @@ def extract_peaks(series: np.ndarray, threshold: float) -> SimOutput:
     return SimOutput(peaks=peaks)
 
 
-def simulate_hour(record: WeatherRecord, cfg: SimConfig, seeds: Sequence[int]) -> list[SimOutput]:
-    """One stochastic simulator run per seed, all on the same hour.
+def simulate(
+    record: WeatherRecord, cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int | Sequence[int] = 0,
+) -> SimOutput | list[SimOutput]:
+    """Stochastic simulator runs of one hour: weather in, peak responses out.
 
-    The wave and response spectra are built once and every seed's series
-    comes from one batched inverse transform. The wind moment enters as a
-    constant offset over the hour and the up-crossing threshold is the
-    arithmetic mean of each realized series, so peak values are absolute
-    moments while the crossing structure follows the wave-induced part
-    alone.
+    One int seed gives one SimOutput; a sequence of seeds gives one per
+    seed, in order, each equal to the run of its seed alone. The wave and
+    response spectra are built once and every seed's series comes from one
+    batched inverse transform. The wind moment enters as a constant offset
+    over the hour and the up-crossing threshold is the arithmetic mean of
+    each realized series, so peak values are absolute moments while the
+    crossing structure follows the wave-induced part alone.
     """
+    single = np.isscalar(seed)
     wave = wave_spectrum(record.hs, record.tp, cfg.omega_grid)
     resp = wave.filtered(cfg.transfer_squared)
     offset = wind_moment(record.vw, cfg.thrust, cfg.lever_arm)
     outputs = []
-    for row in realize_time_series(resp, cfg.dt, cfg.duration, seeds):
+    for row in realize_time_series(resp, cfg.dt, cfg.duration, [seed] if single else seed):
         series = row + offset
         outputs.append(extract_peaks(series, threshold=float(series.mean())))
-    return outputs
-
-
-def simulate(record: WeatherRecord, cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int = 0) -> SimOutput:
-    """One stochastic simulator run: weather in, peak response array out."""
-    return simulate_hour(record, cfg, [seed])[0]
+    return outputs[0] if single else outputs

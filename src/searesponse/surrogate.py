@@ -83,6 +83,10 @@ class SurrogateModel:
                 f"{self.family.value} needs one model per parameter {expected}, "
                 f"got {tuple(self.param_models)}"
             )
+        for name, gp_model in [*self.param_models.items(), (COUNT_TARGET, self.l_model)]:
+            if gp_model.train_inputs.shape[1] != 3:
+                raise ConfigurationError(f"the {name} GP takes {gp_model.train_inputs.shape[1]} "
+                                         f"inputs, not the 3 of (hs, tp, vw)")
 
 
 def train_surrogate(
@@ -285,10 +289,10 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
         raise SchemaError(f"{directory}: unsupported bundle version {manifest.get('format_version')!r}")
     try:
         family = DistFamily(manifest["family"])
-        mode = manifest["mode"]
         files = manifest["files"]
         param_models = {name: load_model(directory / files[name]) for name in family.param_names}
         l_model = load_model(directory / files[COUNT_TARGET])
-    except (KeyError, TypeError, ValueError) as exc:
+        return SurrogateModel(family=family, param_models=param_models, l_model=l_model,
+                              mode=manifest["mode"])
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SchemaError(f"{directory}: malformed bundle: {exc}")
-    return SurrogateModel(family=family, param_models=param_models, l_model=l_model, mode=mode)

@@ -454,6 +454,79 @@ class TestQoiCommand:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+class TestBundleInputs:
+    """qoi and eval end with exit 3 on a bundle whose GPs do not take the
+    three weather inputs or whose mode is unknown."""
+
+    def _run(self, command, tmp_path, bundle, weather_csv, table_path):
+        out = tmp_path / "out"
+        if command == "qoi":
+            argv = ["qoi", "--source", "surrogate", "--k", "1", "--m", "1", "--weather",
+                    weather_csv, "--seed", "2", "--bundle", str(bundle), "--out", str(out)]
+        else:
+            argv = ["eval", "--table", table_path, "--bundle", str(bundle), "--out", str(out)]
+        code = cli.main(argv)
+        assert not out.exists()
+        return code
+
+    def _copy(self, tmp_path, bundle_path, name, edit):
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_path, bundle)
+        payload = json.loads((bundle / name).read_text())
+        edit(payload)
+        (bundle / name).write_text(json.dumps(payload))
+        return bundle
+
+    @staticmethod
+    def _cut_inputs(payload):
+        payload["train_inputs"] = [row[:2] for row in payload["train_inputs"]]
+
+    @staticmethod
+    def _two_input_gp(payload):
+        TestBundleInputs._cut_inputs(payload)
+        payload["kernel"]["lengthscales"] = payload["kernel"]["lengthscales"][:2]
+        for key in ("input_mean", "input_scale"):
+            payload["standardization"][key] = payload["standardization"][key][:2]
+
+    @pytest.mark.parametrize("command", ["qoi", "eval"])
+    def test_inputs_not_matching_lengthscales(self, tmp_path, bundle_path, weather_csv,
+                                              table_path, capsys, command):
+        bundle = self._copy(tmp_path, bundle_path, "gp_sigma.json", self._cut_inputs)
+        assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
+        assert "gp_sigma.json: malformed model file: train_inputs of shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["qoi", "eval"])
+    def test_gp_with_two_inputs(self, tmp_path, bundle_path, weather_csv, table_path, capsys,
+                                command):
+        bundle = self._copy(tmp_path, bundle_path, "gp_sigma.json", self._two_input_gp)
+        assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
+        assert "the sigma GP takes 2 inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["qoi", "eval"])
+    def test_unknown_mode(self, tmp_path, bundle_path, weather_csv, table_path, capsys, command):
+        bundle = self._copy(tmp_path, bundle_path, "bundle.json",
+                            lambda payload: payload.update(mode="median"))
+        assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
+        assert "mode must be 'point' or 'sample', got 'median'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,extra", [
+    ("simulator", ["--bundle", "BUNDLE"]),
+    ("simulator", ["--theta-frozen"]),
+    ("surrogate", ["--bundle", "BUNDLE", "--sim-config", "CONFIG"]),
+], ids=["simulator-bundle", "simulator-theta-frozen", "surrogate-sim-config"])
+def test_qoi_flag_its_source_never_reads_is_usage_error(tmp_path, capsys, bundle_path,
+                                                         fast_config_path, weather_csv,
+                                                         source, extra):
+    extra = [{"BUNDLE": bundle_path, "CONFIG": fast_config_path}.get(a, a) for a in extra]
+    out = tmp_path / "q"
+    code = cli.main(["qoi", "--source", source, "--weather", weather_csv, "--k", "1", "--m", "1",
+                     "--seed", "2", *extra, "--out", str(out)])
+    assert code == 2
+    assert "does not apply to --source " + source in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCompareCommand:
     def test_identical_directories_zero_difference(self, tmp_path, fast_config_path, weather_csv):
         run = tmp_path / "run"

@@ -182,7 +182,8 @@ class TestAggregateFits:
 
     def test_identical_fits_zero_std(self, monkeypatch, fast_sim_config, rng):
         peaks = rng.rayleigh(2.5, 100) + 0.1
-        monkeypatch.setattr(distfit, "simulate", lambda record, cfg, seed: SimOutput(peaks))
+        monkeypatch.setattr(distfit, "simulate",
+                            lambda record, cfg, seeds: [SimOutput(peaks) for _ in seeds])
         row = self._row(fast_sim_config)
         for family in DistFamily:
             params = fit_family(family, peaks).params
@@ -232,6 +233,20 @@ class TestAggregateFits:
 
 
 class TestBuildTrainingTable:
+    def test_one_simulate_call_per_design_point(self, monkeypatch, fast_sim_config):
+        design = sample_uniform_inputs(3, seed=21)
+        calls = []
+        real = distfit.simulate
+
+        def record_call(record, cfg, seeds):
+            calls.append((record, list(seeds)))
+            return real(record, cfg, seeds)
+
+        monkeypatch.setattr(distfit, "simulate", record_call)
+        build_training_table(design, 4, fast_sim_config, seed=5)
+        assert calls == [(record, [derive_seed(5, TAG_SIM, i, m) for m in range(4)])
+                         for i, record in enumerate(design)]
+
     def test_empty_design(self, fast_sim_config):
         table = build_training_table([], 3, fast_sim_config, seed=1)
         assert table.rows == []

@@ -17,7 +17,6 @@ from searesponse.simulator import (
     realize_time_series,
     response_spectrum,
     simulate,
-    simulate_hour,
     wave_spectrum,
     wind_moment,
     write_sim_config,
@@ -58,6 +57,37 @@ class TestWaveSpectrum:
     def test_negative_hs_rejected(self, fast_sim_config):
         with pytest.raises(ConfigurationError):
             wave_spectrum(-0.1, 10.0, fast_sim_config.omega_grid)
+
+
+class TestSpectrumGrid:
+    """WaveSpectrum accepts a grid exactly when its steps are positive and
+    np.isclose (rtol 1e-9) to the first step."""
+
+    @staticmethod
+    def _reference(omega):
+        steps = np.diff(omega)
+        return not (np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9))
+
+    @pytest.mark.parametrize("omega,accepted", [
+        (DEFAULT_SIM_CONFIG.omega_grid, True),
+        (DEFAULT_SIM_CONFIG.omega_grid.copy(), True),
+        (np.linspace(0.0, 3.0, 1001), True),
+        (np.arange(8) * 0.1 + (np.arange(8) >= 4) * 5e-9, True),
+        (np.arange(8) * 0.1 + (np.arange(8) >= 4) * 2e-8, False),
+        (DEFAULT_SIM_CONFIG.omega_grid[::-1], False),
+        (np.array([0.0, 0.1, np.nan, 0.3]), False),
+        (np.array([0.0, np.inf]), True),
+        (np.array([-np.inf, 0.0, 1.0]), False),
+    ], ids=["config", "config_copy", "linspace", "step_off_by_5e-9", "step_off_by_2e-8",
+            "decreasing", "nan", "one_infinite_step", "infinite_then_finite_step"])
+    def test_accepts_what_allclose_accepts(self, omega, accepted):
+        with np.errstate(invalid="ignore"):
+            assert self._reference(omega) is accepted
+            if accepted:
+                WaveSpectrum(omega, np.zeros(len(omega)))
+            else:
+                with pytest.raises(ConfigurationError, match="uniform spacing"):
+                    WaveSpectrum(omega, np.zeros(len(omega)))
 
 
 class TestResponseSpectrum:
@@ -246,7 +276,9 @@ class TestSimulate:
     def test_hour_rows_equal_one_seed_runs(self, fast_sim_config):
         record = WeatherRecord(hs=3.0, tp=10.0, vw=7.0, index=0)
         seeds = [derive_seed(9, TAG_QOI, m, 0) for m in range(4)]
-        for seed, out in zip(seeds, simulate_hour(record, fast_sim_config, seeds)):
+        outputs = simulate(record, fast_sim_config, seeds)
+        assert isinstance(outputs, list) and len(outputs) == len(seeds)
+        for seed, out in zip(seeds, outputs):
             np.testing.assert_array_equal(out.peaks, simulate(record, fast_sim_config, seed).peaks)
 
 
