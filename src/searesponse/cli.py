@@ -49,6 +49,7 @@ from searesponse.simulator import DEFAULT_SIM_CONFIG, load_sim_config, write_sim
 from searesponse.surrogate import (
     BUNDLE_FORMAT_VERSION,
     COUNT_TARGET,
+    MODE_POINT,
     evaluate_surrogate,
     load_surrogate,
     save_surrogate,
@@ -260,6 +261,8 @@ def cmd_qoi(args: argparse.Namespace) -> Stage:
         if not args.bundle:
             raise ConfigurationError("--bundle is required for --source surrogate")
         model = load_surrogate(args.bundle)
+        if args.theta_frozen and model.mode == MODE_POINT:
+            raise ConfigurationError("--theta-frozen does not apply to a point-mode bundle")
         inputs = [str(args.weather), str(args.bundle)]
     cfg = QoiConfig(k=args.k, realizations=args.m, base_seed=args.seed,
                     theta_frozen=args.theta_frozen)
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qoi.add_argument("--bundle", help="surrogate bundle directory (surrogate source)")
     p_qoi.add_argument("--theta-frozen", action="store_true",
                        help="draw surrogate parameter shifts once per realization "
-                            "instead of per hour")
+                            "instead of per hour (sample-mode bundles only)")
     _add_common(p_qoi)
     p_qoi.set_defaults(func=cmd_qoi)
 

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from searesponse import cli, simulator
+from searesponse import cli, gp, simulator
 from searesponse.distfit import load_training_table, write_training_table
+from searesponse.errors import NumericError
 from searesponse.gp import predict
 from searesponse.orderstats import usable_cpus
 from searesponse.simulator import write_sim_config
@@ -284,6 +285,18 @@ class TestTrainCommand:
         assert abs(a.mean - b.mean) <= 1e-10
         assert abs(a.std - b.std) <= 1e-10
 
+    def test_search_with_no_factorizable_candidate_is_numeric_error(self, tmp_path, table_path,
+                                                                     monkeypatch, capsys):
+        def unfactorizable(k_matrix, noise_variances):
+            raise NumericError("covariance factorization failed")
+
+        monkeypatch.setattr(gp, "_factorize", unfactorizable)
+        out = tmp_path / "b"
+        assert cli.main(["train", "--table", table_path, "--family", "rayleigh", "--restarts", "2",
+                         "--seed", "5", "--out", str(out)]) == 4
+        assert "hyperparameter search failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_family_is_usage_error(self, table_path, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["train", "--table", table_path, "--family", "cauchy",
@@ -525,6 +538,22 @@ def test_qoi_flag_its_source_never_reads_is_usage_error(tmp_path, capsys, bundle
     assert code == 2
     assert "does not apply to --source " + source in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_qoi_theta_frozen_with_point_mode_bundle_is_usage_error(tmp_path, capsys, bundle_path,
+                                                                weather_csv):
+    bundle = tmp_path / "point"
+    shutil.copytree(bundle_path, bundle)
+    payload = json.loads((bundle / "bundle.json").read_text())
+    (bundle / "bundle.json").write_text(json.dumps({**payload, "mode": "point"}))
+    out = tmp_path / "q"
+    argv = ["qoi", "--source", "surrogate", "--weather", weather_csv, "--k", "1", "--m", "1",
+            "--seed", "2", "--bundle", str(bundle), "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cli.main(argv + ["--theta-frozen", "--force"]) == 2
+    assert "--theta-frozen does not apply to a point-mode bundle" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestCompareCommand:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cholesky
 
 from searesponse import gp
 from searesponse.distfit import DistFamily
@@ -31,6 +32,12 @@ RECORDED_TABLE_LML = {
     DistFamily.WEIBULL: {"k": -27.393473, "lambda": -21.928737, "l_count": 25.312297},
 }
 LML_SLACK = 1e-3
+
+# gp._factorize calls per family in train_surrogate(small_table, family,
+# restarts=2, seed=7) while L-BFGS-B took scipy's finite-difference
+# gradient (d + 2 = 5 factorizations per step), final conditioning included.
+RECORDED_FD_FACTORIZATIONS = {DistFamily.GUMBEL: 706, DistFamily.RAYLEIGH: 394,
+                              DistFamily.WEIBULL: 571}
 
 
 def dense_oracle(model, x):
@@ -254,6 +261,89 @@ class TestSamplePosterior:
         assert draws.std() == pytest.approx(m.std, rel=0.01)
 
 
+def log_bounds(dim):
+    sv = [math.log(b) for b in gp.SIGNAL_VARIANCE_BOUNDS]
+    ell = [math.log(b) for b in gp.LENGTHSCALE_BOUNDS]
+    return np.array([sv] + [ell] * dim)
+
+
+class TestLMLGradient:
+    """The objective L-BFGS-B minimizes returns -LML and its analytic
+    gradient over (log signal variance, log lengthscales)."""
+
+    STEP = 1e-5
+
+    def check(self, x, y, nv, log_vec):
+        inputs_std, targets_std, noise_std, *_ = gp._standardize(x, y, nv)
+        objective = gp._LMLObjective(inputs_std, targets_std, noise_std)
+        value, grad = objective(log_vec)
+        kernel = gp.KernelParams(math.exp(log_vec[0]), tuple(np.exp(log_vec[1:])))
+        lml = gp.log_marginal_likelihood(inputs_std, targets_std, noise_std, kernel)
+        assert -value == pytest.approx(lml, rel=1e-10)
+        central = np.array([(objective(log_vec + self.STEP * e)[0]
+                             - objective(log_vec - self.STEP * e)[0]) / (2.0 * self.STEP)
+                            for e in np.eye(len(log_vec))])
+        np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-5 * np.abs(central).max())
+
+    def test_anchor(self, rng):
+        self.check(*make_dataset(rng, 60, noise=0.2), np.zeros(4))
+
+    def test_random_points_inside_bounds(self, rng):
+        x, y, nv = make_dataset(rng, 50, noise=0.1)
+        bounds = log_bounds(3)
+        for _ in range(6):
+            self.check(x, y, nv, rng.uniform(bounds[:, 0], bounds[:, 1]))
+
+    def test_points_on_bounds(self, rng):
+        x, y, nv = make_dataset(rng, 50, noise=0.1)
+        bounds = log_bounds(3)
+        for corner in ([0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 1, 0]):
+            self.check(x, y, nv, bounds[np.arange(4), corner])
+
+    def test_heteroscedastic_noise(self, rng):
+        x, y, _ = make_dataset(rng, 60, noise=0.1)
+        nv = rng.uniform(1e-4, 0.5, len(y))
+        for log_vec in (np.zeros(4), np.array([1.0, -0.7, 0.4, 1.5])):
+            self.check(x, y, nv, log_vec)
+
+    def test_escalated_jitter(self, rng, monkeypatch):
+        # Near-duplicate inputs with zero noise leave A with eigenvalues of
+        # the order of the jitter, so the jitter's share of dA/dlog(sv)
+        # moves the gradient. Cholesky never fails at the first jitter on a
+        # Matern Gram of this size, so the first attempt of each
+        # factorization is refused to make _factorize escalate once.
+        x = rng.uniform(0.0, 10.0, (20, 3))
+        x = np.vstack([x, x + rng.normal(0.0, 1e-3, x.shape)])
+        y = np.sin(x[:, 0]) + 0.3 * x[:, 1]
+        nv = np.zeros(len(y))
+        attempts = []
+
+        def first_attempt_fails(system, **kwargs):
+            attempts.append(1)
+            if len(attempts) % 2:
+                raise LinAlgError("refused")
+            return cholesky(system, **kwargs)
+
+        monkeypatch.setattr(gp, "cholesky", first_attempt_fails)
+        parts = gp._standardize(x, y, nv)
+        gram = gp.matern52_matrix(parts[0], parts[0], gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
+        assert gp._factorize(gram, parts[2])[1] == pytest.approx(
+            gp.JITTER_INITIAL * gp.JITTER_GROWTH)
+        for log_vec in (np.zeros(4), np.array([0.8, 0.5, 0.2, 1.0])):
+            self.check(x, y, nv, log_vec)
+
+    def test_unfactorizable_point_never_wins(self, rng, monkeypatch):
+        def unfactorizable(k_matrix, noise_variances):
+            raise NumericError("covariance factorization failed")
+
+        x, y, nv = make_dataset(rng, 30)
+        monkeypatch.setattr(gp, "_factorize", unfactorizable)
+        objective = gp._LMLObjective(*gp._standardize(x, y, nv)[:3])
+        assert objective(np.zeros(4))[0] == math.inf
+        with pytest.raises(NumericError, match="hyperparameter search failed"):
+            gp.fit_hyperparams(x, y, nv, restarts=2, seed=1)
+
+
 class TestFitHyperparams:
     def test_recovers_lengthscales_within_factor_two(self):
         rng = np.random.default_rng(321)
@@ -288,6 +378,20 @@ class TestFitHyperparams:
             lml = gp.log_marginal_likelihood(m.train_inputs, m.train_targets,
                                              m.noise_variances, m.kernel)
             assert lml >= recorded[name] - LML_SLACK, name
+
+    @pytest.mark.parametrize("family", list(DistFamily), ids=lambda f: f.value)
+    def test_analytic_gradient_cuts_factorizations(self, small_table, family, monkeypatch):
+        calls = []
+        factorize = gp._factorize
+
+        def counted(*args):
+            calls.append(1)
+            return factorize(*args)
+
+        monkeypatch.setattr(gp, "_factorize", counted)
+        train_surrogate(small_table, family, restarts=2, seed=7)
+        # Same targets on both sides, so 3x fewer in total is 3x fewer per target.
+        assert 3 * len(calls) <= RECORDED_FD_FACTORIZATIONS[family]
 
     def test_shuffled_targets_learn_no_signal(self):
         # No-signal control: with honest noise levels the fitted model's
