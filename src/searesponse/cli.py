@@ -22,12 +22,16 @@ import csv
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
+import scipy
 
 from searesponse import __version__
 from searesponse.distfit import (
@@ -155,6 +159,8 @@ def _run_stage(args: argparse.Namespace) -> int:
         "inputs": stage.inputs,
         "outputs": [str(p) for p in written],
         "format_versions": FORMAT_VERSIONS,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "started_at": datetime.fromtimestamp(args._started, tz=timezone.utc).isoformat(),
         "wall_seconds": time.monotonic() - args._t0,
         **stage.extra,

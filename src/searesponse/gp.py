@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
-from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
@@ -286,6 +285,7 @@ def fit_hyperparams(inputs: np.ndarray, targets: np.ndarray, noise_variances: np
         return KernelParams(signal_variance=math.exp(log_vec[0]),
                             lengthscales=tuple(math.exp(v) for v in log_vec[1:]))
 
+    from scipy.optimize import minimize  # here, so that only `train` loads the optimizer
     objective = _LMLObjective(inputs_std, targets_std, noise_std)
 
     best_vec = None

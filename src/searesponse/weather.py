@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import expit
 
 from searesponse.errors import ConfigurationError, ParseError, SchemaError
@@ -79,7 +79,7 @@ def _parse_row(row: list[str], line: int) -> WeatherRecord:
         hs, tp, vw = (float(v) for v in row[1:4])
     except ValueError as exc:
         raise ParseError(f"non-numeric value in row {row!r}: {exc}", line=line) from None
-    if not all(np.isfinite(v) for v in (hs, tp, vw)):
+    if not all(math.isfinite(v) for v in (hs, tp, vw)):
         raise ParseError(f"non-finite value in row {row!r}", line=line)
     if hs <= 0.0:
         raise ParseError(f"hs must be positive, got {hs}", line=line)
@@ -130,10 +130,13 @@ def write_weather(path: str | Path, records: Sequence[WeatherRecord]) -> None:
 
 def _ar1_series(n: int, coeff: float, rng: np.random.Generator) -> np.ndarray:
     # Stationary AR(1) with N(0,1) marginals: x0 ~ N(0,1), innovations
-    # scaled by sqrt(1-coeff^2).
+    # scaled by sqrt(1-coeff^2); the float recurrence is lfilter's, bit for bit.
     eps = rng.standard_normal(n)
     eps[1:] *= np.sqrt(1.0 - coeff * coeff)
-    return lfilter([1.0], [1.0, -coeff], eps)
+    out = eps.tolist()
+    for i in range(1, n):
+        out[i] += coeff * out[i - 1]
+    return np.array(out)
 
 
 def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> list[WeatherRecord]:

@@ -1,9 +1,14 @@
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from searesponse import cli, gp, simulator
 from searesponse.distfit import load_training_table, write_training_table
@@ -59,6 +64,17 @@ def _read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
 
 
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # Every stage invocation pays for importing searesponse.cli in a fresh
+    # interpreter; the optimizer is imported only when `train` fits.
+    heavy = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
+    code = f"import sys, searesponse.cli; print(*(m for m in {heavy!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.split() == []
+
+
 class TestWeatherCommand:
     def test_synth_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "w"
@@ -70,6 +86,15 @@ class TestWeatherCommand:
         assert manifest["command"] == "weather synth"
         assert manifest["seeds"] == {"seed": 7}
         assert "wall_seconds" in manifest
+
+    def test_manifest_records_library_versions(self, tmp_path):
+        out = tmp_path / "w"
+        assert cli.main(["weather", "synth", "--hours", "2", "--seed", "7", "--out", str(out)]) == 0
+        assert _read_manifest(out)["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "a"

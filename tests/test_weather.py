@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import lfilter
 
 from searesponse.errors import ConfigurationError, ParseError, SchemaError
 from searesponse.weather import (
     DEFAULT_BOX,
     InputBox,
     WeatherRecord,
+    _ar1_series,
     load_weather,
     records_to_array,
     sample_uniform_inputs,
@@ -88,6 +90,19 @@ class TestSynthesizeWeather:
     def test_zero_hours_rejected(self):
         with pytest.raises(ConfigurationError):
             synthesize_weather(0, seed=1)
+
+    @pytest.mark.parametrize("coeff", [0.95, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1460, 8760])
+    def test_ar1_recurrence_matches_lfilter_bit_for_bit(self, n, coeff):
+        # Weather files written with lfilter keep their bytes only if the
+        # recurrence agrees with it in every bit.
+        for seed in range(20):
+            eps = np.random.default_rng(seed).standard_normal(n)
+            eps[1:] *= np.sqrt(1.0 - coeff * coeff)
+            expected = lfilter([1.0], [1.0, -coeff], eps)
+            got = _ar1_series(n, coeff, np.random.default_rng(seed))
+            assert got.dtype == expected.dtype and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigurationError):
