@@ -76,7 +76,7 @@ FORMAT_VERSIONS = {
     "training_table": 1,
     "gp_model": MODEL_FORMAT_VERSION,
     "surrogate_bundle": BUNDLE_FORMAT_VERSION,
-    "qoi_result": 2,
+    "qoi_result": 3,
     "comparison_report": 1,
 }
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,11 +54,43 @@ class DistFamily(str, Enum):
     def param_names(self) -> tuple[str, ...]:
         return _PARAM_NAMES[self]
 
+    @property
+    def hazard(self) -> "Hazard":
+        return _HAZARDS[self]
+
 
 _PARAM_NAMES = {
     DistFamily.GUMBEL: ("mu", "beta"),
     DistFamily.RAYLEIGH: ("sigma",),
     DistFamily.WEIBULL: ("k", "lambda"),
+}
+
+
+class Hazard(NamedTuple):
+    """A family's cumulative hazard H(x; theta) = -log S(x; theta) and its
+    inverse in x, both over the rows of an (n, p) theta array, and the
+    bottom of its support."""
+
+    cumulative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    support_min: float
+
+
+def _log1mexp(a: np.ndarray) -> np.ndarray:
+    """log(1 - exp(-a)) for a >= 0, accurate at both ends (Maechler 2012)."""
+    with np.errstate(divide="ignore"):
+        return np.where(a < math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+
+
+# Gumbel S = 1 - exp(-e^{-z}), z = (x - mu) / beta; Rayleigh H = x^2 / (2 sigma^2);
+# Weibull H = (x / lambda)^k.
+_HAZARDS = {
+    DistFamily.GUMBEL: Hazard(lambda x, t: -_log1mexp(np.exp((t[:, 0] - x) / t[:, 1])),
+                              lambda h, t: t[:, 0] - t[:, 1] * np.log(-_log1mexp(h)), -math.inf),
+    DistFamily.RAYLEIGH: Hazard(lambda x, t: 0.5 * (x / t[:, 0]) ** 2,
+                                lambda h, t: t[:, 0] * np.sqrt(2.0 * h), 0.0),
+    DistFamily.WEIBULL: Hazard(lambda x, t: (x / t[:, 1]) ** t[:, 0],
+                               lambda h, t: t[:, 1] * h ** (1.0 / t[:, 0]), 0.0),
 }
 
 

@@ -59,12 +59,6 @@ class KernelParams:
             raise ConfigurationError(f"lengthscales must be positive and finite, got {self.lengthscales}")
 
 
-@dataclass(frozen=True)
-class PredictiveMoments:
-    mean: float
-    std: float
-
-
 @dataclass
 class GPModel:
     """A trained GP: standardized training data, factorized covariance, and
@@ -331,12 +325,6 @@ def predict_batch(model: GPModel, points: np.ndarray,
     mean = model.target_mean + model.target_scale * mean_std
     std = model.target_scale * np.sqrt(var)
     return mean, std
-
-
-def predict(model: GPModel, x: np.ndarray, include_noise: bool = False) -> PredictiveMoments:
-    """Posterior mean and std at one point, de-standardized to target units."""
-    means, stds = predict_batch(model, np.atleast_2d(x), include_noise=include_noise)
-    return PredictiveMoments(mean=float(means[0]), std=float(stds[0]))
 
 
 def subsample_cap(n: int, n_max: int, seed: int) -> np.ndarray:

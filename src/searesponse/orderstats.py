@@ -1,14 +1,14 @@
 """Brute-force order statistics over a weather sequence.
 
-Streams every hour's peak array (from the simulator or a surrogate, as the
-model passed to run_qoi says) through one bounded top-k accumulator per
-realization, with derived seeds, to estimate the distribution of Y_k over
-M realizations, and compares candidate results against a reference run.
-The hour count is the weather's. The simulator sweeps contiguous hour
-blocks on one thread per usable CPU, running all M realizations of an hour
-in one `simulate` call, with one seed per (realization, hour), and merges
-the blocks' accumulators; a surrogate gets one generator per realization and
-draws it over all hours.
+Streams peaks (from the simulator or a surrogate, as the model passed to
+run_qoi says) through one bounded top-k accumulator per realization, with
+derived seeds, to estimate the distribution of Y_k over M realizations, and
+compares candidate results against a reference run. The hour count is the
+weather's. The simulator sweeps contiguous hour blocks on one thread per
+usable CPU, running all M realizations of an hour in one `simulate` call,
+with one seed per (realization, hour), and merges the blocks' accumulators;
+a surrogate gets one generator per realization, draws over all hours only
+the few hundred peaks that can reach the top k, and offers them at once.
 """
 
 from __future__ import annotations
@@ -163,10 +163,12 @@ def run_qoi(
     order they arrive in, so results do not depend on the worker count. A
     surrogate draws each realization from one generator seeded by (base
     seed, realization), after predicting the GP moments once for the whole
-    sequence. Either way results are a pure function of (cfg, weather,
-    model). The weather sequence, of at least one hour, is fixed across
-    realizations; only the seeds vary. The result's source is the model's:
-    "simulator" for a SimConfig, "surrogate" for a SurrogateModel.
+    sequence, and offers its accumulator only the peaks that can reach the
+    top k (its peak total counts every hour's L). Either way results are a
+    pure function of (cfg, weather, model). The weather sequence, of at
+    least one hour, is fixed across realizations; only the seeds vary. The
+    result's source is the model's: "simulator" for a SimConfig,
+    "surrogate" for a SurrogateModel.
     """
     if len(weather) < 1:
         raise ConfigurationError("weather must hold at least one hour")
@@ -195,8 +197,9 @@ def run_qoi(
         moments = predict_moments_batch(model, records_to_array(weather))
         for m, acc in enumerate(accs):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
-            draw = generate_from_moments(model.family, moments, model.mode, rng, acc.update,
+            draw = generate_from_moments(model.family, moments, model.mode, rng, cfg.k,
                                          theta_frozen=cfg.theta_frozen)
+            acc.update(draw.peaks)
             totals[m] = int(draw.counts.sum())
 
     else:

@@ -8,20 +8,23 @@ once over a weather sequence; generate_from_moments then draws one
 realization over the whole sequence from a single generator. Parameters
 are either the posterior means ("point" mode) or draws from each GP's
 predictive Gaussian ("sample" mode); L values are drawn from the resulting
-distribution.
+distribution. Only the peaks that can reach the top k are drawn, over a
+threshold (Coles, An Introduction to Statistical Modeling of Extreme
+Values, 2001, ch. 4), which leaves the law of the k largest unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from searesponse.distfit import DistFamily, TrainingRow, TrainingTable
+from searesponse.distfit import DistFamily, Hazard, TrainingRow, TrainingTable
 from searesponse.errors import ConfigurationError, InsufficientDataError, SchemaError
 from searesponse.gp import (
     GPModel,
@@ -48,9 +51,12 @@ COUNT_TARGET = "l_count"
 # draw, since exact GP inference costs O(n^3).
 MAX_TRAIN_POINTS = 2000
 
-# Hours of peak values drawn per call; bounds memory only, since the values
-# do not depend on it.
-DRAW_BLOCK_HOURS = 64
+# Peaks expected above a draw's threshold, per unit of k: fewer than k
+# exceed it only rarely, and drawing them is cheap. The bisection for the
+# threshold stops within 10% of its target, in about ten of at most
+# THRESHOLD_BISECTIONS steps.
+EXCEEDANCE_TARGET_PER_K = 4
+THRESHOLD_BISECTIONS = 60
 
 # Relative positivity floors per parameter (fraction of the predicted mean
 # magnitude), applied with a resample-once policy in sample mode. Scale-type
@@ -142,10 +148,12 @@ class SurrogateMoments(NamedTuple):
 
 
 class SurrogateDraw(NamedTuple):
-    """The parameters and counts one realization drew, per hour."""
+    """The parameters and counts one realization drew, per hour, and its
+    peaks that can be among the k largest."""
 
     theta: np.ndarray        # (n_hours, p)
     counts: np.ndarray       # (n_hours,), int
+    peaks: np.ndarray        # (n,), in no particular order
 
 
 def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray) -> SurrogateMoments:
@@ -161,26 +169,55 @@ def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray) -> Surrogat
     )
 
 
+def exceedance_threshold(hazard: Hazard, theta: np.ndarray, counts: np.ndarray,
+                         target: float) -> float:
+    """A threshold that 90-100% of `target` peaks are expected to exceed,
+    by bisection on sum_h L_h S_h(u) between the hours' quantiles at
+    S = target / sum_h L_h; the bottom of the support if sum_h L_h <= target."""
+    counts = counts.astype(float)
+    total = counts.sum()
+    if total <= target:
+        return hazard.support_min
+    quantiles = hazard.inverse(np.full(len(counts), math.log(total / target)), theta)
+    lo, hi = quantiles.min(), min(quantiles.max(), np.finfo(float).max)
+    for _ in range(THRESHOLD_BISECTIONS):
+        mid = lo + 0.5 * (hi - lo)
+        expected = counts @ np.exp(-hazard.cumulative(mid, theta))
+        if expected > target:
+            lo = mid
+        elif expected < 0.9 * target:
+            hi = mid
+        else:
+            return mid
+    return hi
+
+
 def generate_from_moments(
     family: DistFamily,
     moments: SurrogateMoments,
     mode: str,
     rng: np.random.Generator,
-    sink: Callable[[np.ndarray], object],
+    k: int,
     theta_frozen: bool = False,
 ) -> SurrogateDraw:
-    """Draw one realization of synthetic peaks over all hours of `moments`.
+    """Draw one realization over all hours of `moments`: its peaks that can
+    be among the k largest.
 
     From the one generator `rng`, in this order: the parameter shifts
-    (theta_frozen, sample mode only), theta for all hours, all counts, then
-    the peak values, passed to `sink` DRAW_BLOCK_HOURS hours at a time in
-    hour order. Point mode uses the posterior means as theta; sample mode
-    draws each parameter from its predictive Gaussian, or shifts it by a
-    per-realization standard-normal multiple of its std when theta_frozen.
-    A sample-mode draw below its parameter's relative floor is drawn once
-    more; every mode then clamps theta to the floor. Each count is
-    N(l_mean, l_std) rounded and clamped at zero. numpy draws array-parameter values element by element, so the
-    values do not depend on the block size.
+    (theta_frozen, sample mode only), theta for all hours, all counts, the
+    counts above the threshold, the peaks above it, then, only if fewer
+    than k, the peaks below it. Point mode uses the posterior means as
+    theta; sample mode draws each parameter from its predictive Gaussian,
+    or shifts it by a per-realization standard-normal multiple of its std
+    when theta_frozen. A sample-mode draw below its parameter's relative
+    floor is drawn once more; every mode then clamps theta to the floor.
+    Each count L_h is N(l_mean, l_std) rounded and clamped at zero.
+
+    Given theta and the counts, and a threshold u set from them alone, hour
+    h has Binomial(L_h, S_h(u)) peaks above u, each H^{-1}(H(u) + E) with
+    E ~ Exp(1). The k largest of all peaks are among them when there are at
+    least k; otherwise the other peaks are drawn below u by the inverse CDF
+    on [0, F_h(u)], completing the stream.
     """
     mean, std = moments.theta_mean, moments.theta_std
     factors = _FLOOR_FACTORS[family]
@@ -196,16 +233,18 @@ def generate_from_moments(
         theta[low] = rng.normal(mean[low], std[low])
     theta = np.maximum(theta, floor)
     counts = np.maximum(np.rint(rng.normal(moments.l_mean, moments.l_std)), 0.0).astype(np.int64)
-    for start in range(0, len(counts), DRAW_BLOCK_HOURS):
-        hours = slice(start, start + DRAW_BLOCK_HOURS)
-        params = np.repeat(theta[hours], counts[hours], axis=0)
-        if family is DistFamily.GUMBEL:
-            sink(rng.gumbel(params[:, 0], params[:, 1]))
-        elif family is DistFamily.RAYLEIGH:
-            sink(rng.rayleigh(params[:, 0]))
-        else:
-            sink(params[:, 1] * rng.weibull(params[:, 0]))
-    return SurrogateDraw(theta=theta, counts=counts)
+    hazard = family.hazard
+    with np.errstate(over="ignore", divide="ignore"):
+        u = exceedance_threshold(hazard, theta, counts, EXCEEDANCE_TARGET_PER_K * k)
+        h_u = hazard.cumulative(u, theta)
+        exceed = rng.binomial(counts, np.exp(-h_u))
+        rows = np.repeat(np.arange(len(counts)), exceed)
+        peaks = hazard.inverse(h_u[rows] + rng.standard_exponential(len(rows)), theta[rows])
+        if exceed.sum() < k:
+            rows = np.repeat(np.arange(len(counts)), counts - exceed)
+            below = -np.log1p(rng.random(len(rows)) * np.expm1(-h_u[rows]))
+            peaks = np.concatenate([peaks, hazard.inverse(below, theta[rows])])
+    return SurrogateDraw(theta=theta, counts=counts, peaks=peaks)
 
 
 @dataclass

@@ -176,22 +176,22 @@ def test_criterion_5_gp_oracle_and_coverage():
             oracle_mean = model.target_mean + model.target_scale * float(ks @ inv @ model.train_targets)
             oracle_var = model.kernel.signal_variance - float(ks @ inv @ ks)
             oracle_std = model.target_scale * math.sqrt(max(oracle_var, 0.0))
-            m = gp.predict(model, q)
+            [mean], [std] = gp.predict_batch(model, q)
             worst = max(worst,
-                        abs(m.mean - oracle_mean) / max(abs(oracle_mean), 1e-9),
-                        abs(m.std - oracle_std) / max(oracle_std, 1e-9))
+                        abs(mean - oracle_mean) / max(abs(oracle_mean), 1e-9),
+                        abs(std - oracle_std) / max(oracle_std, 1e-9))
     oracle_ok = worst < 1e-6
 
     # (ii) noise-free interpolation and prior reversion
     x = rng.uniform(0.0, 10.0, (30, 3))
     y = np.cos(x).sum(axis=1)
     model = gp.train(x, y, np.zeros(30), gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
-    m_in = gp.predict(model, x[11])
+    [mean_in], [std_in] = gp.predict_batch(model, x[11])
     prior_std = model.target_scale * math.sqrt(model.kernel.signal_variance)
-    interp_ok = (abs(m_in.mean - y[11]) < 1e-6 and m_in.std < 1e-3 * prior_std)
-    m_far = gp.predict(model, np.array([1e4, 1e4, -1e4]))
-    revert_ok = (abs(m_far.mean - model.target_mean) < 1e-3
-                 and abs(m_far.std - prior_std) < 1e-3 * prior_std)
+    interp_ok = (abs(mean_in - y[11]) < 1e-6 and std_in < 1e-3 * prior_std)
+    [mean_far], [std_far] = gp.predict_batch(model, np.array([1e4, 1e4, -1e4]))
+    revert_ok = (abs(mean_far - model.target_mean) < 1e-3
+                 and abs(std_far - prior_std) < 1e-3 * prior_std)
 
     # (iii) hold-out validation in a well-specified heteroscedastic setup:
     # 95% predictive intervals (epistemic + known test noise) must cover

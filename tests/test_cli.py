@@ -13,7 +13,7 @@ import scipy
 from searesponse import cli, gp, simulator
 from searesponse.distfit import load_training_table, write_training_table
 from searesponse.errors import NumericError
-from searesponse.gp import predict
+from searesponse.gp import predict_batch
 from searesponse.orderstats import usable_cpus
 from searesponse.simulator import write_sim_config
 from searesponse.surrogate import load_surrogate
@@ -305,10 +305,10 @@ class TestTrainCommand:
         bundle = load_surrogate(bundle_path)
         reloaded = load_surrogate(bundle_path)
         x = np.array([4.0, 10.0, 5.0])
-        a = predict(bundle.param_models["sigma"], x)
-        b = predict(reloaded.param_models["sigma"], x)
-        assert abs(a.mean - b.mean) <= 1e-10
-        assert abs(a.std - b.std) <= 1e-10
+        [mean_a], [std_a] = predict_batch(bundle.param_models["sigma"], x)
+        [mean_b], [std_b] = predict_batch(reloaded.param_models["sigma"], x)
+        assert abs(mean_a - mean_b) <= 1e-10
+        assert abs(std_a - std_b) <= 1e-10
 
     def test_search_with_no_factorizable_candidate_is_numeric_error(self, tmp_path, table_path,
                                                                      monkeypatch, capsys):

@@ -111,7 +111,7 @@ class TestTrain:
         y = np.array([1.0, -2.0])
         model = gp.train(x, y, np.zeros(2), gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
         for i in range(2):
-            assert gp.predict(model, x[i]).mean == pytest.approx(y[i], abs=1e-6)
+            assert gp.predict_batch(model, x[i])[0][0] == pytest.approx(y[i], abs=1e-6)
 
     def test_duplicate_inputs_conflicting_targets_singular(self):
         x = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]])
@@ -123,7 +123,7 @@ class TestTrain:
         x = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]])
         y = np.array([1.0, 2.0, 0.0])
         model = gp.train(x, y, np.full(3, 0.1), gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
-        assert np.isfinite(gp.predict(model, x[0]).mean)
+        assert np.isfinite(gp.predict_batch(model, x[0])[0][0])
 
     def test_factor_reconstructs_covariance(self, rng):
         x, y, nv = make_dataset(rng, 40)
@@ -147,19 +147,19 @@ class TestPredict:
     def test_interpolates_noise_free_training_point(self, rng):
         x, y, _ = make_dataset(rng, 25, noise=0.0)
         model = gp.train(x, y, np.zeros(25), gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
-        m = gp.predict(model, x[7])
-        assert m.mean == pytest.approx(y[7], abs=1e-6 * max(1.0, abs(y[7])))
+        [mean], [std] = gp.predict_batch(model, x[7])
+        assert mean == pytest.approx(y[7], abs=1e-6 * max(1.0, abs(y[7])))
         prior_std = model.target_scale * math.sqrt(model.kernel.signal_variance)
-        assert m.std < 1e-3 * prior_std
+        assert std < 1e-3 * prior_std
 
     def test_reverts_to_prior_far_away(self, rng):
         x, y, nv = make_dataset(rng, 30)
         model = gp.train(x, y, nv, gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
         far = np.array([1e4, -1e4, 1e4])
-        m = gp.predict(model, far)
+        [mean], [std] = gp.predict_batch(model, far)
         prior_std = model.target_scale * math.sqrt(model.kernel.signal_variance)
-        assert abs(m.mean - model.target_mean) < 1e-3 * max(1.0, abs(model.target_mean))
-        assert abs(m.std - prior_std) < 1e-3 * prior_std
+        assert abs(mean - model.target_mean) < 1e-3 * max(1.0, abs(model.target_mean))
+        assert abs(std - prior_std) < 1e-3 * prior_std
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(20):
@@ -170,18 +170,18 @@ class TestPredict:
             model = gp.train(x, y, nv, kernel)
             for _ in range(3):
                 q = rng.uniform(-2, 12, 3)
-                m = gp.predict(model, q)
+                [got_mean], [got_std] = gp.predict_batch(model, q)
                 mean, std = dense_oracle(model, q)
-                assert m.mean == pytest.approx(mean, rel=1e-6, abs=1e-9)
-                assert m.std == pytest.approx(std, rel=1e-6, abs=1e-9)
+                assert got_mean == pytest.approx(mean, rel=1e-6, abs=1e-9)
+                assert got_std == pytest.approx(std, rel=1e-6, abs=1e-9)
 
     def test_posterior_variance_below_prior(self, rng):
         x, y, nv = make_dataset(rng, 50)
         model = gp.train(x, y, nv, gp.KernelParams(1.4, (0.8, 1.2, 2.0)))
         prior_var = model.kernel.signal_variance * model.target_scale**2
         for _ in range(50):
-            m = gp.predict(model, rng.uniform(-5, 15, 3))
-            assert m.std**2 <= prior_var + 1e-8
+            _, [std] = gp.predict_batch(model, rng.uniform(-5, 15, 3))
+            assert std**2 <= prior_var + 1e-8
 
     def test_extra_point_never_increases_variance(self, rng):
         # The prior must stay fixed for this monotonicity to hold, so both
@@ -195,7 +195,7 @@ class TestPredict:
             big = gp._assemble(kernel, x, y, np.zeros(20), **identity)
             for _ in range(5):
                 q = rng.uniform(0, 10, 3)
-                assert gp.predict(big, q).std <= gp.predict(small, q).std + 1e-8
+                assert gp.predict_batch(big, q)[1][0] <= gp.predict_batch(small, q)[1][0] + 1e-8
 
     def test_standardization_affine_round_trip(self, rng):
         x, y, nv = make_dataset(rng, 40)
@@ -205,28 +205,28 @@ class TestPredict:
         scaled = gp.train(x, a * y + b, a * a * nv, kernel)
         for _ in range(10):
             q = rng.uniform(0, 10, 3)
-            m0 = gp.predict(base, q)
-            m1 = gp.predict(scaled, q)
-            assert m1.mean == pytest.approx(a * m0.mean + b, rel=1e-6)
-            assert m1.std == pytest.approx(abs(a) * m0.std, rel=1e-6)
+            [mean0], [std0] = gp.predict_batch(base, q)
+            [mean1], [std1] = gp.predict_batch(scaled, q)
+            assert mean1 == pytest.approx(a * mean0 + b, rel=1e-6)
+            assert std1 == pytest.approx(abs(a) * std0, rel=1e-6)
 
     def test_include_noise_widens_interval(self, rng):
         x, y, nv = make_dataset(rng, 30, noise=0.5)
         model = gp.train(x, y, nv, gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
         q = rng.uniform(0, 10, 3)
-        assert gp.predict(model, q, include_noise=True).std > gp.predict(model, q).std
+        assert gp.predict_batch(model, q, include_noise=True)[1][0] > gp.predict_batch(model, q)[1][0]
 
 
 def posterior_draws(model, q, seed, n=1):
     """n draws from the predictive Gaussian at q through the surrogate
     sampling path: the GP's moments at q serve as a Gumbel location (a
     parameter without a floor) at each of n hours of one realization."""
-    m = gp.predict(model, q)
-    moments = SurrogateMoments(theta_mean=np.tile([m.mean, 1.0], (n, 1)),
-                               theta_std=np.tile([m.std, 0.0], (n, 1)),
+    [mean], [std] = gp.predict_batch(model, q)
+    moments = SurrogateMoments(theta_mean=np.tile([mean, 1.0], (n, 1)),
+                               theta_std=np.tile([std, 0.0], (n, 1)),
                                l_mean=np.zeros(n), l_std=np.zeros(n))
     draw = generate_from_moments(DistFamily.GUMBEL, moments, MODE_SAMPLE,
-                                 np.random.default_rng(seed), lambda values: None)
+                                 np.random.default_rng(seed), k=1)
     return draw.theta[:, 0]
 
 
@@ -234,11 +234,11 @@ class TestSamplePosterior:
     def test_near_zero_std_returns_mean(self, rng):
         x, y, _ = make_dataset(rng, 15, noise=0.0)
         model = gp.train(x, y, np.zeros(15), gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
-        m = gp.predict(model, x[3])
+        [mean], [std] = gp.predict_batch(model, x[3])
         prior_std = model.target_scale * math.sqrt(model.kernel.signal_variance)
-        assert m.std < 1e-3 * prior_std
+        assert std < 1e-3 * prior_std
         draw = posterior_draws(model, x[3], seed=99)[0]
-        assert abs(draw - m.mean) <= 5.0 * m.std
+        assert abs(draw - mean) <= 5.0 * std
 
     def test_exactly_zero_std_is_degenerate_draw(self):
         rng = np.random.default_rng(0)
@@ -255,10 +255,10 @@ class TestSamplePosterior:
         x, y, nv = make_dataset(rng, 5, noise=0.4)
         model = gp.train(x, y, nv, gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
         q = np.array([4.0, 6.0, 5.0])
-        m = gp.predict(model, q)
+        [mean], [std] = gp.predict_batch(model, q)
         draws = posterior_draws(model, q, seed=0, n=100_000)
-        assert draws.mean() == pytest.approx(m.mean, abs=0.01 * max(abs(m.mean), m.std))
-        assert draws.std() == pytest.approx(m.std, rel=0.01)
+        assert draws.mean() == pytest.approx(mean, abs=0.01 * max(abs(mean), std))
+        assert draws.std() == pytest.approx(std, rel=0.01)
 
 
 def log_bounds(dim):
@@ -426,9 +426,10 @@ class TestPersistence:
         loaded = gp.load_model(path)
         for _ in range(20):
             q = rng.uniform(-2, 12, 3)
-            a, b = gp.predict(model, q), gp.predict(loaded, q)
-            assert abs(a.mean - b.mean) <= 1e-10 * max(1.0, abs(a.mean))
-            assert abs(a.std - b.std) <= 1e-10 * max(1.0, a.std)
+            [mean_a], [std_a] = gp.predict_batch(model, q)
+            [mean_b], [std_b] = gp.predict_batch(loaded, q)
+            assert abs(mean_a - mean_b) <= 1e-10 * max(1.0, abs(mean_a))
+            assert abs(std_a - std_b) <= 1e-10 * max(1.0, std_a)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"

@@ -15,12 +15,14 @@ from searesponse.orderstats import (
     run_qoi,
     save_qoi_result,
 )
-from searesponse import orderstats, surrogate
+from searesponse import orderstats
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
+    EXCEEDANCE_TARGET_PER_K,
     SCALE_FLOOR_FACTOR,
     SHAPE_FLOOR_FACTOR,
+    exceedance_threshold,
     predict_moments_batch,
     train_surrogate,
 )
@@ -145,7 +147,8 @@ class TestRunQoi:
 
     def test_surrogate_path_equals_reference_loop(self, short_weather, weibull_model):
         # One generator per realization: theta for all hours, then all
-        # counts, then the peak values drawn one hour at a time.
+        # counts, then each hour's count above the threshold, then the
+        # exceedances in hour order, lambda ((u / lambda)^k + E)^(1/k).
         cfg = QoiConfig(k=5, realizations=3, base_seed=29)
         result = run_qoi(cfg, short_weather, weibull_model)
         moments = predict_moments_batch(weibull_model, records_to_array(short_weather))
@@ -159,24 +162,17 @@ class TestRunQoi:
                 theta[i, j] = rng.normal(mean[i, j], std[i, j])
             theta = np.maximum(theta, floor)
             counts = np.maximum(np.rint(rng.normal(moments.l_mean, moments.l_std)), 0).astype(int)
-            pool = np.concatenate([theta[i, 1] * rng.weibull(theta[i, 0], size=counts[i])
-                                   for i in range(10)])
-            assert result.yk_samples[m] == np.sort(pool)[::-1][4]
-            total += len(pool)
+            u = exceedance_threshold(DistFamily.WEIBULL.hazard, theta, counts,
+                                     EXCEEDANCE_TARGET_PER_K * 5)
+            shape, scale = theta[:, 0], theta[:, 1]
+            above = [rng.binomial(counts[i], np.exp(-(u / scale[i]) ** shape[i])) for i in range(10)]
+            assert sum(above) >= 5
+            hours = np.repeat(np.arange(10), above)
+            shape, scale = shape[hours], scale[hours]
+            exceedances = scale * ((u / scale) ** shape + rng.standard_exponential(len(hours))) ** (1 / shape)
+            assert result.yk_samples[m] == np.sort(exceedances)[::-1][4]
+            total += counts.sum()
         assert result.total_count == total
-
-    @pytest.mark.parametrize("block", [1, 7, 600])
-    def test_surrogate_block_size_invariance(self, block, weibull_model, monkeypatch):
-        weather = synthesize_weather(600, seed=72)
-        cfg = QoiConfig(k=20, realizations=3, base_seed=31)
-        default = run_qoi(cfg, weather, weibull_model)
-        monkeypatch.setattr(surrogate, "DRAW_BLOCK_HOURS", block)
-        blocked = run_qoi(cfg, weather, weibull_model)
-        np.testing.assert_array_equal(blocked.yk_samples, default.yk_samples)
-        np.testing.assert_array_equal(blocked.rank_means, default.rank_means)
-        np.testing.assert_array_equal(blocked.rank_p025, default.rank_p025)
-        np.testing.assert_array_equal(blocked.rank_p975, default.rank_p975)
-        assert blocked.total_count == default.total_count
 
     def test_theta_frozen_mode(self, short_weather, small_table):
         model = train_surrogate(small_table, DistFamily.RAYLEIGH, restarts=2, seed=7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from searesponse import gp
+from searesponse import gp, surrogate
 from searesponse.distfit import DistFamily, TrainingRow, TrainingTable, fit_family
 from searesponse.errors import ConfigurationError, InsufficientDataError
 from searesponse.simulator import simulate
@@ -14,13 +14,19 @@ from searesponse.surrogate import (
     SCALE_FLOOR_FACTOR,
     SurrogateMoments,
     evaluate_surrogate,
+    exceedance_threshold,
     generate_from_moments,
     load_surrogate,
     predict_moments_batch,
     save_surrogate,
     train_surrogate,
 )
-from searesponse.weather import WeatherRecord, records_to_array, sample_uniform_inputs
+from searesponse.weather import (
+    WeatherRecord,
+    records_to_array,
+    sample_uniform_inputs,
+    synthesize_weather,
+)
 
 RESTARTS = 2
 
@@ -36,12 +42,16 @@ def fixed_moments(theta, l_moments, n_hours=1):
     )
 
 
+# A k beyond every count in these tests: the threshold sits at the bottom of
+# the support, so a draw returns every peak of its realization.
+ALL_PEAKS = 10**9
+
+
 def draw(family, moments, mode, seed, theta_frozen=False):
     """One realization from generate_from_moments: the draw and all values."""
-    blocks = []
     result = generate_from_moments(family, moments, mode, np.random.default_rng(seed),
-                                   blocks.append, theta_frozen=theta_frozen)
-    return result, np.concatenate(blocks)
+                                   ALL_PEAKS, theta_frozen=theta_frozen)
+    return result, result.peaks
 
 
 def moments_at(model, *points):
@@ -216,14 +226,15 @@ class TestGenerateResponses:
         assert ks.pvalue > 0.001
 
     def test_interface_matches_simulator_output(self, rayleigh_model, fast_sim_config):
+        # The peaks come as the simulator's do, one flat float array; with
+        # k = 5 they are the few that can rank, a subset of the counted ones.
         x = WeatherRecord(hs=4.0, tp=10.0, vw=2.0, index=0)
-        blocks = []
         result = generate_from_moments(DistFamily.RAYLEIGH, moments_at(rayleigh_model, [4.0, 10.0, 2.0]),
-                                       MODE_SAMPLE, np.random.default_rng(1), blocks.append)
+                                       MODE_SAMPLE, np.random.default_rng(1), 5)
         sim = simulate(x, fast_sim_config, seed=1)
-        assert all(isinstance(b, np.ndarray) and b.dtype == sim.peaks.dtype and b.ndim == 1
-                   for b in blocks)
-        assert sum(len(b) for b in blocks) == int(result.counts.sum())
+        assert isinstance(result.peaks, np.ndarray)
+        assert result.peaks.dtype == sim.peaks.dtype and result.peaks.ndim == 1
+        assert 5 <= len(result.peaks) < int(result.counts.sum())
         assert sim.count == len(sim.peaks)
 
     def test_frozen_shifts_reproduce_theta(self, rayleigh_model):
@@ -232,6 +243,136 @@ class TestGenerateResponses:
         shift = np.random.default_rng(1).standard_normal(1)
         expected = moments.theta_mean + shift * moments.theta_std
         np.testing.assert_allclose(result.theta, expected, rtol=1e-12)
+
+
+# Seeds of the law tests below, fixed before any of them was first run.
+LAW_SEED = 7411
+FALLBACK_SEED = 7413
+TAIL_SEED = 7415
+LAW_K = 10
+LAW_REALIZATIONS = 400
+
+SCIPY_LAWS = {
+    DistFamily.GUMBEL: lambda t: stats.gumbel_r(loc=t[0], scale=t[1]),
+    DistFamily.RAYLEIGH: lambda t: stats.rayleigh(scale=t[0]),
+    DistFamily.WEIBULL: lambda t: stats.weibull_min(t[0], scale=t[1]),
+}
+LAW_THETAS = {
+    DistFamily.GUMBEL: [(3.0, 2.0), (-5.0, 0.5), (9.0e5, 2.0e5)],
+    DistFamily.RAYLEIGH: [(2.0,), (30.0,), (4.0e5,)],
+    DistFamily.WEIBULL: [(0.7, 2.0), (2.5, 40.0), (1.6, 5.0e5)],
+}
+# numpy's own sampler per family: the full draw that the threshold replaced.
+NUMPY_SAMPLERS = {
+    DistFamily.GUMBEL: lambda rng, t: rng.gumbel(t[:, 0], t[:, 1]),
+    DistFamily.RAYLEIGH: lambda rng, t: rng.rayleigh(t[:, 0]),
+    DistFamily.WEIBULL: lambda rng, t: t[:, 1] * rng.weibull(t[:, 0]),
+}
+
+
+def weather_moments(family, n_hours=24, seed=73):
+    """Moments over a short synthetic weather set: the parameter surfaces of
+    synthetic_rows with a 10% predictive std, and L near 300 per hour."""
+    hs, tp, _ = records_to_array(synthesize_weather(n_hours, seed=seed)).T
+    sigma = 1000.0 * hs + 50.0 * tp
+    theta = {
+        DistFamily.GUMBEL: [0.9 * sigma, 0.5 * sigma],
+        DistFamily.RAYLEIGH: [sigma],
+        DistFamily.WEIBULL: [2.0 + 0.05 * hs, sigma * math.sqrt(2.0)],
+    }[family]
+    theta_mean = np.column_stack(theta)
+    return SurrogateMoments(theta_mean=theta_mean, theta_std=0.1 * theta_mean,
+                            l_mean=300.0 + 10.0 * hs, l_std=np.full(n_hours, 20.0))
+
+
+def full_draw_yk(family, moments, mode, rng, k, theta_frozen=False):
+    """Y_k of one realization drawn in full: theta and the counts as
+    generate_from_moments draws them first, then every one of the
+    sum_h L_h peaks from numpy's own sampler."""
+    drawn = generate_from_moments(family, moments, mode, rng, k, theta_frozen=theta_frozen)
+    peaks = NUMPY_SAMPLERS[family](rng, np.repeat(drawn.theta, drawn.counts, axis=0))
+    return np.sort(peaks)[-k]
+
+
+def threshold_yk_samples(family, moments, mode, seed, theta_frozen=False):
+    """Y_k over LAW_REALIZATIONS realizations of the threshold draw, and
+    how many of them fell back to drawing below the threshold."""
+    yk, fallbacks = [], 0
+    for m in range(LAW_REALIZATIONS):
+        drawn = generate_from_moments(family, moments, mode, np.random.default_rng([seed, m]),
+                                      LAW_K, theta_frozen=theta_frozen)
+        yk.append(np.sort(drawn.peaks)[-LAW_K])
+        fallbacks += len(drawn.peaks) == drawn.counts.sum()
+    return np.array(yk), fallbacks
+
+
+class TestThresholdDraw:
+    """Peaks over a threshold: the law of Y_k is the full draw's."""
+
+    @pytest.mark.parametrize("family", list(DistFamily))
+    def test_hazard_matches_scipy(self, family):
+        hazard = family.hazard
+        for t in LAW_THETAS[family]:
+            law = SCIPY_LAWS[family](t)
+            x = law.ppf(np.concatenate([np.geomspace(1e-12, 0.5, 40), 1.0 - np.geomspace(1e-12, 0.5, 40)]))
+            x = np.append(x, law.isf(1e-200))
+            rows = np.tile(t, (len(x), 1))
+            h = hazard.cumulative(x, rows)
+            np.testing.assert_allclose(-np.expm1(-h), law.cdf(x), rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(-h, law.logsf(x), rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(hazard.inverse(h, rows), x, rtol=1e-9, atol=1e-9 * law.std())
+        assert hazard.cumulative(hazard.support_min, rows[:1]) == 0.0
+
+    @pytest.mark.parametrize("family", list(DistFamily))
+    def test_tail_draw_matches_rejection_sampling(self, family):
+        hazard = family.hazard
+        rng = np.random.default_rng(TAIL_SEED)
+        for t in LAW_THETAS[family]:
+            law = SCIPY_LAWS[family](t)
+            u = law.isf(0.05)
+            pool = law.rvs(size=100_000, random_state=rng)
+            accepted = pool[pool > u]
+            rows = np.tile(t, (4000, 1))
+            tail = hazard.inverse(hazard.cumulative(u, rows) + rng.standard_exponential(4000), rows)
+            assert tail.min() > u
+            assert stats.ks_2samp(tail, accepted).pvalue > 0.01
+
+    @pytest.mark.parametrize("mode, theta_frozen", [(MODE_POINT, False), (MODE_SAMPLE, False),
+                                                    (MODE_SAMPLE, True)])
+    @pytest.mark.parametrize("family", list(DistFamily))
+    def test_yk_law_matches_full_draw(self, family, mode, theta_frozen):
+        moments = weather_moments(family)
+        yk, fallbacks = threshold_yk_samples(family, moments, mode, LAW_SEED, theta_frozen)
+        full = [full_draw_yk(family, moments, mode, np.random.default_rng([LAW_SEED + 1, m]),
+                             LAW_K, theta_frozen) for m in range(LAW_REALIZATIONS)]
+        assert fallbacks == 0
+        assert stats.ks_2samp(yk, full).pvalue > 0.01
+
+    @pytest.mark.parametrize("family", list(DistFamily))
+    def test_fallback_below_threshold_matches_full_draw(self, family, monkeypatch):
+        # Expecting k/4 exceedances, nearly every realization has fewer
+        # than k above the threshold and draws the rest below it.
+        monkeypatch.setattr(surrogate, "EXCEEDANCE_TARGET_PER_K", 0.25)
+        moments = weather_moments(family)
+        yk, fallbacks = threshold_yk_samples(family, moments, MODE_SAMPLE, FALLBACK_SEED)
+        full = [full_draw_yk(family, moments, MODE_SAMPLE,
+                             np.random.default_rng([FALLBACK_SEED + 1, m]), LAW_K)
+                for m in range(LAW_REALIZATIONS)]
+        assert fallbacks > 0.9 * LAW_REALIZATIONS
+        assert stats.ks_2samp(yk, full).pvalue > 0.01
+
+    @pytest.mark.parametrize("family", list(DistFamily))
+    def test_threshold_hits_expected_count(self, family):
+        drawn = generate_from_moments(family, weather_moments(family), MODE_SAMPLE,
+                                      np.random.default_rng(5), LAW_K)
+        hazard = family.hazard
+        target = surrogate.EXCEEDANCE_TARGET_PER_K * LAW_K
+        u = exceedance_threshold(hazard, drawn.theta, drawn.counts, target)
+        expected = drawn.counts @ np.exp(-hazard.cumulative(u, drawn.theta))
+        assert 0.9 * target <= expected <= target
+        assert len(drawn.peaks) < drawn.counts.sum()
+        assert exceedance_threshold(hazard, drawn.theta, drawn.counts,
+                                    drawn.counts.sum()) == hazard.support_min
 
 
 class TestBatchedMoments:
