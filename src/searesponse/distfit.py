@@ -31,7 +31,7 @@ from searesponse.errors import (
     SchemaError,
 )
 from searesponse.seeding import TAG_SIM, TAG_SPLIT, derive_seed
-from searesponse.simulator import SimConfig, simulate
+from searesponse.simulator import SimConfig, check_weather, simulate
 from searesponse.weather import WeatherRecord
 
 logger = logging.getLogger(__name__)
@@ -302,7 +302,8 @@ def build_training_table(
     seed: int,
 ) -> TrainingTable:
     """Simulate each design point once with M seeds, fit all three
-    families per run, and aggregate into one row per point.
+    families per run, and aggregate into one row per point. Every point is
+    checked against cfg before any is simulated.
 
     A family that fails on any of the M runs is marked missing for that row
     (the other families keep their data). Rows come back in design order,
@@ -311,6 +312,7 @@ def build_training_table(
     """
     if m_runs < 2:
         raise ConfigurationError(f"m_runs must be >= 2 (std undefined), got {m_runs}")
+    check_weather(design, cfg, label="design point")
     rows = [_table_row(r, cfg, [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
             for i, r in enumerate(design)]
     n = len(rows)

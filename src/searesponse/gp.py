@@ -81,16 +81,6 @@ class GPModel:
         return len(self.train_targets)
 
 
-def matern52(x: np.ndarray, y: np.ndarray, params: KernelParams) -> float:
-    """Covariance between two points: sv * (1 + sqrt5 r + 5 r^2/3) exp(-sqrt5 r)
-    with r the lengthscale-weighted Euclidean distance."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ell = np.asarray(params.lengthscales, dtype=float)
-    r = math.sqrt(float(np.sum(((x - y) / ell) ** 2)))
-    return params.signal_variance * (1.0 + SQRT5 * r + 5.0 * r * r / 3.0) * math.exp(-SQRT5 * r)
-
-
 def matern52_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix between row sets a (n, d) and b (m, d)."""
     ell = np.asarray(params.lengthscales, dtype=float)

@@ -11,14 +11,13 @@ inverse transform.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +27,6 @@ from searesponse.weather import WeatherRecord
 logger = logging.getLogger(__name__)
 
 PEAK_ENHANCEMENT = 3.3
-
-# Relative tolerance of a spectrum grid's spacing: uniform, and equal to the
-# FFT bin width.
-_GRID_RTOL = 1e-9
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -95,39 +90,12 @@ class ThrustCurve:
         _require_positive("rated_force", self.rated_force)
 
 
-@dataclass
-class WaveSpectrum:
-    """One-sided spectral density on a strictly increasing, uniform
-    angular-frequency grid."""
+class WaveSpectrum(NamedTuple):
+    """One-sided spectral density on the angular-frequency grid it was
+    computed on."""
 
     omega: np.ndarray
     density: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.density = np.asarray(self.density, dtype=float)
-        if self.omega.shape != self.density.shape or self.omega.ndim != 1:
-            raise ConfigurationError("omega and density must be 1-d arrays of equal length")
-        if len(self.omega) < 2:
-            raise ConfigurationError("spectrum grid needs at least 2 points")
-        # Every step positive and np.isclose to the first (rtol 1e-9, atol
-        # 1e-8). The smallest and largest steps bound every difference from
-        # the first, since rounding is monotone; NaN fails every comparison,
-        # and an infinite first step passes only if every step equals it.
-        steps = np.diff(self.omega)
-        first, lo, hi = steps[0], steps.min(), steps.max()
-        tol = 1e-8 + _GRID_RTOL * abs(first)
-        if not (lo > 0 and (lo == hi or (hi - first <= tol and first - lo <= tol))):
-            raise ConfigurationError("omega grid must be strictly increasing with uniform spacing")
-        if np.any(self.density < 0.0):
-            raise ConfigurationError("spectral density must be non-negative")
-
-    def filtered(self, gain: np.ndarray) -> "WaveSpectrum":
-        """This spectrum times a non-negative gain, on the same grid, which
-        was checked when this spectrum was built."""
-        out = copy.copy(self)
-        out.density = gain * self.density
-        return out
 
 
 @dataclass
@@ -264,16 +232,17 @@ def _check_wind(vw: float) -> None:
         raise ConfigurationError(f"vw must be non-negative and finite, got {vw}")
 
 
-def check_weather(weather: Sequence[WeatherRecord], cfg: SimConfig) -> None:
-    """Raise, before any hour runs, the ConfigurationError that `simulate`
-    would raise at the first hour it cannot run, with that hour's index."""
+def check_weather(weather: Sequence[WeatherRecord], cfg: SimConfig, label: str = "hour") -> None:
+    """Raise, before any record runs, the ConfigurationError that `simulate`
+    would raise at the first record it cannot run, prefixed with label and
+    that record's index."""
     omega_top = cfg.omega_grid[-1]
     for i, record in enumerate(weather):
         try:
             _check_sea_state(record.hs, record.tp, omega_top)
             _check_wind(record.vw)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"hour {i}: {exc}") from None
+            raise ConfigurationError(f"{label} {i}: {exc}") from None
 
 
 def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
@@ -297,52 +266,30 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
     return WaveSpectrum(omega=omega, density=density)
 
 
-def response_spectrum(wave: WaveSpectrum, tf: TransferFunction) -> WaveSpectrum:
-    """Filter the wave density through |H(omega)|^2."""
-    return wave.filtered(tf.magnitude_squared(wave.omega))
-
-
-@lru_cache(maxsize=8)
-def _layout(duration: float, dt: float) -> SimConfig:
-    """A config that checks and holds the sample/FFT layout of duration/dt,
-    built once per pair."""
-    return SimConfig(duration=duration, dt=dt)
-
-
-def realize_time_series(
-    resp: WaveSpectrum, dt: float, duration: float, seed: int | Sequence[int]
-) -> np.ndarray:
+def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int]) -> np.ndarray:
     """Synthesize zero-mean stationary realizations of the response.
 
-    Each frequency bin gets deterministic amplitude sqrt(2 S(w_k) dw) and an
-    independent uniform random phase; the series is the inverse transform,
-    truncated to duration/dt samples. The series variance equals the
-    trapezoid integral of the density in expectation. One int seed gives one
-    series; a sequence of seeds gives one row per seed, each row equal to
-    the series of its seed alone, from one batched inverse transform.
+    density is a one-sided spectral density on cfg.omega_grid, the config's
+    rfft bins, so only its length is checked. Each frequency bin gets
+    deterministic amplitude sqrt(2 S(w_k) dw) and an independent uniform
+    random phase; each series is the inverse transform, truncated to
+    cfg.n_samples. The series variance equals the trapezoid integral of the
+    density in expectation. There is one row per seed, each equal to the
+    series of its seed alone, from one batched inverse transform.
     """
-    layout = _layout(duration, dt)
-    n_samples, n_fft = layout.n_samples, layout.n_fft
-    omega = resp.omega
-    if len(omega) != n_fft // 2 + 1 or omega[0] != 0.0:
+    n_samples, n_fft = cfg.n_samples, cfg.n_fft
+    if len(density) != n_fft // 2 + 1:
         raise ConfigurationError(
-            f"spectrum grid ({len(omega)} bins) does not match rfft layout for "
-            f"dt={dt}, duration={duration} ({n_fft // 2 + 1} bins)"
+            f"density has {len(density)} bins, the config's rfft layout has {n_fft // 2 + 1}"
         )
-    domega = 2.0 * np.pi / (n_fft * dt)
-    if abs(omega[1] - domega) > _GRID_RTOL * domega:
-        raise ConfigurationError(
-            f"grid spacing {omega[1]:.6e} does not match transform bin width {domega:.6e}"
-        )
-    single = np.isscalar(seed)
-    phases = np.stack([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(omega))
-                       for s in ([seed] if single else seed)])
-    amplitude = (n_fft / 2.0) * np.sqrt(2.0 * resp.density * domega)
+    domega = 2.0 * np.pi / (n_fft * cfg.dt)
+    phases = np.stack([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(density))
+                       for s in seeds])
+    amplitude = (n_fft / 2.0) * np.sqrt(2.0 * density * domega)
     spectrum = amplitude * np.exp(1j * phases)
     spectrum[:, 0] = 0.0   # zero mean
     spectrum[:, -1] = 0.0  # drop the (phase-less) Nyquist bin
-    series = np.fft.irfft(spectrum, n=n_fft, axis=-1)[:, :n_samples]
-    return series[0] if single else series
+    return np.fft.irfft(spectrum, n=n_fft, axis=-1)[:, :n_samples]
 
 
 def wind_moment(vw: float, thrust: ThrustCurve, lever_arm: float) -> float:
@@ -394,10 +341,10 @@ def simulate(
     """
     single = np.isscalar(seed)
     wave = wave_spectrum(record.hs, record.tp, cfg.omega_grid)
-    resp = wave.filtered(cfg.transfer_squared)
+    density = cfg.transfer_squared * wave.density
     offset = wind_moment(record.vw, cfg.thrust, cfg.lever_arm)
     outputs = []
-    for row in realize_time_series(resp, cfg.dt, cfg.duration, [seed] if single else seed):
+    for row in realize_time_series(density, cfg, [seed] if single else seed):
         series = row + offset
         outputs.append(extract_peaks(series, threshold=float(series.mean())))
     return outputs[0] if single else outputs

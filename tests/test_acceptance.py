@@ -28,7 +28,7 @@ from searesponse.distfit import (
 )
 from searesponse.orderstats import TopK, extract_yk, load_qoi_result
 from searesponse.simulator import DEFAULT_SIM_CONFIG, SimConfig, simulate, wave_spectrum
-from searesponse.simulator import response_spectrum, realize_time_series, write_sim_config
+from searesponse.simulator import realize_time_series, write_sim_config
 from searesponse.weather import WeatherRecord
 
 Z95 = 1.959963984540054
@@ -84,10 +84,10 @@ def test_criterion_2_simulator_physics_closure():
         spec = wave_spectrum(hs, tp, omega)
         m0 = float(np.trapezoid(spec.density, spec.omega))
         worst_m0 = max(worst_m0, abs(m0 - hs * hs / 16.0) / (hs * hs / 16.0))
-    resp = response_spectrum(wave_spectrum(3.0, 10.0, omega), DEFAULT_SIM_CONFIG.transfer)
-    target = float(np.trapezoid(resp.density, resp.omega))
+    density = DEFAULT_SIM_CONFIG.transfer_squared * wave_spectrum(3.0, 10.0, omega).density
+    target = float(np.trapezoid(density, omega))
     variances = [
-        realize_time_series(resp, DEFAULT_SIM_CONFIG.dt, DEFAULT_SIM_CONFIG.duration, seed=s).var()
+        realize_time_series(density, DEFAULT_SIM_CONFIG, [s])[0].var()
         for s in range(200)
     ]
     var_err = abs(float(np.mean(variances)) - target) / target

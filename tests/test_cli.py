@@ -285,6 +285,20 @@ class TestTrainsetCommand:
                          "--sim-config", fast_config_path, "--out", str(tmp_path / "t")])
         assert code == 2
 
+    def test_design_off_the_grid_fails_before_any_point_runs(self, tmp_path, monkeypatch, capsys):
+        # pi/dt = 6.28 rad/s on the default grid; design point 1 has tp = 0.81 s.
+        calls = []
+        original = simulator.wave_spectrum
+        monkeypatch.setattr(simulator, "wave_spectrum",
+                            lambda *a: calls.append(a) or original(*a))
+        out = tmp_path / "t"
+        code = cli.main(["trainset", "--n", "40", "--m", "3", "--seed", "11",
+                         "--box-tp", "0.5", "4", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
+        assert "design point 1: peak frequency 7.7357 rad/s above top of grid" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_bundle_layout_rayleigh(self, bundle_path):

@@ -40,6 +40,16 @@ RECORDED_FD_FACTORIZATIONS = {DistFamily.GUMBEL: 706, DistFamily.RAYLEIGH: 394,
                               DistFamily.WEIBULL: 571}
 
 
+def matern52(x, y, params):
+    """Element-wise oracle for gp.matern52_matrix: the covariance between
+    two points, sv * (1 + sqrt5 r + 5 r^2/3) exp(-sqrt5 r) with r the
+    lengthscale-weighted Euclidean distance."""
+    ell = np.asarray(params.lengthscales, dtype=float)
+    r = math.sqrt(float(np.sum(((np.asarray(x, dtype=float) - y) / ell) ** 2)))
+    sqrt5 = math.sqrt(5.0)
+    return params.signal_variance * (1.0 + sqrt5 * r + 5.0 * r * r / 3.0) * math.exp(-sqrt5 * r)
+
+
 def dense_oracle(model, x):
     """Reference posterior via an explicit matrix inverse."""
     gram = gp.matern52_matrix(model.train_inputs, model.train_inputs, model.kernel)
@@ -57,22 +67,22 @@ def dense_oracle(model, x):
 class TestMatern52:
     def test_zero_distance_gives_signal_variance(self):
         k = gp.KernelParams(signal_variance=2.3, lengthscales=(1.0, 2.0, 3.0))
-        x = np.array([0.5, -1.0, 4.0])
-        assert gp.matern52(x, x, k) == pytest.approx(2.3, rel=1e-14)
+        x = np.array([[0.5, -1.0, 4.0]])
+        assert gp.matern52_matrix(x, x, k)[0, 0] == pytest.approx(2.3, rel=1e-14)
 
     def test_symmetry(self, rng):
         k = gp.KernelParams(signal_variance=1.7, lengthscales=(0.5, 1.5, 2.5))
-        for _ in range(20):
-            x, y = rng.normal(size=3), rng.normal(size=3)
-            assert gp.matern52(x, y, k) == gp.matern52(y, x, k)
+        a, b = rng.normal(size=(20, 3)), rng.normal(size=(7, 3))
+        np.testing.assert_array_equal(gp.matern52_matrix(a, b, k), gp.matern52_matrix(b, a, k).T)
 
     def test_unit_distance_value(self):
         # (1 + sqrt5 + 5/3) * exp(-sqrt5) evaluated independently
         expected = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
         k = gp.KernelParams(signal_variance=1.0, lengthscales=(1.0,))
-        value = gp.matern52(np.array([0.0]), np.array([1.0]), k)
+        value = gp.matern52_matrix(np.array([[0.0]]), np.array([[1.0]]), k)[0, 0]
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(0.52399, abs=5e-6)
+        assert matern52(np.array([0.0]), np.array([1.0]), k) == pytest.approx(expected, rel=1e-12)
 
     def test_matrix_matches_pairwise(self, rng):
         k = gp.KernelParams(signal_variance=0.8, lengthscales=(1.0, 0.4, 2.0))
@@ -81,7 +91,7 @@ class TestMatern52:
         matrix = gp.matern52_matrix(a, b, k)
         for i in range(6):
             for j in range(4):
-                assert matrix[i, j] == pytest.approx(gp.matern52(a[i], b[j], k), rel=1e-12)
+                assert matrix[i, j] == pytest.approx(matern52(a[i], b[j], k), rel=1e-12)
 
     def test_gram_matrices_positive_definite(self, rng):
         k = gp.KernelParams(signal_variance=1.0, lengthscales=(1.0, 1.0, 1.0))

@@ -10,12 +10,10 @@ from searesponse.simulator import (
     SimConfig,
     ThrustCurve,
     TransferFunction,
-    WaveSpectrum,
     check_weather,
     extract_peaks,
     load_sim_config,
     realize_time_series,
-    response_spectrum,
     simulate,
     wave_spectrum,
     wind_moment,
@@ -59,42 +57,10 @@ class TestWaveSpectrum:
             wave_spectrum(-0.1, 10.0, fast_sim_config.omega_grid)
 
 
-class TestSpectrumGrid:
-    """WaveSpectrum accepts a grid exactly when its steps are positive and
-    np.isclose (rtol 1e-9) to the first step."""
-
-    @staticmethod
-    def _reference(omega):
-        steps = np.diff(omega)
-        return not (np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9))
-
-    @pytest.mark.parametrize("omega,accepted", [
-        (DEFAULT_SIM_CONFIG.omega_grid, True),
-        (DEFAULT_SIM_CONFIG.omega_grid.copy(), True),
-        (np.linspace(0.0, 3.0, 1001), True),
-        (np.arange(8) * 0.1 + (np.arange(8) >= 4) * 5e-9, True),
-        (np.arange(8) * 0.1 + (np.arange(8) >= 4) * 2e-8, False),
-        (DEFAULT_SIM_CONFIG.omega_grid[::-1], False),
-        (np.array([0.0, 0.1, np.nan, 0.3]), False),
-        (np.array([0.0, np.inf]), True),
-        (np.array([-np.inf, 0.0, 1.0]), False),
-    ], ids=["config", "config_copy", "linspace", "step_off_by_5e-9", "step_off_by_2e-8",
-            "decreasing", "nan", "one_infinite_step", "infinite_then_finite_step"])
-    def test_accepts_what_allclose_accepts(self, omega, accepted):
-        with np.errstate(invalid="ignore"):
-            assert self._reference(omega) is accepted
-            if accepted:
-                WaveSpectrum(omega, np.zeros(len(omega)))
-            else:
-                with pytest.raises(ConfigurationError, match="uniform spacing"):
-                    WaveSpectrum(omega, np.zeros(len(omega)))
-
-
 class TestResponseSpectrum:
     def test_zero_in_zero_out(self, fast_sim_config):
         wave = wave_spectrum(0.0, 10.0, fast_sim_config.omega_grid)
-        resp = response_spectrum(wave, fast_sim_config.transfer)
-        assert np.all(resp.density == 0.0)
+        assert np.all(fast_sim_config.transfer_squared * wave.density == 0.0)
 
     def test_resonant_amplification_value(self):
         # |H(omega0)|^2 = gain^2 / (2 zeta)^2
@@ -104,65 +70,55 @@ class TestResponseSpectrum:
     def test_density_non_negative(self, fast_sim_config, rng):
         for _ in range(10):
             wave = wave_spectrum(rng.uniform(0.2, 12), rng.uniform(4, 20), fast_sim_config.omega_grid)
-            resp = response_spectrum(wave, fast_sim_config.transfer)
-            assert np.all(resp.density >= 0.0)
+            assert np.all(fast_sim_config.transfer_squared * wave.density >= 0.0)
 
 
 class TestRealizeTimeSeries:
     def test_zero_density_gives_zero_series(self, fast_sim_config):
         wave = wave_spectrum(0.0, 10.0, fast_sim_config.omega_grid)
-        series = realize_time_series(wave, fast_sim_config.dt, fast_sim_config.duration, seed=4)
+        series = realize_time_series(wave.density, fast_sim_config, [4])
         assert np.all(series == 0.0)
-        assert len(series) == fast_sim_config.n_samples
+        assert series.shape == (1, fast_sim_config.n_samples)
 
     def test_deterministic(self, fast_sim_config):
         wave = wave_spectrum(2.0, 9.0, fast_sim_config.omega_grid)
-        resp = response_spectrum(wave, fast_sim_config.transfer)
-        a = realize_time_series(resp, fast_sim_config.dt, fast_sim_config.duration, seed=11)
-        b = realize_time_series(resp, fast_sim_config.dt, fast_sim_config.duration, seed=11)
-        c = realize_time_series(resp, fast_sim_config.dt, fast_sim_config.duration, seed=12)
+        density = fast_sim_config.transfer_squared * wave.density
+        a, b, c = (realize_time_series(density, fast_sim_config, [s])[0] for s in (11, 11, 12))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_variance_matches_spectral_integral(self, fast_sim_config):
         wave = wave_spectrum(3.0, 10.0, fast_sim_config.omega_grid)
-        resp = response_spectrum(wave, fast_sim_config.transfer)
-        target = np.trapezoid(resp.density, resp.omega)
-        variances = [
-            realize_time_series(resp, fast_sim_config.dt, fast_sim_config.duration, seed=s).var()
-            for s in range(200)
-        ]
+        density = fast_sim_config.transfer_squared * wave.density
+        target = np.trapezoid(density, fast_sim_config.omega_grid)
+        variances = realize_time_series(density, fast_sim_config, range(200)).var(axis=1)
         assert np.mean(variances) == pytest.approx(target, rel=0.02)
 
     def test_grid_mismatch_rejected(self, fast_sim_config):
-        wave = wave_spectrum(2.0, 9.0, fast_sim_config.omega_grid)
-        with pytest.raises(ConfigurationError):
-            realize_time_series(wave, dt=0.25, duration=fast_sim_config.duration, seed=0)
-
-    def test_too_short_duration_rejected(self, fast_sim_config):
-        wave = wave_spectrum(2.0, 9.0, fast_sim_config.omega_grid)
-        with pytest.raises(ConfigurationError):
-            realize_time_series(wave, dt=0.5, duration=100.0, seed=0)
+        finer = SimConfig(duration=fast_sim_config.duration, dt=0.25)
+        for density in (wave_spectrum(2.0, 9.0, finer.omega_grid).density,
+                        wave_spectrum(2.0, 9.0, fast_sim_config.omega_grid).density[1:]):
+            with pytest.raises(ConfigurationError, match="rfft layout"):
+                realize_time_series(density, fast_sim_config, [0])
 
     @pytest.mark.parametrize("m_total", [1, 3, 30])
     def test_seed_rows_equal_one_seed_reference_bitwise(self, m_total):
         cfg = DEFAULT_SIM_CONFIG
-        resp = response_spectrum(wave_spectrum(3.0, 10.0, cfg.omega_grid), cfg.transfer)
+        density = cfg.transfer_squared * wave_spectrum(3.0, 10.0, cfg.omega_grid).density
         seeds = [derive_seed(5, TAG_QOI, m, 0) for m in range(m_total)]
-        rows = realize_time_series(resp, cfg.dt, cfg.duration, seeds)
+        rows = realize_time_series(density, cfg, seeds)
         assert rows.shape == (m_total, cfg.n_samples)
         n_samples = int(round(cfg.duration / cfg.dt))
         n_fft = 1 << math.ceil(math.log2(n_samples))
         domega = 2.0 * np.pi / (n_fft * cfg.dt)
         for seed, row in zip(seeds, rows):
-            phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(resp.omega))
-            spectrum = (n_fft / 2.0) * np.sqrt(2.0 * resp.density * domega) * np.exp(1j * phases)
+            phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(density))
+            spectrum = (n_fft / 2.0) * np.sqrt(2.0 * density * domega) * np.exp(1j * phases)
             spectrum[0] = 0.0
             spectrum[-1] = 0.0
             expected = np.fft.irfft(spectrum, n=n_fft)[:n_samples]
             np.testing.assert_array_equal(row, expected)
-            np.testing.assert_array_equal(
-                realize_time_series(resp, cfg.dt, cfg.duration, seed), expected)
+            np.testing.assert_array_equal(realize_time_series(density, cfg, [seed])[0], expected)
 
 
 class TestWindMoment:
@@ -247,8 +203,8 @@ class TestSimulate:
     def test_peaks_exceed_series_mean(self, fast_sim_config):
         record = WeatherRecord(hs=2.5, tp=9.0, vw=8.0, index=0)
         wave = wave_spectrum(record.hs, record.tp, fast_sim_config.omega_grid)
-        resp = response_spectrum(wave, fast_sim_config.transfer)
-        series = realize_time_series(resp, fast_sim_config.dt, fast_sim_config.duration, seed=21)
+        density = fast_sim_config.transfer_squared * wave.density
+        series = realize_time_series(density, fast_sim_config, [21])[0]
         series = series + wind_moment(record.vw, fast_sim_config.thrust, fast_sim_config.lever_arm)
         out = simulate(record, fast_sim_config, seed=21)
         assert out.count > 0
@@ -323,6 +279,18 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             make()
 
+    def test_too_short_duration_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least 1024 samples"):
+            SimConfig(duration=100.0, dt=0.5)
+
+    @pytest.mark.parametrize("duration,dt", [(512.0, 0.5), (3600.0, 0.5), (700.0, 0.3)])
+    def test_grid_is_the_rfft_layout(self, duration, dt):
+        cfg = SimConfig(duration=duration, dt=dt)
+        omega = cfg.omega_grid
+        assert len(omega) == cfg.n_fft // 2 + 1 and omega[0] == 0.0
+        assert omega[-1] == pytest.approx(np.pi / dt, rel=1e-12)
+        np.testing.assert_allclose(np.diff(omega), 2.0 * np.pi / (cfg.n_fft * dt), rtol=1e-9)
+
     def test_per_config_arrays_are_shared_and_read_only(self, fast_sim_config):
         assert fast_sim_config.omega_grid is fast_sim_config.omega_grid
         assert fast_sim_config.transfer_squared is fast_sim_config.transfer_squared
@@ -352,9 +320,3 @@ class TestSimConfigFile:
         with pytest.raises(SchemaError):
             load_sim_config(path)
 
-
-def test_spectrum_type_validation():
-    with pytest.raises(ConfigurationError):
-        WaveSpectrum(omega=np.array([0.0, 1.0, 1.5]), density=np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ConfigurationError):
-        WaveSpectrum(omega=np.array([0.0, 1.0]), density=np.array([0.0, -1.0]))
