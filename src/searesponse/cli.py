@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -40,7 +39,8 @@ from searesponse.distfit import (
     load_training_table,
     write_training_table,
 )
-from searesponse.errors import ConfigurationError, DataError, NumericError
+from searesponse.errors import ConfigurationError, DataError, NumericError, SchemaError
+from searesponse.fileio import read_json_object, write_csv
 from searesponse.gp import MODEL_FORMAT_VERSION
 from searesponse.orderstats import (
     QoiConfig,
@@ -89,12 +89,10 @@ EXIT_NUMERIC = 4
 def _our_manifest(out: Path) -> dict | None:
     """The manifest.json of an earlier searesponse run in out, if any."""
     try:
-        manifest = json.loads((out / "manifest.json").read_text())
-    except (OSError, ValueError):
+        manifest = read_json_object(out / "manifest.json")
+    except (OSError, SchemaError):
         return None
-    if isinstance(manifest, dict) and manifest.get("tool") == "searesponse":
-        return manifest
-    return None
+    return manifest if manifest.get("tool") == "searesponse" else None
 
 
 def _check_out(path: str, force: bool) -> Path:
@@ -239,11 +237,8 @@ def cmd_eval(args: argparse.Namespace) -> Stage:
     def write(out: Path) -> list[Path]:
         written = [out / f"eval_{ev.target}.csv" for ev in evals]
         for path, ev in zip(written, evals):
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["true", "pred_mean", "pred_std"])
-                for t, m, s in zip(ev.true, ev.pred_mean, ev.pred_std):
-                    writer.writerow([repr(float(t)), repr(float(m)), repr(float(s))])
+            write_csv(path, ("true", "pred_mean", "pred_std"),
+                      zip(ev.true.tolist(), ev.pred_mean.tolist(), ev.pred_std.tolist()))
         written.append(out / "eval_summary.json")
         written[-1].write_text(json.dumps(summary, indent=2) + "\n")
         return written
@@ -302,25 +297,15 @@ def cmd_compare(args: argparse.Namespace) -> Stage:
         written = [out / "report.json", out / "rank_comparison.csv",
                    out / "yk_samples_combined.csv"]
         written[0].write_text(json.dumps(payload, indent=2) + "\n")
-        with written[1].open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "a_mean", "a_p2.5", "a_p97.5",
-                             "b_mean", "b_p2.5", "b_p97.5", "a_within_b_band"])
-            for j in range(report.k):
-                inside = report.b_rank_p025[j] <= report.a_rank_means[j] <= report.b_rank_p975[j]
-                writer.writerow([
-                    j + 1,
-                    repr(float(report.a_rank_means[j])), repr(float(report.a_rank_p025[j])),
-                    repr(float(report.a_rank_p975[j])), repr(float(report.b_rank_means[j])),
-                    repr(float(report.b_rank_p025[j])), repr(float(report.b_rank_p975[j])),
-                    int(inside),
-                ])
-        with written[2].open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["source", "realization", "yk"])
-            for label, res in (("a", a), ("b", b)):
-                for m, value in enumerate(res.yk_samples):
-                    writer.writerow([label, m, repr(float(value))])
+        write_csv(written[1], ("rank", "a_mean", "a_p2.5", "a_p97.5",
+                               "b_mean", "b_p2.5", "b_p97.5", "a_within_b_band"),
+                  zip(range(1, report.k + 1),
+                      *(x.tolist() for x in (a.rank_means, a.rank_p025, a.rank_p975,
+                                             b.rank_means, b.rank_p025, b.rank_p975)),
+                      report.rank_in_band.astype(int).tolist()))
+        write_csv(written[2], ("source", "realization", "yk"),
+                  [(label, m, value) for label, res in (("a", a), ("b", b))
+                   for m, value in enumerate(res.yk_samples.tolist())])
         return written
 
     return Stage([str(args.candidate), str(args.reference)], write, {"report": payload},

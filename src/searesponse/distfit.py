@@ -11,7 +11,6 @@ levels for the surrogate GPs.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -28,8 +27,8 @@ from searesponse.errors import (
     InsufficientDataError,
     NumericError,
     ParseError,
-    SchemaError,
 )
+from searesponse.fileio import parse_float, read_csv, write_csv
 from searesponse.seeding import TAG_SIM, TAG_SPLIT, derive_seed
 from searesponse.simulator import SimConfig, check_weather, simulate
 from searesponse.weather import WeatherRecord
@@ -330,55 +329,29 @@ def build_training_table(
 
 
 def write_training_table(path: str | Path, table: TrainingTable) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for row in table.rows:
-            record = []
-            for col in TABLE_COLUMNS:
-                value = getattr(row, col)
-                if value is None:
-                    record.append("")
-                elif col == "split":
-                    record.append(value)
-                else:
-                    record.append(repr(float(value)))
-            writer.writerow(record)
+    """Write the table in the shared CSV format (see fileio); a failed fit
+    is an empty cell."""
+    write_csv(path, TABLE_COLUMNS,
+              ([getattr(row, col) for col in TABLE_COLUMNS] for row in table.rows))
 
 
 def load_training_table(path: str | Path) -> TrainingTable:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file")
-        if tuple(header) != TABLE_COLUMNS:
-            raise SchemaError(f"{path}: unexpected columns {header}")
-        rows = []
-        for line, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(TABLE_COLUMNS):
-                raise ParseError(f"expected {len(TABLE_COLUMNS)} fields, got {len(record)}", line=line)
-            kwargs = {}
-            for col, value in zip(TABLE_COLUMNS, record):
-                if col == "split":
-                    if value not in ("train", "test"):
-                        raise ParseError(f"split must be train or test, got {value!r}", line=line)
-                    kwargs[col] = value
-                elif value == "":
-                    kwargs[col] = None
-                else:
-                    try:
-                        kwargs[col] = float(value)
-                    except ValueError:
-                        raise ParseError(f"non-numeric value {value!r} in column {col}", line=line)
-                    if not math.isfinite(kwargs[col]):
-                        raise ParseError(f"non-finite value {value!r} in column {col}", line=line)
-            for col in ("hs", "tp", "vw", "l_mean", "l_std"):
-                if kwargs[col] is None:
-                    raise ParseError(f"column {col} may not be empty", line=line)
-            rows.append(TrainingRow(**kwargs))
+    """Read a table in the shared CSV format (see fileio). split must be
+    train or test, and only the family columns may be empty."""
+    rows = []
+    for line, record in read_csv(path, TABLE_COLUMNS):
+        kwargs = {}
+        for col, value in zip(TABLE_COLUMNS, record):
+            if col == "split":
+                if value not in ("train", "test"):
+                    raise ParseError(f"split must be train or test, got {value!r}",
+                                     line=line, path=path)
+                kwargs[col] = value
+            elif value:
+                kwargs[col] = parse_float(path, line, col, value)
+            elif col in ("hs", "tp", "vw", "l_mean", "l_std"):
+                raise ParseError(f"column {col} may not be empty", line=line, path=path)
+            else:
+                kwargs[col] = None
+        rows.append(TrainingRow(**kwargs))
     return TrainingTable(rows=rows)

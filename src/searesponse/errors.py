@@ -22,11 +22,14 @@ class SchemaError(DataError):
 
 
 class ParseError(DataError):
-    """A row or value failed to parse; carries the 1-based file line."""
+    """A row or value failed to parse; carries the 1-based file line and
+    names the file and line in its message."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

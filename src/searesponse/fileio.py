@@ -1,0 +1,74 @@
+"""The file rules every data file of the pipeline shares.
+
+CSV files start with a header row of fixed column names and end each row
+with ``\\n``. Float cells are written with ``repr``, so they read back to
+the same float; an empty cell marks a missing value. Readers skip blank
+rows. A missing or wrong header raises SchemaError; a row of the wrong
+width, or a cell that is not a finite number, raises ParseError naming the
+file, its 1-based line and the column. JSON files each hold one object.
+The CLI maps both errors to exit 3.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+from searesponse.errors import ParseError, SchemaError
+
+
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header and rows. Cells are str, int, float (written with
+    repr, as the csv module does for every float) or None (an empty cell);
+    pass float cells as floats, not as strings."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, cells) for each non-blank row after checking the header
+    is exactly columns; a row of another width raises ParseError."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != list(columns):
+            found = "nothing" if header is None else ",".join(header)
+            raise SchemaError(f"{path}: expected columns {','.join(columns)}, got {found}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ParseError(f"expected {len(columns)} fields, got {len(row)}",
+                                 line=line, path=path)
+            yield line, row
+
+
+def parse_float(path: str | Path, line: int, column: str, text: str) -> float:
+    """The finite float in one cell; anything else raises ParseError naming
+    the file, line, column and text."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"non-numeric value {text!r} in column {column}",
+                         line=line, path=path) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {text!r} in column {column}", line=line, path=path)
+    return value
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in path; invalid JSON or another type raises SchemaError."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return payload

@@ -26,6 +26,7 @@ from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
+from searesponse.fileio import read_json_object
 from searesponse.seeding import TAG_GP_INIT, TAG_SUBSAMPLE, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -350,12 +351,7 @@ def save_model(path: str | Path, model: GPModel) -> None:
 
 def load_model(path: str | Path) -> GPModel:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+    payload = read_json_object(path)
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported format version {version!r}")

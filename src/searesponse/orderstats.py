@@ -13,7 +13,6 @@ the few hundred peaks that can reach the top k, and offers them at once.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import logging
@@ -26,6 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
+from searesponse.fileio import parse_float, read_csv, read_json_object, write_csv
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import SimConfig, check_weather, simulate
 from searesponse.surrogate import (
@@ -40,6 +40,7 @@ logger = logging.getLogger(__name__)
 SOURCE_SIMULATOR = "simulator"
 SOURCE_SURROGATE = "surrogate"
 
+YK_SAMPLES_COLUMNS = ("realization", "yk")
 RANK_SUMMARY_COLUMNS = ("rank", "mean", "p2.5", "p97.5")
 
 
@@ -252,12 +253,7 @@ class ComparisonReport:
     conservative: bool
     band_overlap_fraction: float
     closest_rank: int
-    a_rank_means: np.ndarray
-    a_rank_p025: np.ndarray
-    a_rank_p975: np.ndarray
-    b_rank_means: np.ndarray
-    b_rank_p025: np.ndarray
-    b_rank_p975: np.ndarray
+    rank_in_band: np.ndarray  # per rank: a's mean inside b's 2.5-97.5% band
 
 
 def compare_qoi(a: QoiResult, b: QoiResult) -> ComparisonReport:
@@ -275,7 +271,7 @@ def compare_qoi(a: QoiResult, b: QoiResult) -> ComparisonReport:
     if b_yk.mean == 0.0:
         raise DataError("reference mean Y_k is 0; the relative difference is undefined")
     diff = (a_yk.mean - b_yk.mean) / abs(b_yk.mean)
-    within = (a.rank_means >= b.rank_p025) & (a.rank_means <= b.rank_p975)
+    in_band = (a.rank_means >= b.rank_p025) & (a.rank_means <= b.rank_p975)
     gaps = np.abs(b.rank_means - a_yk.mean)
     closest = a.k - int(np.argmin(gaps[::-1]))
     return ComparisonReport(
@@ -283,10 +279,9 @@ def compare_qoi(a: QoiResult, b: QoiResult) -> ComparisonReport:
         a_yk=a_yk, b_yk=b_yk,
         relative_mean_difference=float(diff),
         conservative=diff > 0.0,
-        band_overlap_fraction=float(np.mean(within)),
+        band_overlap_fraction=float(np.mean(in_band)),
         closest_rank=closest,
-        a_rank_means=a.rank_means, a_rank_p025=a.rank_p025, a_rank_p975=a.rank_p975,
-        b_rank_means=b.rank_means, b_rank_p025=b.rank_p025, b_rank_p975=b.rank_p975,
+        rank_in_band=in_band,
     )
 
 
@@ -296,21 +291,10 @@ def save_qoi_result(directory: str | Path, result: QoiResult) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = [directory / name for name in ("yk_samples.csv", "rank_summary.csv", "summary.json")]
-    with written[0].open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["realization", "yk"])
-        for m, value in enumerate(result.yk_samples):
-            writer.writerow([m, repr(float(value))])
-    with written[1].open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RANK_SUMMARY_COLUMNS)
-        for j in range(result.k):
-            writer.writerow([
-                j + 1,
-                repr(float(result.rank_means[j])),
-                repr(float(result.rank_p025[j])),
-                repr(float(result.rank_p975[j])),
-            ])
+    write_csv(written[0], YK_SAMPLES_COLUMNS, enumerate(result.yk_samples.tolist()))
+    write_csv(written[1], RANK_SUMMARY_COLUMNS,
+              zip(range(1, result.k + 1), result.rank_means.tolist(),
+                  result.rank_p025.tolist(), result.rank_p975.tolist()))
     summary = {
         "k": result.k,
         "source": result.source,
@@ -323,29 +307,22 @@ def save_qoi_result(directory: str | Path, result: QoiResult) -> list[Path]:
     return written
 
 
-def _read_csv(path: Path, header: Sequence[str]) -> list[list[float]]:
-    """Rows of a result CSV as floats, after its header is checked."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != list(header):
-            raise SchemaError(f"{path}: unexpected header {found}")
-        try:
-            rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as exc:
-            raise SchemaError(f"{path}: line {reader.line_num}: {exc}")
-    if not np.isfinite([v for row in rows for v in row]).all():
-        raise SchemaError(f"{path}: non-finite value")
-    return rows
+def _read_floats(path: Path, columns: Sequence[str]) -> np.ndarray:
+    """The cells of a result CSV as a (rows, columns) array."""
+    rows = [[parse_float(path, line, col, text) for col, text in zip(columns, row)]
+            for line, row in read_csv(path, columns)]
+    return np.array(rows).reshape(-1, len(columns))
 
 
 def load_qoi_result(directory: str | Path) -> QoiResult:
+    """Read a directory written by save_qoi_result; its CSV files must hold
+    one row per realization and per rank of summary.json."""
     directory = Path(directory)
     summary_path = directory / "summary.json"
     if not summary_path.exists():
         raise SchemaError(f"{directory}: missing summary.json")
+    summary = read_json_object(summary_path)
     try:
-        summary = json.loads(summary_path.read_text())
         k, realizations = int(summary["k"]), int(summary["realizations"])
         source, base_seed = summary["source"], int(summary["base_seed"])
         total_count = int(summary["total_count"])
@@ -353,16 +330,15 @@ def load_qoi_result(directory: str | Path) -> QoiResult:
         raise SchemaError(f"{summary_path}: malformed summary: {exc}")
     if k < 1 or realizations < 1:
         raise SchemaError(f"{summary_path}: k and realizations must be >= 1")
-    yk_rows = _read_csv(directory / "yk_samples.csv", ("realization", "yk"))
-    rank_rows = _read_csv(directory / "rank_summary.csv", RANK_SUMMARY_COLUMNS)
-    for name, rows, expected, width in (("yk_samples.csv", yk_rows, realizations, 2),
-                                        ("rank_summary.csv", rank_rows, k, 4)):
-        if len(rows) != expected or any(len(row) != width for row in rows):
-            raise SchemaError(f"{directory}/{name}: expected {expected} rows of {width} values")
-    ranks = np.array(rank_rows)
+    yk = _read_floats(directory / "yk_samples.csv", YK_SAMPLES_COLUMNS)
+    ranks = _read_floats(directory / "rank_summary.csv", RANK_SUMMARY_COLUMNS)
+    for name, rows, expected in (("yk_samples.csv", yk, realizations),
+                                 ("rank_summary.csv", ranks, k)):
+        if len(rows) != expected:
+            raise SchemaError(f"{directory / name}: expected {expected} rows, got {len(rows)}")
     return QoiResult(
         k=k, source=source, base_seed=base_seed,
-        yk_samples=np.array([row[1] for row in yk_rows]),
+        yk_samples=yk[:, 1],
         rank_means=ranks[:, 1], rank_p025=ranks[:, 2], rank_p975=ranks[:, 3],
         total_count=total_count,
     )

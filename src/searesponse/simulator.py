@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from searesponse.errors import ConfigurationError, SchemaError
+from searesponse.fileio import read_json_object
 from searesponse.weather import WeatherRecord
 
 logger = logging.getLogger(__name__)
@@ -169,13 +170,7 @@ _SIM_CONFIG_KEYS = (
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Read a simulator configuration from a flat JSON file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+    raw = read_json_object(path)
     missing = [k for k in _SIM_CONFIG_KEYS if k not in raw]
     extra = [k for k in raw if k not in _SIM_CONFIG_KEYS]
     if missing or extra:

@@ -26,6 +26,7 @@ import numpy as np
 
 from searesponse.distfit import DistFamily, Hazard, TrainingRow, TrainingTable
 from searesponse.errors import ConfigurationError, InsufficientDataError, SchemaError
+from searesponse.fileio import read_json_object
 from searesponse.gp import (
     GPModel,
     fit_hyperparams,
@@ -318,12 +319,7 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
     manifest_path = directory / "bundle.json"
     if not manifest_path.exists():
         raise SchemaError(f"{directory}: missing bundle.json")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{manifest_path}: not valid JSON: {exc}")
-    if not isinstance(manifest, dict):
-        raise SchemaError(f"{manifest_path}: expected a JSON object")
+    manifest = read_json_object(manifest_path)
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise SchemaError(f"{directory}: unsupported bundle version {manifest.get('format_version')!r}")
     try:

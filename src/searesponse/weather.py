@@ -7,7 +7,6 @@ peak wave period ``tp`` [s], and mean wind speed ``vw`` [m/s].
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from searesponse.errors import ConfigurationError, ParseError, SchemaError
+from searesponse.errors import ConfigurationError, DataError, ParseError
+from searesponse.fileio import parse_float, read_csv, write_csv
 from searesponse.seeding import TAG_WEATHER, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -73,59 +73,48 @@ class InputBox:
 DEFAULT_BOX = InputBox()
 
 
-def _parse_row(row: list[str], line: int) -> WeatherRecord:
+def _row_error(path: Path, line: int, row: list[str]) -> ParseError:
+    """The error for a weather row that failed load_weather's one-pass parse."""
     try:
-        index = int(row[0])
-        hs, tp, vw = (float(v) for v in row[1:4])
-    except ValueError as exc:
-        raise ParseError(f"non-numeric value in row {row!r}: {exc}", line=line) from None
-    if not all(math.isfinite(v) for v in (hs, tp, vw)):
-        raise ParseError(f"non-finite value in row {row!r}", line=line)
+        int(row[0])
+    except ValueError:
+        return ParseError(f"non-integer value {row[0]!r} in column index", line=line, path=path)
+    hs, tp, vw = (parse_float(path, line, col, text)
+                  for col, text in zip(WEATHER_COLUMNS[1:], row[1:]))
     if hs <= 0.0:
-        raise ParseError(f"hs must be positive, got {hs}", line=line)
+        return ParseError(f"hs must be positive, got {hs}", line=line, path=path)
     if tp <= 0.0:
-        raise ParseError(f"tp must be positive, got {tp}", line=line)
-    if vw < 0.0:
-        raise ParseError(f"vw must be non-negative, got {vw}", line=line)
-    return WeatherRecord(hs=hs, tp=tp, vw=vw, index=index)
+        return ParseError(f"tp must be positive, got {tp}", line=line, path=path)
+    return ParseError(f"vw must be non-negative, got {vw}", line=line, path=path)
 
 
 def load_weather(path: str | Path) -> list[WeatherRecord]:
-    """Load an hourly weather CSV with header ``index,hs,tp,vw``.
-
-    Raises SchemaError on a wrong header and ParseError (with the 1-based
-    file line) on non-numeric or physically impossible values.
+    """Load an hourly weather CSV with header ``index,hs,tp,vw``, in the
+    shared file format (see fileio). hs and tp must be positive and vw
+    non-negative, and the file must hold at least one hour; a file without
+    one raises DataError.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    records = []
+    for line, row in read_csv(path, WEATHER_COLUMNS):
+        # One try per row, and chained range checks that NaN and inf fail too.
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header {','.join(WEATHER_COLUMNS)}")
-        if tuple(h.strip() for h in header) != WEATHER_COLUMNS:
-            raise SchemaError(
-                f"{path}: expected columns {','.join(WEATHER_COLUMNS)}, got {','.join(header)}"
-            )
-        records = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(WEATHER_COLUMNS):
-                raise ParseError(f"expected {len(WEATHER_COLUMNS)} fields, got {len(row)}", line=line)
-            records.append(_parse_row(row, line))
+            index, hs, tp, vw = int(row[0]), float(row[1]), float(row[2]), float(row[3])
+        except ValueError:
+            raise _row_error(path, line, row) from None
+        if not (0.0 < hs < math.inf and 0.0 < tp < math.inf and 0.0 <= vw < math.inf):
+            raise _row_error(path, line, row)
+        records.append(WeatherRecord(hs=hs, tp=tp, vw=vw, index=index))
+    if not records:
+        raise DataError(f"{path}: no weather records")
     logger.info("loaded %d weather records from %s", len(records), path)
     return records
 
 
 def write_weather(path: str | Path, records: Sequence[WeatherRecord]) -> None:
-    """Write records in the canonical CSV format (deterministic float repr)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WEATHER_COLUMNS)
-        for r in records:
-            writer.writerow([r.index, repr(float(r.hs)), repr(float(r.tp)), repr(float(r.vw))])
+    """Write records in the shared CSV format (see fileio)."""
+    write_csv(path, WEATHER_COLUMNS,
+              ([r.index, float(r.hs), float(r.tp), float(r.vw)] for r in records))
 
 
 def _ar1_series(n: int, coeff: float, rng: np.random.Generator) -> np.ndarray:

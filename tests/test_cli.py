@@ -145,6 +145,21 @@ class TestWeatherCommand:
         code = cli.main(["weather", "load", "--path", str(src), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["weather", "load", "--path", "IN"],
+        ["qoi", "--source", "simulator", "--weather", "IN", "--k", "1", "--m", "1", "--seed", "1"],
+        ["qoi", "--source", "surrogate", "--bundle", "BUNDLE", "--weather", "IN",
+         "--k", "1", "--m", "1", "--seed", "1"],
+    ], ids=["weather-load", "qoi-simulator", "qoi-surrogate"])
+    def test_header_only_file_is_data_error(self, tmp_path, capsys, bundle_path, argv):
+        src = tmp_path / "in.csv"
+        src.write_text("index,hs,tp,vw\n")
+        argv = [{"IN": str(src), "BUNDLE": bundle_path}.get(a, a) for a in argv]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {src}: no weather records\n"
+        assert not out.exists()
+
     def test_existing_output_needs_force(self, tmp_path):
         out = tmp_path / "w"
         assert cli.main(["weather", "synth", "--hours", "8", "--seed", "1", "--out", str(out)]) == 0
@@ -610,6 +625,27 @@ class TestCompareCommand:
         assert (out / "rank_comparison.csv").exists()
         assert (out / "yk_samples_combined.csv").exists()
 
+    def test_different_runs_band_flags_and_combined_samples(self, tmp_path, fast_config_path,
+                                                            weather_csv, bundle_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["qoi", "--source", "surrogate", "--bundle", bundle_path, "--weather",
+                         weather_csv, "--k", "4", "--m", "5", "--seed", "3", "--out", str(a)]) == 0
+        assert cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "4",
+                         "--m", "3", "--seed", "11", "--sim-config", fast_config_path,
+                         "--out", str(b)]) == 0
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(a), str(b), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        ranks = np.genfromtxt(out / "rank_comparison.csv", delimiter=",", names=True)
+        assert list(ranks["rank"]) == [1, 2, 3, 4]
+        inside = (ranks["b_p25"] <= ranks["a_mean"]) & (ranks["a_mean"] <= ranks["b_p975"])
+        np.testing.assert_array_equal(ranks["a_within_b_band"], inside)
+        assert ranks["a_within_b_band"].mean() == report["band_overlap_fraction"]
+        assert report["relative_mean_difference"] != 0.0
+        combined = (out / "yk_samples_combined.csv").read_text().splitlines()
+        assert combined[0] == "source,realization,yk"
+        assert [line.split(",")[0] for line in combined[1:]] == ["a"] * 5 + ["b"] * 3
+
     def test_missing_directory_is_data_error(self, tmp_path):
         code = cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                          "--out", str(tmp_path / "c")])
@@ -651,7 +687,8 @@ class TestCompareInputs:
     def test_non_finite_yk(self, tmp_path, run, capsys):
         (run / "yk_samples.csv").write_text("realization,yk\n0,nan\n1,1.0\n")
         assert self._compare(tmp_path, run) == 3
-        assert "yk_samples.csv: non-finite value" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: {run / 'yk_samples.csv'}: line 2: non-finite value 'nan' in column yk\n")
 
     def test_zero_reference_mean(self, tmp_path, run):
         (run / "yk_samples.csv").write_text("realization,yk\n0,0.0\n1,0.0\n")

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 from scipy.signal import lfilter
 
-from searesponse.errors import ConfigurationError, ParseError, SchemaError
+from searesponse.errors import ConfigurationError, DataError, ParseError, SchemaError
 from searesponse.weather import (
     DEFAULT_BOX,
     InputBox,
@@ -57,6 +57,24 @@ class TestLoadWeather:
     def test_zero_tp_rejected(self, tmp_path):
         path = _write(tmp_path, "index,hs,tp,vw\n0,3.2,0.0,1.2\n")
         with pytest.raises(ParseError):
+            load_weather(path)
+
+    @pytest.mark.parametrize("row,column", [("0,inf,11.3,1.2", "hs"), ("0,3.2,-inf,1.2", "tp"),
+                                            ("0,3.2,11.3,nan", "vw"), ("0,3.2,11.3,inf", "vw")])
+    def test_non_finite_value_names_column(self, tmp_path, row, column):
+        path = _write(tmp_path, f"index,hs,tp,vw\n{row}\n")
+        with pytest.raises(ParseError, match=f"non-finite value .* in column {column}$") as err:
+            load_weather(path)
+        assert err.value.line == 2
+
+    def test_non_integer_index(self, tmp_path):
+        path = _write(tmp_path, "index,hs,tp,vw\n0.5,3.2,11.3,1.2\n")
+        with pytest.raises(ParseError, match="non-integer value '0.5' in column index"):
+            load_weather(path)
+
+    def test_header_only_file_is_data_error(self, tmp_path):
+        path = _write(tmp_path, "index,hs,tp,vw\n\n")
+        with pytest.raises(DataError, match="no weather records"):
             load_weather(path)
 
     def test_write_load_round_trip(self, tmp_path):
