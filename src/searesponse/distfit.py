@@ -35,8 +35,6 @@ from searesponse.weather import WeatherRecord
 
 logger = logging.getLogger(__name__)
 
-EULER_GAMMA = 0.5772156649015329
-
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 100
 WEIBULL_SHAPE_CAP = 100.0
@@ -91,16 +89,6 @@ _HAZARDS = {
     DistFamily.WEIBULL: Hazard(lambda x, t: (x / t[:, 1]) ** t[:, 0],
                                lambda h, t: t[:, 1] * h ** (1.0 / t[:, 0]), 0.0),
 }
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """One maximum-likelihood fit: ordered parameters plus the achieved
-    log-likelihood in nats."""
-
-    family: DistFamily
-    params: tuple[float, ...]
-    log_likelihood: float
 
 
 @dataclass
@@ -160,21 +148,14 @@ def _check_sample(data: np.ndarray, positive: bool) -> np.ndarray:
     return data
 
 
-def fit_rayleigh(data: Sequence[float]) -> FitResult:
-    """Closed-form Rayleigh MLE: sigma = sqrt(sum(x^2) / (2n))."""
+def fit_rayleigh(data: Sequence[float]) -> tuple[float]:
+    """Closed-form Rayleigh MLE: (sigma,) with sigma = sqrt(sum(x^2) / (2n))."""
     x = _check_sample(np.asarray(data), positive=True)
-    sigma = math.sqrt(float(np.sum(x * x)) / (2.0 * len(x)))
-    ll = rayleigh_loglik(x, sigma)
-    return FitResult(family=DistFamily.RAYLEIGH, params=(sigma,), log_likelihood=ll)
+    return (math.sqrt(float(np.sum(x * x)) / (2.0 * len(x))),)
 
 
-def rayleigh_loglik(x: np.ndarray, sigma: float) -> float:
-    n = len(x)
-    return float(np.sum(np.log(x)) - 2.0 * n * math.log(sigma) - np.sum(x * x) / (2.0 * sigma * sigma))
-
-
-def fit_gumbel(data: Sequence[float]) -> FitResult:
-    """Gumbel MLE by Newton iteration on the scale.
+def fit_gumbel(data: Sequence[float]) -> tuple[float, float]:
+    """Gumbel MLE (mu, beta) by Newton iteration on the scale.
 
     The scale equation g(beta) = beta - mean(x) + sum(x w)/sum(w) with
     w = exp(-x/beta) is strictly increasing (g' = 1 + Var_w(x)/beta^2), so
@@ -209,17 +190,12 @@ def fit_gumbel(data: Sequence[float]) -> FitResult:
     else:
         raise NumericError("Gumbel MLE did not converge", trace=trace)
     mu = x0 - beta * math.log(float(np.mean(np.exp(-shifted / beta))))
-    ll = gumbel_loglik(x, mu, beta)
-    return FitResult(family=DistFamily.GUMBEL, params=(mu, beta), log_likelihood=ll)
+    return mu, beta
 
 
-def gumbel_loglik(x: np.ndarray, mu: float, beta: float) -> float:
-    z = (x - mu) / beta
-    return float(-len(x) * math.log(beta) - np.sum(z) - np.sum(np.exp(-z)))
-
-
-def fit_weibull(data: Sequence[float]) -> FitResult:
-    """Weibull MLE: Newton on the shape profile equation, scale closed-form.
+def fit_weibull(data: Sequence[float]) -> tuple[float, float]:
+    """Weibull MLE (k, lambda): Newton on the shape profile equation, scale
+    closed-form.
 
     Works on centered log-data, so the profile equation is scale-invariant
     and safe against overflow; the shape is capped at 100.
@@ -252,16 +228,7 @@ def fit_weibull(data: Sequence[float]) -> FitResult:
     else:
         raise NumericError("Weibull MLE did not converge", trace=trace)
     lam = math.exp(center) * float(np.mean(np.exp(k * t))) ** (1.0 / k)
-    ll = weibull_loglik(x, k, lam)
-    return FitResult(family=DistFamily.WEIBULL, params=(k, lam), log_likelihood=ll)
-
-
-def weibull_loglik(x: np.ndarray, k: float, lam: float) -> float:
-    n = len(x)
-    return float(
-        n * math.log(k) - n * k * math.log(lam)
-        + (k - 1.0) * np.sum(np.log(x)) - np.sum((x / lam) ** k)
-    )
+    return k, lam
 
 
 _FITTERS = {
@@ -271,7 +238,8 @@ _FITTERS = {
 }
 
 
-def fit_family(family: DistFamily, data: Sequence[float]) -> FitResult:
+def fit_family(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
+    """The family's MLE parameters, ordered as family.param_names."""
     return _FITTERS[family](data)
 
 
@@ -284,7 +252,7 @@ def _table_row(record: WeatherRecord, cfg: SimConfig, seeds: list[int]) -> Train
     )
     for fam in DistFamily:
         try:
-            params = np.array([fit_family(fam, out.peaks).params for out in outputs])
+            params = np.array([fit_family(fam, out.peaks) for out in outputs])
         except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
             continue
         for name, mean, std in zip(fam.param_names, params.mean(axis=0),

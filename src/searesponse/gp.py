@@ -77,10 +77,6 @@ class GPModel:
     weights: np.ndarray           # (K + D + jitter I)^{-1} y, standardized
     jitter: float
 
-    @property
-    def n_train(self) -> int:
-        return len(self.train_targets)
-
 
 def matern52_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix between row sets a (n, d) and b (m, d)."""

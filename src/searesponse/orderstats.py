@@ -78,15 +78,6 @@ class TopK:
         return np.sort(np.asarray(self._heap, dtype=float))[::-1]
 
 
-def extract_yk(acc: TopK) -> float:
-    """The kth-largest value seen: the smallest retained value."""
-    if len(acc) < acc.k:
-        raise InsufficientDataError(
-            f"need {acc.k} responses for Y_{acc.k}, saw {len(acc)} (deficit {acc.k - len(acc)})"
-        )
-    return float(min(acc._heap))
-
-
 @dataclass(frozen=True)
 class QoiConfig:
     """k: order-statistic rank; theta_frozen: draw the surrogate's parameter
@@ -316,7 +307,8 @@ def _read_floats(path: Path, columns: Sequence[str]) -> np.ndarray:
 
 def load_qoi_result(directory: str | Path) -> QoiResult:
     """Read a directory written by save_qoi_result; its CSV files must hold
-    one row per realization and per rank of summary.json."""
+    one row per realization and per rank of summary.json, numbered
+    0..M-1 and 1..k in order."""
     directory = Path(directory)
     summary_path = directory / "summary.json"
     if not summary_path.exists():
@@ -332,10 +324,13 @@ def load_qoi_result(directory: str | Path) -> QoiResult:
         raise SchemaError(f"{summary_path}: k and realizations must be >= 1")
     yk = _read_floats(directory / "yk_samples.csv", YK_SAMPLES_COLUMNS)
     ranks = _read_floats(directory / "rank_summary.csv", RANK_SUMMARY_COLUMNS)
-    for name, rows, expected in (("yk_samples.csv", yk, realizations),
-                                 ("rank_summary.csv", ranks, k)):
-        if len(rows) != expected:
-            raise SchemaError(f"{directory / name}: expected {expected} rows, got {len(rows)}")
+    for name, rows, numbers in (("yk_samples.csv", yk, range(realizations)),
+                                ("rank_summary.csv", ranks, range(1, k + 1))):
+        if len(rows) != len(numbers):
+            raise SchemaError(f"{directory / name}: expected {len(numbers)} rows, got {len(rows)}")
+        if not np.array_equal(rows[:, 0], numbers):
+            raise SchemaError(f"{directory / name}: first column must count "
+                              f"{numbers[0]}..{numbers[-1]} in order")
     return QoiResult(
         k=k, source=source, base_seed=base_seed,
         yk_samples=yk[:, 1],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -41,56 +41,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
-class TransferFunction:
-    """Single-degree-of-freedom resonant response amplitude operator.
-
-    Parameters
-    ----------
-    omega0 : natural angular frequency [rad/s]
-    zeta : damping ratio (0 < zeta < 1)
-    gain : response scale [N*m per meter of wave amplitude]
-    """
-
-    omega0: float = 0.65
-    zeta: float = 0.10
-    gain: float = 3.2e4
-
-    def __post_init__(self):
-        _require_positive("omega0", self.omega0)
-        if not 0.0 < self.zeta < 1.0:
-            raise ConfigurationError(f"zeta must be in (0, 1), got {self.zeta}")
-        _require_positive("gain", self.gain)
-
-    def magnitude_squared(self, omega: np.ndarray) -> np.ndarray:
-        w0sq = self.omega0 * self.omega0
-        return (
-            self.gain * self.gain * w0sq * w0sq
-            / ((w0sq - omega * omega) ** 2 + (2.0 * self.zeta * self.omega0 * omega) ** 2)
-        )
-
-
-@dataclass(frozen=True)
-class ThrustCurve:
-    """Piecewise wind load: cubic below rated speed, flat to cutout, zero above.
-
-    The default rated moment (rated_force * lever arm) is a few percent of
-    typical wave-induced peaks: wind is a secondary load, so fitted peak
-    distributions vary smoothly across the input box.
-    """
-
-    rated_speed: float = 11.0
-    cutout_speed: float = 25.0
-    rated_force: float = 100.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rated_speed < self.cutout_speed < math.inf:
-            raise ConfigurationError(
-                f"need 0 < rated_speed < cutout_speed < inf, got {self.rated_speed}, {self.cutout_speed}"
-            )
-        _require_positive("rated_force", self.rated_force)
-
-
 class WaveSpectrum(NamedTuple):
     """One-sided spectral density on the angular-frequency grid it was
     computed on."""
@@ -115,20 +65,31 @@ class SimOutput:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Discretization and structure model for one simulator run.
+    """Discretization and structure model for one simulator run; the fields
+    are the keys of sim_config.json, in file order.
 
     duration/dt fixes the sample count (>= 1024, zero-padded to the next
     power of two for the transform); the omega grid is matched to the
     transform bins so the Nyquist frequency pi/dt caps the grid exactly.
+    The response is a single-degree-of-freedom resonator: natural angular
+    frequency omega0 [rad/s], damping ratio 0 < zeta < 1, gain [N*m per
+    meter of wave amplitude]. The wind thrust is cubic below rated_speed,
+    flat to cutout_speed, zero above; the default rated moment
+    (rated_force * lever_arm) is a few percent of typical wave-induced
+    peaks, so fitted peak distributions vary smoothly across the input box.
     The grid and |H(omega)|^2 on it are computed once per config and
     shared read-only by every run; threads that share a config must read
     both once before they start, as cached_property takes no lock.
     """
 
-    duration: float = 3600.0
     dt: float = 0.5
-    transfer: TransferFunction = field(default_factory=TransferFunction)
-    thrust: ThrustCurve = field(default_factory=ThrustCurve)
+    duration: float = 3600.0
+    omega0: float = 0.65
+    zeta: float = 0.10
+    gain: float = 3.2e4
+    rated_speed: float = 11.0
+    cutout_speed: float = 25.0
+    rated_force: float = 100.0
     lever_arm: float = 50.0
 
     def __post_init__(self):
@@ -139,6 +100,15 @@ class SimConfig:
             raise ConfigurationError(
                 f"duration/dt must give at least 1024 samples, got {self.n_samples}"
             )
+        _require_positive("omega0", self.omega0)
+        if not 0.0 < self.zeta < 1.0:
+            raise ConfigurationError(f"zeta must be in (0, 1), got {self.zeta}")
+        _require_positive("gain", self.gain)
+        if not 0.0 < self.rated_speed < self.cutout_speed < math.inf:
+            raise ConfigurationError(
+                f"need 0 < rated_speed < cutout_speed < inf, got {self.rated_speed}, {self.cutout_speed}"
+            )
+        _require_positive("rated_force", self.rated_force)
         _require_positive("lever_arm", self.lever_arm)
 
     @property
@@ -157,53 +127,38 @@ class SimConfig:
     @cached_property
     def transfer_squared(self) -> np.ndarray:
         """|H(omega)|^2 on omega_grid."""
-        return _read_only(self.transfer.magnitude_squared(self.omega_grid))
+        omega = self.omega_grid
+        w0sq = self.omega0 * self.omega0
+        return _read_only(
+            self.gain * self.gain * w0sq * w0sq
+            / ((w0sq - omega * omega) ** 2 + (2.0 * self.zeta * self.omega0 * omega) ** 2)
+        )
 
 
 DEFAULT_SIM_CONFIG = SimConfig()
 
-_SIM_CONFIG_KEYS = (
-    "dt", "duration", "omega0", "zeta", "gain",
-    "rated_speed", "cutout_speed", "rated_force", "lever_arm",
-)
-
 
 def load_sim_config(path: str | Path) -> SimConfig:
-    """Read a simulator configuration from a flat JSON file."""
+    """Read a simulator configuration from a flat JSON file whose keys are
+    exactly SimConfig's fields."""
     raw = read_json_object(path)
-    missing = [k for k in _SIM_CONFIG_KEYS if k not in raw]
-    extra = [k for k in raw if k not in _SIM_CONFIG_KEYS]
+    keys = [f.name for f in fields(SimConfig)]
+    missing = [k for k in keys if k not in raw]
+    extra = [k for k in raw if k not in keys]
     if missing or extra:
         raise SchemaError(f"{path}: missing keys {missing}, unexpected keys {extra}")
     try:
-        values = {k: float(raw[k]) for k in _SIM_CONFIG_KEYS}
+        values = {k: float(raw[k]) for k in keys}
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: non-numeric value: {exc}")
     non_finite = [k for k, v in values.items() if not math.isfinite(v)]
     if non_finite:
         raise SchemaError(f"{path}: non-finite values for {non_finite}")
-    return SimConfig(
-        duration=values["duration"],
-        dt=values["dt"],
-        transfer=TransferFunction(values["omega0"], values["zeta"], values["gain"]),
-        thrust=ThrustCurve(values["rated_speed"], values["cutout_speed"], values["rated_force"]),
-        lever_arm=values["lever_arm"],
-    )
+    return SimConfig(**values)
 
 
 def write_sim_config(path: str | Path, cfg: SimConfig) -> None:
-    payload = {
-        "dt": cfg.dt,
-        "duration": cfg.duration,
-        "omega0": cfg.transfer.omega0,
-        "zeta": cfg.transfer.zeta,
-        "gain": cfg.transfer.gain,
-        "rated_speed": cfg.thrust.rated_speed,
-        "cutout_speed": cfg.thrust.cutout_speed,
-        "rated_force": cfg.thrust.rated_force,
-        "lever_arm": cfg.lever_arm,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2) + "\n")
 
 
 def _check_sea_state(hs: float, tp: float, omega_top: float) -> float:
@@ -287,16 +242,16 @@ def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int
     return np.fft.irfft(spectrum, n=n_fft, axis=-1)[:, :n_samples]
 
 
-def wind_moment(vw: float, thrust: ThrustCurve, lever_arm: float) -> float:
-    """Quasi-static wind-induced moment from the thrust curve."""
+def wind_moment(vw: float, cfg: SimConfig) -> float:
+    """Quasi-static wind-induced moment from the config's thrust curve."""
     _check_wind(vw)
-    if vw < thrust.rated_speed:
-        force = thrust.rated_force * (vw / thrust.rated_speed) ** 3
-    elif vw <= thrust.cutout_speed:
-        force = thrust.rated_force
+    if vw < cfg.rated_speed:
+        force = cfg.rated_force * (vw / cfg.rated_speed) ** 3
+    elif vw <= cfg.cutout_speed:
+        force = cfg.rated_force
     else:
         force = 0.0
-    return force * lever_arm
+    return force * cfg.lever_arm
 
 
 def extract_peaks(series: np.ndarray, threshold: float) -> SimOutput:
@@ -337,7 +292,7 @@ def simulate(
     single = np.isscalar(seed)
     wave = wave_spectrum(record.hs, record.tp, cfg.omega_grid)
     density = cfg.transfer_squared * wave.density
-    offset = wind_moment(record.vw, cfg.thrust, cfg.lever_arm)
+    offset = wind_moment(record.vw, cfg)
     outputs = []
     for row in realize_time_series(density, cfg, [seed] if single else seed):
         series = row + offset

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from searesponse.distfit import build_training_table
-from searesponse.simulator import SimConfig, ThrustCurve, TransferFunction
+from searesponse.simulator import SimConfig
 from searesponse.weather import sample_uniform_inputs
 
 
@@ -10,11 +10,8 @@ from searesponse.weather import sample_uniform_inputs
 def fast_sim_config() -> SimConfig:
     """Short-duration simulator config for unit tests (1024 samples)."""
     return SimConfig(
-        duration=512.0,
-        dt=0.5,
-        transfer=TransferFunction(omega0=0.65, zeta=0.10, gain=3.0e4),
-        thrust=ThrustCurve(rated_speed=11.0, cutout_speed=25.0, rated_force=1.0e3),
-        lever_arm=50.0,
+        dt=0.5, duration=512.0, omega0=0.65, zeta=0.10, gain=3.0e4,
+        rated_speed=11.0, cutout_speed=25.0, rated_force=1.0e3, lever_arm=50.0,
     )
 
 

@@ -18,18 +18,13 @@ import pytest
 from scipy import stats
 
 from searesponse import cli, gp
-from searesponse.distfit import (
-    fit_gumbel,
-    fit_rayleigh,
-    fit_weibull,
-    gumbel_loglik,
-    rayleigh_loglik,
-    weibull_loglik,
-)
-from searesponse.orderstats import TopK, extract_yk, load_qoi_result
+from searesponse.distfit import fit_gumbel, fit_rayleigh, fit_weibull
+from searesponse.orderstats import TopK, load_qoi_result
 from searesponse.simulator import DEFAULT_SIM_CONFIG, SimConfig, simulate, wave_spectrum
 from searesponse.simulator import realize_time_series, write_sim_config
 from searesponse.weather import WeatherRecord
+
+from loglik import gumbel_loglik, rayleigh_loglik, weibull_loglik
 
 Z95 = 1.959963984540054
 
@@ -65,7 +60,7 @@ def test_criterion_1_topk_oracle_equivalence():
         if not np.array_equal(acc.values_descending(), expected):
             all_exact = False
             break
-        if extract_yk(acc) != expected[-1]:
+        if acc.values_descending()[-1] != expected[-1]:
             all_exact = False
             break
     elapsed = time.monotonic() - t0
@@ -103,7 +98,7 @@ def test_criterion_3_rayleigh_peaks_property():
     pool = np.concatenate([
         simulate(record, DEFAULT_SIM_CONFIG, seed=s).peaks for s in range(50)
     ])
-    sigma = fit_rayleigh(pool).params[0]
+    (sigma,) = fit_rayleigh(pool)
     result = stats.kstest(pool, "rayleigh", args=(0.0, sigma))
     elapsed = time.monotonic() - t0
     report(3, "pooled peaks (50 seeds) pass KS vs fitted Rayleigh at 0.01",
@@ -119,35 +114,35 @@ def test_criterion_4_fitter_recovery():
 
     data = rng.gumbel(75371.0, 20983.0, 100_000)
     fit = fit_gumbel(data)
-    ok &= abs(fit.params[0] - 75371.0) / 75371.0 < 0.01
-    ok &= abs(fit.params[1] - 20983.0) / 20983.0 < 0.01
+    ok &= abs(fit[0] - 75371.0) / 75371.0 < 0.01
+    ok &= abs(fit[1] - 20983.0) / 20983.0 < 0.01
     grid = max(
         gumbel_loglik(data, mu, beta)
-        for mu in np.linspace(0.9 * fit.params[0], 1.1 * fit.params[0], 50)
-        for beta in np.linspace(0.9 * fit.params[1], 1.1 * fit.params[1], 50)
+        for mu in np.linspace(0.9 * fit[0], 1.1 * fit[0], 50)
+        for beta in np.linspace(0.9 * fit[1], 1.1 * fit[1], 50)
     )
-    ok &= fit.log_likelihood >= grid - 1e-6
-    details.append(f"gumbel ({fit.params[0]:.0f}, {fit.params[1]:.0f})")
+    ok &= gumbel_loglik(data, *fit) >= grid - 1e-6
+    details.append(f"gumbel ({fit[0]:.0f}, {fit[1]:.0f})")
 
     data = rng.rayleigh(2.0, 100_000)
     fit = fit_rayleigh(data)
-    ok &= abs(fit.params[0] - 2.0) / 2.0 < 0.01
+    ok &= abs(fit[0] - 2.0) / 2.0 < 0.01
     grid = max(rayleigh_loglik(data, s)
-               for s in np.linspace(0.9 * fit.params[0], 1.1 * fit.params[0], 2500))
-    ok &= fit.log_likelihood >= grid - 1e-6
-    details.append(f"rayleigh {fit.params[0]:.4f}")
+               for s in np.linspace(0.9 * fit[0], 1.1 * fit[0], 2500))
+    ok &= rayleigh_loglik(data, *fit) >= grid - 1e-6
+    details.append(f"rayleigh {fit[0]:.4f}")
 
     data = 2.0 * math.sqrt(2.0) * rng.weibull(2.0, 100_000)
     fit = fit_weibull(data)
-    ok &= abs(fit.params[0] - 2.0) / 2.0 < 0.01
-    ok &= abs(fit.params[1] - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0)) < 0.01
+    ok &= abs(fit[0] - 2.0) / 2.0 < 0.01
+    ok &= abs(fit[1] - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0)) < 0.01
     grid = max(
         weibull_loglik(data, k, lam)
-        for k in np.linspace(0.9 * fit.params[0], 1.1 * fit.params[0], 50)
-        for lam in np.linspace(0.9 * fit.params[1], 1.1 * fit.params[1], 50)
+        for k in np.linspace(0.9 * fit[0], 1.1 * fit[0], 50)
+        for lam in np.linspace(0.9 * fit[1], 1.1 * fit[1], 50)
     )
-    ok &= fit.log_likelihood >= grid - 1e-6
-    details.append(f"weibull ({fit.params[0]:.4f}, {fit.params[1]:.4f})")
+    ok &= weibull_loglik(data, *fit) >= grid - 1e-6
+    details.append(f"weibull ({fit[0]:.4f}, {fit[1]:.4f})")
 
     elapsed = time.monotonic() - t0
     report(4, "MLEs recover generating parameters within 1% and beat 50x50 grids",

@@ -677,6 +677,19 @@ class TestCompareInputs:
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
         assert self._compare(tmp_path, run) == 3
 
+    @pytest.mark.parametrize("name,numbers,expected", [
+        ("rank_summary.csv", ("7", "7", "-2"), "1..3"),
+        ("yk_samples.csv", ("1", "0"), "0..1"),
+    ])
+    def test_misnumbered_rows(self, tmp_path, run, capsys, name, numbers, expected):
+        path = run / name
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(n + row[row.index(","):] for n, row in zip(numbers, rows)))
+        assert self._compare(tmp_path, run) == 3
+        assert not (tmp_path / "cmp").exists()
+        assert capsys.readouterr().err == (
+            f"data error: {path}: first column must count {expected} in order\n")
+
     def test_unparsable_value(self, tmp_path, run):
         path = run / "rank_summary.csv"
         lines = path.read_text().splitlines(keepends=True)

@@ -7,17 +7,13 @@ from scipy import stats
 from searesponse import distfit
 from searesponse.distfit import (
     DistFamily,
-    FitResult,
     TrainingRow,
     build_training_table,
     fit_family,
     fit_gumbel,
     fit_rayleigh,
     fit_weibull,
-    gumbel_loglik,
     load_training_table,
-    rayleigh_loglik,
-    weibull_loglik,
     write_training_table,
 )
 from searesponse.errors import (
@@ -30,19 +26,21 @@ from searesponse.seeding import TAG_SIM, derive_seed
 from searesponse.simulator import SimOutput, simulate
 from searesponse.weather import sample_uniform_inputs
 
+from loglik import LOGLIKS, gumbel_loglik, rayleigh_loglik, weibull_loglik
+
 EULER_GAMMA = 0.5772156649015329
 
 
 class TestRayleigh:
     def test_closed_form_on_ones(self):
-        fit = fit_rayleigh([1.0, 1.0, 1.0, 1.0])
-        assert fit.params[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        (sigma,) = fit_rayleigh([1.0, 1.0, 1.0, 1.0])
+        assert sigma == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(100)
         data = rng.rayleigh(2.0, 100_000)
-        fit = fit_rayleigh(data)
-        assert 1.98 <= fit.params[0] <= 2.02
+        (sigma,) = fit_rayleigh(data)
+        assert 1.98 <= sigma <= 2.02
 
     def test_empty_sample(self):
         with pytest.raises(InsufficientDataError):
@@ -59,9 +57,15 @@ class TestRayleigh:
     def test_agrees_with_scipy(self):
         rng = np.random.default_rng(4)
         data = rng.rayleigh(3.7, 5000)
-        fit = fit_rayleigh(data)
+        (sigma,) = fit_rayleigh(data)
         _, scale = stats.rayleigh.fit(data, floc=0)
-        assert fit.params[0] == pytest.approx(scale, rel=1e-6)
+        assert sigma == pytest.approx(scale, rel=1e-6)
+
+    def test_loglik_matches_scipy(self, rng):
+        data = rng.rayleigh(1.5, 500)
+        (sigma,) = fit_rayleigh(data)
+        expected = float(np.sum(stats.rayleigh.logpdf(data, 0.0, sigma)))
+        assert rayleigh_loglik(data, sigma) == pytest.approx(expected, rel=1e-10)
 
 
 class TestGumbel:
@@ -73,9 +77,9 @@ class TestGumbel:
         # Generating values match the first training-table row.
         rng = np.random.default_rng(2024)
         data = rng.gumbel(75371.0, 20983.0, 100_000)
-        fit = fit_gumbel(data)
-        assert fit.params[0] == pytest.approx(75371.0, rel=0.01)
-        assert fit.params[1] == pytest.approx(20983.0, rel=0.01)
+        mu, beta = fit_gumbel(data)
+        assert mu == pytest.approx(75371.0, rel=0.01)
+        assert beta == pytest.approx(20983.0, rel=0.01)
 
     def test_likelihood_beats_moment_estimate(self, rng):
         for _ in range(20):
@@ -84,21 +88,21 @@ class TestGumbel:
             s = data.std(ddof=1)
             beta0 = s * math.sqrt(6.0) / math.pi
             mu0 = data.mean() - EULER_GAMMA * beta0
-            assert fit.log_likelihood >= gumbel_loglik(data, mu0, beta0) - 1e-6
+            assert gumbel_loglik(data, *fit) >= gumbel_loglik(data, mu0, beta0) - 1e-6
 
     def test_agrees_with_scipy(self):
         rng = np.random.default_rng(8)
         data = rng.gumbel(10.0, 2.5, 5000)
-        fit = fit_gumbel(data)
+        mu, beta = fit_gumbel(data)
         loc, scale = stats.gumbel_r.fit(data)
-        assert fit.params[0] == pytest.approx(loc, rel=1e-4)
-        assert fit.params[1] == pytest.approx(scale, rel=1e-4)
+        assert mu == pytest.approx(loc, rel=1e-4)
+        assert beta == pytest.approx(scale, rel=1e-4)
 
     def test_loglik_matches_scipy(self, rng):
         data = rng.gumbel(3.0, 1.5, 500)
-        fit = fit_gumbel(data)
-        expected = float(np.sum(stats.gumbel_r.logpdf(data, *fit.params)))
-        assert fit.log_likelihood == pytest.approx(expected, rel=1e-10)
+        mu, beta = fit_gumbel(data)
+        expected = float(np.sum(stats.gumbel_r.logpdf(data, mu, beta)))
+        assert gumbel_loglik(data, mu, beta) == pytest.approx(expected, rel=1e-10)
 
 
 class TestWeibull:
@@ -107,9 +111,9 @@ class TestWeibull:
         rng = np.random.default_rng(55)
         sigma = 2.0
         data = sigma * math.sqrt(2.0) * rng.weibull(2.0, 100_000)
-        fit = fit_weibull(data)
-        assert 1.96 <= fit.params[0] <= 2.04
-        assert fit.params[1] == pytest.approx(sigma * math.sqrt(2.0), rel=0.01)
+        k, lam = fit_weibull(data)
+        assert 1.96 <= k <= 2.04
+        assert lam == pytest.approx(sigma * math.sqrt(2.0), rel=0.01)
 
     def test_constant_data_degenerate(self):
         with pytest.raises(DegenerateFitError):
@@ -121,22 +125,27 @@ class TestWeibull:
 
     def test_likelihood_beats_local_grid(self, rng):
         data = 2.0 * rng.weibull(1.7, 400)
-        fit = fit_weibull(data)
-        k_hat, lam_hat = fit.params
+        k_hat, lam_hat = fit_weibull(data)
         grid = [
             weibull_loglik(data, k, lam)
             for k in np.linspace(0.9 * k_hat, 1.1 * k_hat, 50)
             for lam in np.linspace(0.9 * lam_hat, 1.1 * lam_hat, 50)
         ]
-        assert fit.log_likelihood >= max(grid) - 1e-9
+        assert weibull_loglik(data, k_hat, lam_hat) >= max(grid) - 1e-9
 
     def test_agrees_with_scipy(self):
         rng = np.random.default_rng(31)
         data = 5.0 * rng.weibull(3.1, 5000)
-        fit = fit_weibull(data)
+        k, lam = fit_weibull(data)
         shape, _, scale = stats.weibull_min.fit(data, floc=0)
-        assert fit.params[0] == pytest.approx(shape, rel=1e-4)
-        assert fit.params[1] == pytest.approx(scale, rel=1e-4)
+        assert k == pytest.approx(shape, rel=1e-4)
+        assert lam == pytest.approx(scale, rel=1e-4)
+
+    def test_loglik_matches_scipy(self, rng):
+        data = 2.0 * rng.weibull(1.7, 500)
+        k, lam = fit_weibull(data)
+        expected = float(np.sum(stats.weibull_min.logpdf(data, k, 0.0, lam)))
+        assert weibull_loglik(data, k, lam) == pytest.approx(expected, rel=1e-10)
 
 
 class TestScaleEquivariance:
@@ -144,32 +153,26 @@ class TestScaleEquivariance:
     def test_all_families(self, rng, c):
         data = rng.rayleigh(2.0, 300) + 0.5
         ray_a, ray_b = fit_rayleigh(data), fit_rayleigh(c * data)
-        assert ray_b.params[0] == pytest.approx(c * ray_a.params[0], rel=1e-6)
+        assert ray_b[0] == pytest.approx(c * ray_a[0], rel=1e-6)
         gum_a, gum_b = fit_gumbel(data), fit_gumbel(c * data)
-        assert gum_b.params[0] == pytest.approx(c * gum_a.params[0], rel=1e-6)
-        assert gum_b.params[1] == pytest.approx(c * gum_a.params[1], rel=1e-6)
+        assert gum_b[0] == pytest.approx(c * gum_a[0], rel=1e-6)
+        assert gum_b[1] == pytest.approx(c * gum_a[1], rel=1e-6)
         wei_a, wei_b = fit_weibull(data), fit_weibull(c * data)
-        assert wei_b.params[0] == pytest.approx(wei_a.params[0], rel=1e-6)
-        assert wei_b.params[1] == pytest.approx(c * wei_a.params[1], rel=1e-6)
+        assert wei_b[0] == pytest.approx(wei_a[0], rel=1e-6)
+        assert wei_b[1] == pytest.approx(c * wei_a[1], rel=1e-6)
 
 
 class TestMleOptimality:
-    LOGLIKS = {
-        DistFamily.RAYLEIGH: lambda x, p: rayleigh_loglik(x, *p),
-        DistFamily.GUMBEL: lambda x, p: gumbel_loglik(x, *p),
-        DistFamily.WEIBULL: lambda x, p: weibull_loglik(x, *p),
-    }
-
     @pytest.mark.parametrize("family", list(DistFamily))
     def test_fit_beats_random_perturbations(self, family, rng):
         data = rng.rayleigh(3.0, 500) + (0.0 if family is DistFamily.GUMBEL else 0.1)
         fit = fit_family(family, data)
-        loglik = self.LOGLIKS[family]
+        loglik = LOGLIKS[family]
         for _ in range(1000):
             perturbed = tuple(
-                p * (1.0 + rng.uniform(-0.1, 0.1)) for p in fit.params
+                p * (1.0 + rng.uniform(-0.1, 0.1)) for p in fit
             )
-            assert fit.log_likelihood >= loglik(data, perturbed) - 1e-9
+            assert loglik(data, *fit) >= loglik(data, *perturbed) - 1e-9
 
 
 class TestAggregateFits:
@@ -186,7 +189,7 @@ class TestAggregateFits:
                             lambda record, cfg, seeds: [SimOutput(peaks) for _ in seeds])
         row = self._row(fast_sim_config)
         for family in DistFamily:
-            params = fit_family(family, peaks).params
+            params = fit_family(family, peaks)
             assert row.family_values(family) == (params, (0.0,) * len(params))
         assert row.l_mean == 100.0 and row.l_std == 0.0
 
@@ -196,7 +199,7 @@ class TestAggregateFits:
 
         def fit(family, data):
             if family is DistFamily.GUMBEL:
-                return FitResult(family, next(scripted), -1.0)
+                return next(scripted)
             return real(family, data)
 
         monkeypatch.setattr(distfit, "fit_family", fit)
@@ -221,7 +224,7 @@ class TestAggregateFits:
             outs = [simulate(record, fast_sim_config, derive_seed(5, TAG_SIM, i, m))
                     for m in range(m_runs)]
             for family in DistFamily:
-                params = [fit_family(family, out.peaks).params for out in outs]
+                params = [fit_family(family, out.peaks) for out in outs]
                 means, stds = row.family_values(family)
                 for j in range(len(params[0])):
                     mean, std = two_pass([p[j] for p in params])

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from searesponse.distfit import DistFamily
-from searesponse.errors import ConfigurationError, DataError, InsufficientDataError
+from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.orderstats import (
     QoiConfig,
     QoiResult,
     TopK,
     compare_qoi,
-    extract_yk,
     load_qoi_result,
     run_qoi,
     save_qoi_result,
@@ -34,7 +33,7 @@ class TestTopK:
         acc = TopK(2)
         acc.update([5.0, 1.0, 9.0, 3.0, 9.0])
         assert sorted(acc.values_descending()) == [9.0, 9.0]
-        assert extract_yk(acc) == 9.0
+        assert acc.values_descending()[-1] == 9.0
 
     def test_streaming_matches_full_sort(self, rng):
         values = rng.uniform(0.0, 1.0, 1_000_000)
@@ -43,7 +42,7 @@ class TestTopK:
             acc.update(chunk)
         expected = np.sort(values)[::-1][:100]
         np.testing.assert_array_equal(acc.values_descending(), expected)
-        assert extract_yk(acc) == expected[-1]
+        assert acc.values_descending()[-1] == expected[-1]
 
     def test_random_streams_with_ties(self, rng):
         for _ in range(200):
@@ -63,17 +62,10 @@ class TestTopK:
         acc.update([])
         assert sorted(acc.values_descending()) == before
 
-    def test_extract_with_deficit(self):
-        acc = TopK(3)
-        acc.update([1.0, 2.0])
-        with pytest.raises(InsufficientDataError) as err:
-            extract_yk(acc)
-        assert "deficit 1" in str(err.value)
-
     def test_uniform_draws_match_sorted_oracle(self, rng):
         values = rng.uniform(0.0, 1.0, 100_000)
         acc = TopK(100).update(values)
-        assert extract_yk(acc) == np.sort(values)[::-1][99]
+        assert acc.values_descending()[-1] == np.sort(values)[::-1][99]
 
     def test_invalid_k(self):
         with pytest.raises(ConfigurationError):
@@ -330,3 +322,19 @@ class TestQoiPersistence:
         np.testing.assert_array_equal(loaded.rank_means, result.rank_means)
         np.testing.assert_array_equal(loaded.rank_p025, result.rank_p025)
         np.testing.assert_array_equal(loaded.rank_p975, result.rank_p975)
+
+    @pytest.mark.parametrize("name,numbers", [
+        ("rank_summary.csv", ("7", "7", "-2")),
+        ("rank_summary.csv", ("2", "1", "3")),
+        ("yk_samples.csv", ("1", "0")),
+        ("yk_samples.csv", ("0", "0.5")),
+    ])
+    def test_misnumbered_rows_rejected(self, tmp_path, short_weather, fast_sim_config,
+                                       name, numbers):
+        cfg = QoiConfig(k=3, realizations=2, base_seed=23)
+        save_qoi_result(tmp_path / "run", run_qoi(cfg, short_weather, fast_sim_config))
+        path = tmp_path / "run" / name
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(n + row[row.index(","):] for n, row in zip(numbers, rows)))
+        with pytest.raises(SchemaError, match="first column must count"):
+            load_qoi_result(tmp_path / "run")

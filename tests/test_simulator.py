@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
     SimConfig,
-    ThrustCurve,
-    TransferFunction,
     check_weather,
     extract_peaks,
     load_sim_config,
@@ -63,9 +63,11 @@ class TestResponseSpectrum:
         assert np.all(fast_sim_config.transfer_squared * wave.density == 0.0)
 
     def test_resonant_amplification_value(self):
-        # |H(omega0)|^2 = gain^2 / (2 zeta)^2
-        tf = TransferFunction(omega0=1.1, zeta=0.1, gain=1.0)
-        assert tf.magnitude_squared(np.array([1.1]))[0] == pytest.approx(25.0, rel=1e-12)
+        # |H(omega0)|^2 = gain^2 / (2 zeta)^2, with omega0 on a grid bin.
+        omega0 = float(SimConfig(duration=512.0).omega_grid[90])
+        cfg = SimConfig(duration=512.0, omega0=omega0, zeta=0.1, gain=1.0)
+        assert cfg.omega_grid[90] == omega0
+        assert cfg.transfer_squared[90] == pytest.approx(25.0, rel=1e-12)
 
     def test_density_non_negative(self, fast_sim_config, rng):
         for _ in range(10):
@@ -122,26 +124,26 @@ class TestRealizeTimeSeries:
 
 
 class TestWindMoment:
-    CURVE = ThrustCurve(rated_speed=11.0, cutout_speed=25.0, rated_force=1.0e3)
+    CFG = SimConfig(rated_speed=11.0, cutout_speed=25.0, rated_force=1.0e3, lever_arm=50.0)
 
     def test_zero_speed(self):
-        assert wind_moment(0.0, self.CURVE, 50.0) == 0.0
+        assert wind_moment(0.0, self.CFG) == 0.0
 
     def test_continuity_at_rated(self):
-        below = wind_moment(11.0 - 1e-9, self.CURVE, 50.0)
-        at = wind_moment(11.0, self.CURVE, 50.0)
-        assert at == pytest.approx(self.CURVE.rated_force * 50.0)
+        below = wind_moment(11.0 - 1e-9, self.CFG)
+        at = wind_moment(11.0, self.CFG)
+        assert at == pytest.approx(1.0e3 * 50.0)
         assert below == pytest.approx(at, rel=1e-6)
 
     def test_flat_between_rated_and_cutout(self):
-        assert wind_moment(18.0, self.CURVE, 50.0) == self.CURVE.rated_force * 50.0
-        assert wind_moment(25.0, self.CURVE, 50.0) == self.CURVE.rated_force * 50.0
+        assert wind_moment(18.0, self.CFG) == 1.0e3 * 50.0
+        assert wind_moment(25.0, self.CFG) == 1.0e3 * 50.0
 
     def test_zero_above_cutout(self):
-        assert wind_moment(26.0, self.CURVE, 50.0) == 0.0
+        assert wind_moment(26.0, self.CFG) == 0.0
 
     def test_cubic_below_rated(self):
-        assert wind_moment(5.5, self.CURVE, 50.0) == pytest.approx(1.0e3 * 0.5**3 * 50.0)
+        assert wind_moment(5.5, self.CFG) == pytest.approx(1.0e3 * 0.5**3 * 50.0)
 
 
 def _reference_peak_scan(series, threshold):
@@ -205,7 +207,7 @@ class TestSimulate:
         wave = wave_spectrum(record.hs, record.tp, fast_sim_config.omega_grid)
         density = fast_sim_config.transfer_squared * wave.density
         series = realize_time_series(density, fast_sim_config, [21])[0]
-        series = series + wind_moment(record.vw, fast_sim_config.thrust, fast_sim_config.lever_arm)
+        series = series + wind_moment(record.vw, fast_sim_config)
         out = simulate(record, fast_sim_config, seed=21)
         assert out.count > 0
         assert np.all(out.peaks > series.mean())
@@ -270,10 +272,14 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("make", [
-        lambda: TransferFunction(omega0=float("nan")),
-        lambda: TransferFunction(gain=float("inf")),
-        lambda: ThrustCurve(cutout_speed=float("inf")),
-        lambda: ThrustCurve(rated_force=float("nan")),
+        lambda: SimConfig(omega0=float("nan")),
+        lambda: SimConfig(gain=float("inf")),
+        lambda: SimConfig(cutout_speed=float("inf")),
+        lambda: SimConfig(rated_force=float("nan")),
+        lambda: SimConfig(zeta=0.0),
+        lambda: SimConfig(zeta=1.0),
+        lambda: SimConfig(rated_speed=25.0, cutout_speed=25.0),
+        lambda: SimConfig(rated_speed=30.0, cutout_speed=25.0),
     ])
     def test_non_finite_model_rejected(self, make):
         with pytest.raises(ConfigurationError):
@@ -297,9 +303,11 @@ class TestSimConfig:
         for array in (fast_sim_config.omega_grid, fast_sim_config.transfer_squared):
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        np.testing.assert_array_equal(
-            fast_sim_config.transfer_squared,
-            fast_sim_config.transfer.magnitude_squared(fast_sim_config.omega_grid))
+        cfg = fast_sim_config
+        ratio = cfg.omega_grid / cfg.omega0
+        np.testing.assert_allclose(
+            cfg.transfer_squared,
+            cfg.gain**2 / ((1.0 - ratio**2) ** 2 + (2.0 * cfg.zeta * ratio) ** 2), rtol=1e-12)
 
 
 class TestSimConfigFile:
@@ -308,10 +316,35 @@ class TestSimConfigFile:
         write_sim_config(path, DEFAULT_SIM_CONFIG)
         assert load_sim_config(path) == DEFAULT_SIM_CONFIG
 
+    def test_default_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "sim.json"
+        write_sim_config(path, DEFAULT_SIM_CONFIG)
+        assert path.read_bytes() == (
+            b'{\n  "dt": 0.5,\n  "duration": 3600.0,\n  "omega0": 0.65,\n  "zeta": 0.1,\n'
+            b'  "gain": 32000.0,\n  "rated_speed": 11.0,\n  "cutout_speed": 25.0,\n'
+            b'  "rated_force": 100.0,\n  "lever_arm": 50.0\n}\n')
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text('{"dt": 0.5}')
         with pytest.raises(SchemaError):
+            load_sim_config(path)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(SimConfig)])
+    def test_each_key_is_required(self, tmp_path, key):
+        path = tmp_path / "sim.json"
+        write_sim_config(path, DEFAULT_SIM_CONFIG)
+        raw = json.loads(path.read_text())
+        del raw[key]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=f"missing keys \\['{key}'\\], unexpected keys \\[\\]"):
+            load_sim_config(path)
+
+    def test_extra_key_rejected(self, tmp_path):
+        path = tmp_path / "sim.json"
+        write_sim_config(path, DEFAULT_SIM_CONFIG)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "transfer": {"omega0": 0.65}}))
+        with pytest.raises(SchemaError, match=r"unexpected keys \['transfer'\]"):
             load_sim_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -28,6 +28,8 @@ from searesponse.weather import (
     synthesize_weather,
 )
 
+from loglik import LOGLIKS
+
 RESTARTS = 2
 
 
@@ -399,8 +401,7 @@ class TestDistributionalMatch:
         sim_pool = np.concatenate([simulate(x, fast_sim_config, seed=s).peaks for s in range(60)])
         scores = {}
         for family in DistFamily:
-            fit = fit_family(family, sim_pool)
-            scores[family] = fit.log_likelihood
+            scores[family] = LOGLIKS[family](sim_pool, *fit_family(family, sim_pool))
         best = max(scores, key=scores.get)
         model = train_surrogate(small_table, best, RESTARTS, seed=3, mode=MODE_POINT)
         moments = moments_at(model, *[[row.hs, row.tp, row.vw]] * 60)
