@@ -7,18 +7,34 @@ predict response-distribution parameters and regenerate synthetic peak
 samples at a fraction of the simulator cost.
 """
 
-from searesponse.distfit import DistFamily, build_training_table
-from searesponse.orderstats import QoiConfig, compare_qoi, run_qoi
-from searesponse.simulator import DEFAULT_SIM_CONFIG
-from searesponse.surrogate import train_surrogate
-from searesponse.weather import sample_uniform_inputs, synthesize_weather
+import importlib
 
 __version__ = "0.1.0"
 
-# The names of the README's library example; everything else is imported
-# from its module (searesponse.gp, searesponse.errors, ...).
-__all__ = [
-    "__version__", "DEFAULT_SIM_CONFIG", "DistFamily", "QoiConfig",
-    "build_training_table", "compare_qoi", "run_qoi", "sample_uniform_inputs",
-    "synthesize_weather", "train_surrogate",
-]
+# The names of the README's library example, each with the module that
+# defines it; everything else is imported from its module
+# (searesponse.gp, searesponse.errors, ...). A name's module is imported on
+# first use (PEP 562), so `import searesponse` loads no GP layer.
+_EXPORTS = {
+    "DEFAULT_SIM_CONFIG": "simulator",
+    "DistFamily": "distfit",
+    "QoiConfig": "orderstats",
+    "build_training_table": "distfit",
+    "compare_qoi": "orderstats",
+    "run_qoi": "orderstats",
+    "sample_uniform_inputs": "weather",
+    "synthesize_weather": "weather",
+    "train_surrogate": "surrogate",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -9,7 +9,10 @@ the output directory: it refuses a directory the command may not write
 into, clears the earlier run's outputs once the command has succeeded, and
 writes one manifest.json that lists exactly the files the command wrote.
 All stochastic commands require an explicit --seed, and data outputs are
-byte-identical across reruns with identical flags.
+byte-identical across reruns with identical flags. Only train, eval and
+qoi --source surrogate import searesponse.surrogate, and with it the GP
+layer and scipy.linalg; the others load numpy and the bare scipy package.
+SEARESPONSE_LOGLEVEL names the logging level (default WARNING).
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numeric error.
@@ -40,8 +43,7 @@ from searesponse.distfit import (
     write_training_table,
 )
 from searesponse.errors import ConfigurationError, DataError, NumericError, SchemaError
-from searesponse.fileio import read_json_object, write_csv
-from searesponse.gp import MODEL_FORMAT_VERSION
+from searesponse.fileio import FORMAT_VERSIONS, read_json_object, write_csv
 from searesponse.orderstats import (
     QoiConfig,
     compare_qoi,
@@ -50,15 +52,6 @@ from searesponse.orderstats import (
     save_qoi_result,
 )
 from searesponse.simulator import DEFAULT_SIM_CONFIG, load_sim_config, write_sim_config
-from searesponse.surrogate import (
-    BUNDLE_FORMAT_VERSION,
-    COUNT_TARGET,
-    MODE_POINT,
-    evaluate_surrogate,
-    load_surrogate,
-    save_surrogate,
-    train_surrogate,
-)
 from searesponse.weather import (
     DEFAULT_BOX,
     InputBox,
@@ -69,16 +62,6 @@ from searesponse.weather import (
 )
 
 logger = logging.getLogger(__name__)
-
-FORMAT_VERSIONS = {
-    "weather_csv": 1,
-    "sim_config": 1,
-    "training_table": 1,
-    "gp_model": MODEL_FORMAT_VERSION,
-    "surrogate_bundle": BUNDLE_FORMAT_VERSION,
-    "qoi_result": 3,
-    "comparison_report": 1,
-}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -217,6 +200,8 @@ def cmd_trainset(args: argparse.Namespace) -> Stage:
 
 
 def cmd_train(args: argparse.Namespace) -> Stage:
+    from searesponse.surrogate import COUNT_TARGET, save_surrogate, train_surrogate
+
     table = load_training_table(args.table)
     family = DistFamily(args.family)
     model = train_surrogate(table, family, args.restarts, seed=args.seed, mode=args.mode)
@@ -227,6 +212,8 @@ def cmd_train(args: argparse.Namespace) -> Stage:
 
 
 def cmd_eval(args: argparse.Namespace) -> Stage:
+    from searesponse.surrogate import evaluate_surrogate, load_surrogate
+
     table = load_training_table(args.table)
     model = load_surrogate(args.bundle)
     evals = evaluate_surrogate(model, table.test_rows(), include_noise=args.include_noise)
@@ -261,6 +248,8 @@ def cmd_qoi(args: argparse.Namespace) -> Stage:
     else:
         if not args.bundle:
             raise ConfigurationError("--bundle is required for --source surrogate")
+        from searesponse.surrogate import MODE_POINT, load_surrogate
+
         model = load_surrogate(args.bundle)
         if args.theta_frozen and model.mode == MODE_POINT:
             raise ConfigurationError("--theta-frozen does not apply to a point-mode bundle")
@@ -410,8 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("SEARESPONSE_LOGLEVEL", "WARNING"),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("SEARESPONSE_LOGLEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: SEARESPONSE_LOGLEVEL must name a logging level "
+              f"(DEBUG, INFO, WARNING, ERROR or CRITICAL), got {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     args._t0 = time.monotonic()

@@ -6,7 +6,9 @@ the same float; an empty cell marks a missing value. Readers skip blank
 rows. A missing or wrong header raises SchemaError; a row of the wrong
 width, or a cell that is not a finite number, raises ParseError naming the
 file, its 1-based line and the column. JSON files each hold one object.
-The CLI maps both errors to exit 3.
+The CLI maps both errors to exit 3. FORMAT_VERSIONS holds the version of
+each file kind; every run's manifest.json lists it, and the GP and bundle
+files also carry their own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from searesponse.errors import ParseError, SchemaError
+
+FORMAT_VERSIONS = {
+    "weather_csv": 1,
+    "sim_config": 1,
+    "training_table": 1,
+    "gp_model": 1,
+    "surrogate_bundle": 1,
+    "qoi_result": 3,
+    "comparison_report": 1,
+}
 
 
 def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:

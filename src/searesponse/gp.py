@@ -26,12 +26,10 @@ from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
-from searesponse.fileio import read_json_object
+from searesponse.fileio import FORMAT_VERSIONS, read_json_object
 from searesponse.seeding import TAG_GP_INIT, TAG_SUBSAMPLE, derive_seed
 
 logger = logging.getLogger(__name__)
-
-MODEL_FORMAT_VERSION = 1
 
 SQRT5 = math.sqrt(5.0)
 
@@ -327,7 +325,7 @@ def subsample_cap(n: int, n_max: int, seed: int) -> np.ndarray:
 def save_model(path: str | Path, model: GPModel) -> None:
     """Persist a model as self-describing JSON; floats round-trip exactly."""
     payload = {
-        "format_version": MODEL_FORMAT_VERSION,
+        "format_version": FORMAT_VERSIONS["gp_model"],
         "kernel": {
             "signal_variance": model.kernel.signal_variance,
             "lengthscales": list(model.kernel.lengthscales),
@@ -349,7 +347,7 @@ def load_model(path: str | Path) -> GPModel:
     path = Path(path)
     payload = read_json_object(path)
     version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if version != FORMAT_VERSIONS["gp_model"]:
         raise SchemaError(f"{path}: unsupported format version {version!r}")
     try:
         kernel = KernelParams(

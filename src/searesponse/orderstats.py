@@ -9,6 +9,8 @@ usable CPU, running all M realizations of an hour in one `simulate` call,
 with one seed per (realization, hour), and merges the blocks' accumulators;
 a surrogate gets one generator per realization, draws over all hours only
 the few hundred peaks that can reach the top k, and offers them at once.
+Only the surrogate branch of run_qoi imports searesponse.surrogate, so a
+simulator run and compare_qoi never load the GP layer or scipy.linalg.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -28,12 +30,10 @@ from searesponse.errors import ConfigurationError, DataError, InsufficientDataEr
 from searesponse.fileio import parse_float, read_csv, read_json_object, write_csv
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import SimConfig, check_weather, simulate
-from searesponse.surrogate import (
-    SurrogateModel,
-    generate_from_moments,
-    predict_moments_batch,
-)
 from searesponse.weather import WeatherRecord, records_to_array
+
+if TYPE_CHECKING:
+    from searesponse.surrogate import SurrogateModel
 
 logger = logging.getLogger(__name__)
 
@@ -182,7 +182,16 @@ def run_qoi(
                 totals[m] += block_totals[m]
                 accs[m].update(acc.values_descending())
 
-    elif isinstance(model, SurrogateModel):
+    else:
+        # Here, so that only a surrogate run loads the GP layer and scipy.linalg.
+        from searesponse.surrogate import (
+            SurrogateModel,
+            generate_from_moments,
+            predict_moments_batch,
+        )
+        if not isinstance(model, SurrogateModel):
+            raise ConfigurationError(
+                f"model must be SimConfig or SurrogateModel, got {type(model)!r}")
         source = SOURCE_SURROGATE
         accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
         totals = [0] * cfg.realizations
@@ -193,9 +202,6 @@ def run_qoi(
                                          theta_frozen=cfg.theta_frozen)
             acc.update(draw.peaks)
             totals[m] = int(draw.counts.sum())
-
-    else:
-        raise ConfigurationError(f"model must be SimConfig or SurrogateModel, got {type(model)!r}")
 
     for m, acc in enumerate(accs):
         if len(acc) < cfg.k:

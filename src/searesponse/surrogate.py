@@ -26,7 +26,7 @@ import numpy as np
 
 from searesponse.distfit import DistFamily, Hazard, TrainingRow, TrainingTable
 from searesponse.errors import ConfigurationError, InsufficientDataError, SchemaError
-from searesponse.fileio import read_json_object
+from searesponse.fileio import FORMAT_VERSIONS, read_json_object
 from searesponse.gp import (
     GPModel,
     fit_hyperparams,
@@ -40,7 +40,6 @@ from searesponse.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 1
 MIN_TRAIN_ROWS = 20
 
 MODE_POINT = "point"
@@ -300,7 +299,7 @@ def save_surrogate(directory: str | Path, model: SurrogateModel) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
     targets = list(model.param_models) + [COUNT_TARGET]
     manifest = {
-        "format_version": BUNDLE_FORMAT_VERSION,
+        "format_version": FORMAT_VERSIONS["surrogate_bundle"],
         "family": model.family.value,
         "mode": model.mode,
         "targets": targets,
@@ -320,7 +319,7 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
     if not manifest_path.exists():
         raise SchemaError(f"{directory}: missing bundle.json")
     manifest = read_json_object(manifest_path)
-    if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
+    if manifest.get("format_version") != FORMAT_VERSIONS["surrogate_bundle"]:
         raise SchemaError(f"{directory}: unsupported bundle version {manifest.get('format_version')!r}")
     try:
         family = DistFamily(manifest["family"])

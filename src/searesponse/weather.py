@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from searesponse.errors import ConfigurationError, DataError, ParseError
 from searesponse.fileio import parse_float, read_csv, write_csv
@@ -128,6 +127,12 @@ def _ar1_series(n: int, coeff: float, rng: np.random.Generator) -> np.ndarray:
     return np.array(out)
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x) in float arithmetic, scipy's expit bit for bit; exp
+    # overflows only for x < -709, far out in the AR(1)'s N(0,1) tail.
+    return np.array([1.0 / (1.0 + math.exp(-x)) for x in z.tolist()])
+
+
 def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> list[WeatherRecord]:
     """Generate a correlated synthetic hourly sequence inside the box.
 
@@ -141,8 +146,7 @@ def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0)
     columns = {}
     for j, (name, (lo, hi)) in enumerate(box.bounds().items()):
         rng = np.random.default_rng(derive_seed(seed, TAG_WEATHER, j))
-        z = _ar1_series(n_hours, AR1_COEFF, rng)
-        columns[name] = lo + (hi - lo) * expit(z)
+        columns[name] = lo + (hi - lo) * _logistic(_ar1_series(n_hours, AR1_COEFF, rng))
     return [
         WeatherRecord(hs=float(columns["hs"][i]), tp=float(columns["tp"][i]),
                       vw=float(columns["vw"][i]), index=i)

@@ -75,6 +75,69 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert result.stdout.split() == []
 
 
+# The GP layer's scipy subpackages: only train, eval and a surrogate qoi
+# load them.
+GP_LAYER_SCIPY = ("scipy.linalg", "scipy.special", "scipy.spatial", "scipy.sparse")
+
+
+def _gp_layer_loaded_by(code: str) -> list[str]:
+    """The GP_LAYER_SCIPY modules loaded once code has run in a fresh interpreter."""
+    code += f"\nimport sys; print(*(m for m in {GP_LAYER_SCIPY!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
+    return result.stdout.splitlines()[-1].split()
+
+
+def _run_commands(*argvs: list[str]) -> str:
+    """Code that runs each argv through cli.main and checks it succeeds."""
+    return (f"from searesponse import cli\n"
+            f"for argv in {[list(map(str, a)) for a in argvs]!r}:\n"
+            f"    assert cli.main(argv) == 0, argv")
+
+
+@pytest.mark.parametrize("module", ["searesponse", "searesponse.cli"])
+def test_import_loads_no_gp_layer(module):
+    assert _gp_layer_loaded_by(f"import {module}") == []
+
+
+def test_commands_without_a_surrogate_load_no_gp_layer(tmp_path, fast_config_path):
+    weather = tmp_path / "weather" / "weather.csv"
+    qoi = ["qoi", "--source", "simulator", "--weather", weather, "--k", "2", "--m", "2",
+           "--sim-config", fast_config_path]
+    code = _run_commands(
+        ["weather", "synth", "--hours", "4", "--seed", "7", "--out", weather.parent],
+        ["trainset", "--n", "4", "--m", "2", "--seed", "3", "--sim-config", fast_config_path,
+         "--out", tmp_path / "table"],
+        [*qoi, "--seed", "11", "--out", tmp_path / "a"],
+        [*qoi, "--seed", "12", "--out", tmp_path / "b"],
+        ["compare", tmp_path / "a", tmp_path / "b", "--out", tmp_path / "cmp"],
+    )
+    assert _gp_layer_loaded_by(code) == []
+    assert (tmp_path / "cmp" / "report.json").is_file()
+
+
+def test_train_loads_the_gp_layer(tmp_path, table_path):
+    code = _run_commands(["train", "--table", table_path, "--family", "rayleigh",
+                          "--restarts", "1", "--seed", "5", "--out", tmp_path / "b"])
+    assert "scipy.linalg" in _gp_layer_loaded_by(code)
+
+
+def test_unknown_log_level_is_usage_error(tmp_path):
+    out = tmp_path / "w"
+    env = {**os.environ, "SEARESPONSE_LOGLEVEL": "bogus",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "searesponse.cli", "weather", "synth",
+                             "--hours", "2", "--seed", "7", "--out", str(out)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == cli.EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: SEARESPONSE_LOGLEVEL must name a logging level "
+        "(DEBUG, INFO, WARNING, ERROR or CRITICAL), got 'bogus'"]
+    assert not out.exists()
+
+
 class TestWeatherCommand:
     def test_synth_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "w"

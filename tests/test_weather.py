@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.signal import lfilter
+from scipy.special import expit
 
 from searesponse.errors import ConfigurationError, DataError, ParseError, SchemaError
 from searesponse.weather import (
+    AR1_COEFF,
     DEFAULT_BOX,
     InputBox,
     WeatherRecord,
     _ar1_series,
+    _logistic,
     load_weather,
     records_to_array,
     sample_uniform_inputs,
@@ -121,6 +124,20 @@ class TestSynthesizeWeather:
             got = _ar1_series(n, coeff, np.random.default_rng(seed))
             assert got.dtype == expected.dtype and got.shape == (n,)
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 1460, 8760])
+    def test_logistic_matches_expit_bit_for_bit(self, n):
+        # Weather files written with scipy's expit keep their bytes only if
+        # the float logistic agrees with it in every bit.
+        for seed in range(20):
+            z = _ar1_series(n, AR1_COEFF, np.random.default_rng(seed))
+            got = _logistic(z)
+            assert got.dtype == z.dtype and got.shape == (n,)
+            assert got.tobytes() == expit(z).tobytes()
+
+    def test_logistic_matches_expit_at_the_edges(self):
+        z = np.array([0.0, -0.0, 40.0, -40.0, 700.0, -700.0])
+        assert _logistic(z).tobytes() == expit(z).tobytes()
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigurationError):
