@@ -186,7 +186,8 @@ def cmd_trainset(args: argparse.Namespace) -> Stage:
     cfg = _sim_config_from_args(args)
     design = sample_uniform_inputs(args.n, _box_from_args(args), args.seed)
     table = build_training_table(design, args.m, cfg, args.seed)
-    n_train, n_test = len(table.train_rows()), len(table.test_rows())
+    n_rows, n_test = len(table.test), int(table.test.sum())
+    dropped = {fam.value: int((~table.usable(fam)).sum()) for fam in DistFamily}
 
     def write(out: Path) -> list[Path]:
         write_training_table(out / "training_table.csv", table)
@@ -194,9 +195,10 @@ def cmd_trainset(args: argparse.Namespace) -> Stage:
         return [out / "training_table.csv", out / "sim_config.json"]
 
     return Stage([str(args.sim_config)] if args.sim_config else [], write,
-                 {"n_rows": len(table.rows), "n_train": n_train, "n_test": n_test},
-                 f"wrote {len(table.rows)} training rows to "
-                 f"{Path(args.out) / 'training_table.csv'} ({n_train} train / {n_test} test)")
+                 {"n_rows": n_rows, "n_train": n_rows - n_test, "n_test": n_test,
+                  "dropped_fits": dropped},
+                 f"wrote {n_rows} training rows to "
+                 f"{Path(args.out) / 'training_table.csv'} ({n_rows - n_test} train / {n_test} test)")
 
 
 def cmd_train(args: argparse.Namespace) -> Stage:
@@ -216,7 +218,7 @@ def cmd_eval(args: argparse.Namespace) -> Stage:
 
     table = load_training_table(args.table)
     model = load_surrogate(args.bundle)
-    evals = evaluate_surrogate(model, table.test_rows(), include_noise=args.include_noise)
+    evals = evaluate_surrogate(model, table, include_noise=args.include_noise)
     summary = {"family": model.family.value, "n_test": len(evals[0].true),
                "targets": {ev.target: {"rmse": ev.rmse, "coverage95": ev.coverage95}
                            for ev in evals}}

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from searesponse.errors import (
 from searesponse.fileio import parse_float, read_csv, write_csv
 from searesponse.seeding import TAG_SIM, TAG_SPLIT, derive_seed
 from searesponse.simulator import SimConfig, check_weather, simulate
-from searesponse.weather import WeatherRecord
+from searesponse.weather import WeatherRecord, records_to_array
 
 logger = logging.getLogger(__name__)
 
@@ -91,52 +91,31 @@ _HAZARDS = {
 }
 
 
-@dataclass
-class TrainingRow:
-    """One design point of the training table; None marks a failed fit."""
-
-    hs: float
-    tp: float
-    vw: float
-    gumbel_mu: Optional[float] = None
-    gumbel_mu_std: Optional[float] = None
-    gumbel_beta: Optional[float] = None
-    gumbel_beta_std: Optional[float] = None
-    rayleigh_sigma: Optional[float] = None
-    rayleigh_sigma_std: Optional[float] = None
-    weibull_k: Optional[float] = None
-    weibull_k_std: Optional[float] = None
-    weibull_lambda: Optional[float] = None
-    weibull_lambda_std: Optional[float] = None
-    l_mean: float = 0.0
-    l_std: float = 0.0
-    split: str = "train"
-
-    def family_values(self, family: DistFamily) -> Optional[tuple[tuple[float, ...], tuple[float, ...]]]:
-        """(means, stds) for one family, or None if any field is missing."""
-        means, stds = [], []
-        for name in family.param_names:
-            mean = getattr(self, f"{family.value}_{name}")
-            std = getattr(self, f"{family.value}_{name}_std")
-            if mean is None or std is None:
-                return None
-            means.append(mean)
-            stds.append(std)
-        return tuple(means), tuple(stds)
+_FAMILY_COLUMNS = {fam: tuple(f"{fam.value}_{name}{suffix}" for name in fam.param_names
+                               for suffix in ("", "_std"))
+                   for fam in DistFamily}
+TABLE_COLUMNS = ("hs", "tp", "vw", *(c for cols in _FAMILY_COLUMNS.values() for c in cols),
+                 "l_mean", "l_std", "split")
 
 
-TABLE_COLUMNS = tuple(f.name for f in fields(TrainingRow))
-
-
-@dataclass
+@dataclass(eq=False)
 class TrainingTable:
-    rows: list[TrainingRow]
+    """The training table, one row per design point: the (n, 3) inputs
+    (hs, tp, vw); per family, the (n, p) means and standard deviations of
+    its parameters over the M runs, ordered as its param_names, NaN where
+    the family's fit failed; the mean and standard deviation of the M peak
+    counts; and the test-split mask."""
 
-    def train_rows(self) -> list[TrainingRow]:
-        return [r for r in self.rows if r.split == "train"]
+    inputs: np.ndarray
+    means: dict[DistFamily, np.ndarray]
+    stds: dict[DistFamily, np.ndarray]
+    l_mean: np.ndarray
+    l_std: np.ndarray
+    test: np.ndarray
 
-    def test_rows(self) -> list[TrainingRow]:
-        return [r for r in self.rows if r.split == "test"]
+    def usable(self, family: DistFamily) -> np.ndarray:
+        """The rows where every mean and std of the family's fit is finite."""
+        return np.isfinite(self.means[family]).all(axis=1) & np.isfinite(self.stds[family]).all(axis=1)
 
 
 def _check_sample(data: np.ndarray, positive: bool) -> np.ndarray:
@@ -243,25 +222,6 @@ def fit_family(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
     return _FITTERS[family](data)
 
 
-def _table_row(record: WeatherRecord, cfg: SimConfig, seeds: list[int]) -> TrainingRow:
-    outputs = simulate(record, cfg, seeds)
-    counts = np.array([out.count for out in outputs], dtype=float)
-    row = TrainingRow(
-        hs=record.hs, tp=record.tp, vw=record.vw,
-        l_mean=float(counts.mean()), l_std=float(counts.std(ddof=1)),
-    )
-    for fam in DistFamily:
-        try:
-            params = np.array([fit_family(fam, out.peaks) for out in outputs])
-        except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
-            continue
-        for name, mean, std in zip(fam.param_names, params.mean(axis=0),
-                                   params.std(axis=0, ddof=1)):
-            setattr(row, f"{fam.value}_{name}", float(mean))
-            setattr(row, f"{fam.value}_{name}_std", float(std))
-    return row
-
-
 def build_training_table(
     design: Sequence[WeatherRecord],
     m_runs: int,
@@ -272,54 +232,79 @@ def build_training_table(
     families per run, and aggregate into one row per point. Every point is
     checked against cfg before any is simulated.
 
-    A family that fails on any of the M runs is marked missing for that row
-    (the other families keep their data). Rows come back in design order,
-    and the 80/20 split is a seeded shuffle, so the table is a pure
-    function of (design, m_runs, cfg, seed).
+    A family that fails on any of the M runs is NaN in that row (the other
+    families keep their data). Rows come back in design order, and the
+    80/20 split is a seeded shuffle, so the table is a pure function of
+    (design, m_runs, cfg, seed).
     """
     if m_runs < 2:
         raise ConfigurationError(f"m_runs must be >= 2 (std undefined), got {m_runs}")
     check_weather(design, cfg, label="design point")
-    rows = [_table_row(r, cfg, [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
-            for i, r in enumerate(design)]
-    n = len(rows)
+    n = len(design)
+    means = {fam: np.full((n, len(fam.param_names)), np.nan) for fam in DistFamily}
+    stds = {fam: np.full((n, len(fam.param_names)), np.nan) for fam in DistFamily}
+    l_mean, l_std = np.empty(n), np.empty(n)
+    for i, record in enumerate(design):
+        outputs = simulate(record, cfg, [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
+        counts = np.array([out.count for out in outputs], dtype=float)
+        l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
+        for fam in DistFamily:
+            try:
+                params = np.array([fit_family(fam, out.peaks) for out in outputs])
+            except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
+                continue
+            means[fam][i] = params.mean(axis=0)
+            stds[fam][i] = params.std(axis=0, ddof=1)
+    test = np.zeros(n, dtype=bool)
     if n:
         rng = np.random.default_rng(derive_seed(seed, TAG_SPLIT))
-        perm = rng.permutation(n)
-        n_train = int(round(TRAIN_FRACTION * n))
-        test_set = set(int(i) for i in perm[n_train:])
-        for i, row in enumerate(rows):
-            row.split = "test" if i in test_set else "train"
+        test[rng.permutation(n)[int(round(TRAIN_FRACTION * n)):]] = True
     logger.info("built training table: %d rows (%d train / %d test), M=%d",
-                n, n - sum(r.split == "test" for r in rows),
-                sum(r.split == "test" for r in rows), m_runs)
-    return TrainingTable(rows=rows)
+                n, n - test.sum(), test.sum(), m_runs)
+    return TrainingTable(records_to_array(design), means, stds, l_mean, l_std, test)
 
 
 def write_training_table(path: str | Path, table: TrainingTable) -> None:
     """Write the table in the shared CSV format (see fileio); a failed fit
-    is an empty cell."""
+    (NaN) is an empty cell."""
+    n = len(table.test)
+    values = np.column_stack([
+        table.inputs,
+        *(np.dstack((table.means[fam], table.stds[fam])).reshape(n, -1) for fam in DistFamily),
+        table.l_mean, table.l_std,
+    ])
     write_csv(path, TABLE_COLUMNS,
-              ([getattr(row, col) for col in TABLE_COLUMNS] for row in table.rows))
+              ([None if math.isnan(v) else v for v in row] + ["test" if t else "train"]
+               for row, t in zip(values.tolist(), table.test.tolist())))
 
 
 def load_training_table(path: str | Path) -> TrainingTable:
     """Read a table in the shared CSV format (see fileio). split must be
-    train or test, and only the family columns may be empty."""
-    rows = []
+    train or test, and only the family columns may be empty, each family's
+    either all or none in a row."""
+    rows, test = [], []
     for line, record in read_csv(path, TABLE_COLUMNS):
-        kwargs = {}
-        for col, value in zip(TABLE_COLUMNS, record):
-            if col == "split":
-                if value not in ("train", "test"):
-                    raise ParseError(f"split must be train or test, got {value!r}",
-                                     line=line, path=path)
-                kwargs[col] = value
-            elif value:
-                kwargs[col] = parse_float(path, line, col, value)
+        row = []
+        for col, text in zip(TABLE_COLUMNS[:-1], record):
+            if text:
+                row.append(parse_float(path, line, col, text))
             elif col in ("hs", "tp", "vw", "l_mean", "l_std"):
                 raise ParseError(f"column {col} may not be empty", line=line, path=path)
             else:
-                kwargs[col] = None
-        rows.append(TrainingRow(**kwargs))
-    return TrainingTable(rows=rows)
+                row.append(math.nan)
+        if record[-1] not in ("train", "test"):
+            raise ParseError(f"split must be train or test, got {record[-1]!r}",
+                             line=line, path=path)
+        cells = dict(zip(TABLE_COLUMNS, record))
+        for fam, cols in _FAMILY_COLUMNS.items():
+            if len({bool(cells[col]) for col in cols}) > 1:
+                raise ParseError(f"{fam.value} columns must be all set or all empty",
+                                 line=line, path=path)
+        rows.append(row)
+        test.append(record[-1] == "test")
+    values = np.array(rows).reshape(len(rows), len(TABLE_COLUMNS) - 1)
+    ends = np.cumsum([3, *(len(cols) for cols in _FAMILY_COLUMNS.values())])
+    inputs, *blocks, counts = np.split(values, ends, axis=1)
+    return TrainingTable(inputs, {fam: b[:, 0::2] for fam, b in zip(DistFamily, blocks)},
+                         {fam: b[:, 1::2] for fam, b in zip(DistFamily, blocks)},
+                         counts[:, 0], counts[:, 1], np.array(test, dtype=bool))

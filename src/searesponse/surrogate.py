@@ -20,11 +20,11 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 
-from searesponse.distfit import DistFamily, Hazard, TrainingRow, TrainingTable
+from searesponse.distfit import DistFamily, Hazard, TrainingTable
 from searesponse.errors import ConfigurationError, InsufficientDataError, SchemaError
 from searesponse.fileio import FORMAT_VERSIONS, read_json_object
 from searesponse.gp import (
@@ -96,7 +96,7 @@ class SurrogateModel:
 
 
 def train_surrogate(
-    table: Union[TrainingTable, Sequence[TrainingRow]],
+    table: TrainingTable,
     family: DistFamily,
     restarts: int = 5,
     seed: int = 0,
@@ -109,24 +109,16 @@ def train_surrogate(
     them when there are more. Hyperparameters are optimized per target from
     `restarts` seeded starts.
     """
-    rows = table.train_rows() if isinstance(table, TrainingTable) else list(table)
-    usable = [(r, r.family_values(family)) for r in rows]
-    usable = [(r, v) for r, v in usable if v is not None]
-    if len(usable) < MIN_TRAIN_ROWS:
+    rows = np.flatnonzero(~table.test & table.usable(family))
+    if len(rows) < MIN_TRAIN_ROWS:
         raise InsufficientDataError(
-            f"{family.value}: need >= {MIN_TRAIN_ROWS} rows with fits, got {len(usable)}"
+            f"{family.value}: need >= {MIN_TRAIN_ROWS} rows with fits, got {len(rows)}"
         )
-    inputs = np.array([[r.hs, r.tp, r.vw] for r, _ in usable])
-    means = np.array([v[0] for _, v in usable])
-    stds = np.array([v[1] for _, v in usable])
-    l_means = np.array([r.l_mean for r, _ in usable])
-    l_stds = np.array([r.l_std for r, _ in usable])
-
-    idx = subsample_cap(len(inputs), MAX_TRAIN_POINTS, seed)
-    inputs = inputs[idx]
-    targets = {name: (means[idx, j], stds[idx, j] ** 2)
+    rows = rows[subsample_cap(len(rows), MAX_TRAIN_POINTS, seed)]
+    inputs = table.inputs[rows]
+    targets = {name: (table.means[family][rows, j], table.stds[family][rows, j] ** 2)
                for j, name in enumerate(family.param_names)}
-    targets[COUNT_TARGET] = (l_means[idx], l_stds[idx] ** 2)
+    targets[COUNT_TARGET] = (table.l_mean[rows], table.l_std[rows] ** 2)
 
     models = {}
     for j, (name, (y, noise)) in enumerate(targets.items()):
@@ -265,21 +257,21 @@ def interval_coverage(true: np.ndarray, mean: np.ndarray, std: np.ndarray,
     return float(np.mean(np.abs(true - mean) <= z * std))
 
 
-def evaluate_surrogate(model: SurrogateModel, rows: Sequence[TrainingRow],
+def evaluate_surrogate(model: SurrogateModel, table: TrainingTable,
                        include_noise: bool = False) -> list[TargetEval]:
-    """Predicted-vs-true comparison of every GP target on hold-out rows.
+    """Predicted-vs-true comparison of every GP target on the table's test
+    rows.
 
     Rows missing the model's family fits are skipped. Each target reports
     RMSE and the empirical coverage of the 95% predictive interval.
     """
-    usable = [(r, r.family_values(model.family)) for r in rows]
-    usable = [(r, v) for r, v in usable if v is not None]
-    if not usable:
-        raise InsufficientDataError(f"no usable rows with {model.family.value} fits")
-    inputs = np.array([[r.hs, r.tp, r.vw] for r, _ in usable])
-    truths = {name: np.array([v[0][j] for _, v in usable])
+    rows = table.test & table.usable(model.family)
+    if not rows.any():
+        raise InsufficientDataError(f"no usable test rows with {model.family.value} fits")
+    inputs = table.inputs[rows]
+    truths = {name: table.means[model.family][rows, j]
               for j, name in enumerate(model.family.param_names)}
-    truths[COUNT_TARGET] = np.array([r.l_mean for r, _ in usable])
+    truths[COUNT_TARGET] = table.l_mean[rows]
     models = dict(model.param_models)
     models[COUNT_TARGET] = model.l_model
     out = []

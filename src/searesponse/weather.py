@@ -61,13 +61,6 @@ class InputBox:
     def bounds(self) -> dict[str, tuple[float, float]]:
         return {"hs": self.hs, "tp": self.tp, "vw": self.vw}
 
-    def contains(self, record: WeatherRecord) -> bool:
-        return (
-            self.hs[0] <= record.hs <= self.hs[1]
-            and self.tp[0] <= record.tp <= self.tp[1]
-            and self.vw[0] <= record.vw <= self.vw[1]
-        )
-
 
 DEFAULT_BOX = InputBox()
 

@@ -10,14 +10,20 @@ import numpy as np
 import pytest
 import scipy
 
-from searesponse import cli, gp, simulator
-from searesponse.distfit import load_training_table, write_training_table
-from searesponse.errors import NumericError
+from searesponse import cli, distfit, gp, simulator
+from searesponse.distfit import DistFamily, load_training_table, write_training_table
+from searesponse.errors import DomainError, NumericError
 from searesponse.gp import predict_batch
 from searesponse.orderstats import usable_cpus
 from searesponse.simulator import write_sim_config
 from searesponse.surrogate import load_surrogate
-from searesponse.weather import WeatherRecord, load_weather, synthesize_weather, write_weather
+from searesponse.weather import (
+    WeatherRecord,
+    load_weather,
+    sample_uniform_inputs,
+    synthesize_weather,
+    write_weather,
+)
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +347,17 @@ class TestUnreadableInputs:
         assert self._train(tmp_path, tmp_path / "table.csv") == 3
         assert "line 2: non-finite value 'nan' in column gumbel_mu" in capsys.readouterr().err
 
+    def test_train_table_half_filled_family(self, tmp_path, table_path, capsys):
+        lines = Path(table_path).read_text().splitlines(keepends=True)
+        column = lines[0].strip().split(",").index("rayleigh_sigma_std")
+        fields = lines[1].rstrip("\n").split(",")
+        fields[column] = ""
+        lines[1] = ",".join(fields) + "\n"
+        (tmp_path / "table.csv").write_text("".join(lines))
+        assert self._train(tmp_path, tmp_path / "table.csv") == 3
+        assert not (tmp_path / "b").exists()
+        assert "line 2: rayleigh columns must be all set or all empty" in capsys.readouterr().err
+
     def test_weather_load_path_is_directory(self, tmp_path):
         (tmp_path / "dir").mkdir()
         assert cli.main(["weather", "load", "--path", str(tmp_path / "dir"),
@@ -354,9 +371,36 @@ class TestTrainsetCommand:
                          "--sim-config", fast_config_path, "--out", str(out)])
         assert code == 0
         table = load_training_table(out / "training_table.csv")
-        assert len(table.rows) == 6
-        assert all(r.rayleigh_sigma > 0 for r in table.rows)
-        assert {r.split for r in table.rows} == {"train", "test"}
+        assert len(table.test) == 6
+        assert (table.means[DistFamily.RAYLEIGH] > 0).all()
+        assert set(table.test.tolist()) == {True, False}
+        manifest = _read_manifest(out)
+        assert manifest["n_rows"] == 6
+        assert manifest["n_train"] + manifest["n_test"] == 6 and manifest["n_test"] >= 1
+        assert manifest["dropped_fits"] == {"gumbel": 0, "rayleigh": 0, "weibull": 0}
+
+    def test_dropped_fits_reach_the_manifest(self, tmp_path, fast_config_path, monkeypatch):
+        # Gumbel and Weibull fail on design point 2 only.
+        failing = sample_uniform_inputs(6, seed=3)[2]
+        real_simulate, real_fit, current = distfit.simulate, distfit.fit_family, []
+
+        def simulate(record, cfg, seeds):
+            current[:] = [record]
+            return real_simulate(record, cfg, seeds)
+
+        def fit_family(family, data):
+            if family is not DistFamily.RAYLEIGH and current == [failing]:
+                raise DomainError("scripted failure")
+            return real_fit(family, data)
+
+        monkeypatch.setattr(distfit, "simulate", simulate)
+        monkeypatch.setattr(distfit, "fit_family", fit_family)
+        out = tmp_path / "t"
+        assert cli.main(["trainset", "--n", "6", "--m", "2", "--seed", "3",
+                         "--sim-config", fast_config_path, "--out", str(out)]) == 0
+        assert _read_manifest(out)["dropped_fits"] == {"gumbel": 1, "rayleigh": 0, "weibull": 1}
+        cells = (out / "training_table.csv").read_text().splitlines()[3].split(",")
+        assert cells[3:7] == [""] * 4 and all(cells[7:9]) and cells[9:13] == [""] * 4
 
     def test_m_of_one_is_usage_error(self, tmp_path, fast_config_path):
         code = cli.main(["trainset", "--n", "4", "--m", "1", "--seed", "3",

@@ -7,7 +7,7 @@ from scipy import stats
 from searesponse import distfit
 from searesponse.distfit import (
     DistFamily,
-    TrainingRow,
+    TrainingTable,
     build_training_table,
     fit_family,
     fit_gumbel,
@@ -21,6 +21,7 @@ from searesponse.errors import (
     DegenerateFitError,
     DomainError,
     InsufficientDataError,
+    ParseError,
 )
 from searesponse.seeding import TAG_SIM, derive_seed
 from searesponse.simulator import SimOutput, simulate
@@ -175,23 +176,46 @@ class TestMleOptimality:
             assert loglik(data, *fit) >= loglik(data, *perturbed) - 1e-9
 
 
+def assert_same_table(a, b):
+    """Every array of the two tables holds the same bytes."""
+    assert a.test.tobytes() == b.test.tobytes()
+    for x, y in ((a.inputs, b.inputs), (a.l_mean, b.l_mean), (a.l_std, b.l_std),
+                 *((a.means[f], b.means[f]) for f in DistFamily),
+                 *((a.stds[f], b.stds[f]) for f in DistFamily)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def one_rayleigh_row():
+    """A one-row test-split table whose Gumbel and Weibull fits failed."""
+    nan = math.nan
+    return TrainingTable(
+        inputs=np.array([[1.0, 5.0, 0.0]]),
+        means={DistFamily.GUMBEL: np.full((1, 2), nan), DistFamily.RAYLEIGH: np.array([[2.0]]),
+               DistFamily.WEIBULL: np.full((1, 2), nan)},
+        stds={DistFamily.GUMBEL: np.full((1, 2), nan), DistFamily.RAYLEIGH: np.array([[0.1]]),
+              DistFamily.WEIBULL: np.full((1, 2), nan)},
+        l_mean=np.array([10.0]), l_std=np.array([1.0]), test=np.array([True]),
+    )
+
+
 class TestAggregateFits:
     """build_training_table turns each family's M fits at a design point into
     the row's mean and sample standard deviation (M-1 denominator), and the
     M peak counts into l_mean and l_std."""
 
-    def _row(self, cfg, m_runs=2):
-        return build_training_table(sample_uniform_inputs(1, seed=2), m_runs, cfg, seed=1).rows[0]
+    def _table(self, cfg, m_runs=2):
+        return build_training_table(sample_uniform_inputs(1, seed=2), m_runs, cfg, seed=1)
 
     def test_identical_fits_zero_std(self, monkeypatch, fast_sim_config, rng):
         peaks = rng.rayleigh(2.5, 100) + 0.1
         monkeypatch.setattr(distfit, "simulate",
                             lambda record, cfg, seeds: [SimOutput(peaks) for _ in seeds])
-        row = self._row(fast_sim_config)
+        table = self._table(fast_sim_config)
         for family in DistFamily:
             params = fit_family(family, peaks)
-            assert row.family_values(family) == (params, (0.0,) * len(params))
-        assert row.l_mean == 100.0 and row.l_std == 0.0
+            assert table.means[family].tolist() == [list(params)]
+            assert table.stds[family].tolist() == [[0.0] * len(params)]
+        assert table.l_mean.tolist() == [100.0] and table.l_std.tolist() == [0.0]
 
     def test_hand_computed_mean_and_std(self, monkeypatch, fast_sim_config):
         scripted = iter([(75000.0, 20000.0), (75742.0, 21000.0)])
@@ -203,12 +227,14 @@ class TestAggregateFits:
             return real(family, data)
 
         monkeypatch.setattr(distfit, "fit_family", fit)
-        row = self._row(fast_sim_config)
-        assert row.gumbel_mu == pytest.approx(75371.0)
-        assert row.gumbel_mu_std == pytest.approx(742.0 / math.sqrt(2.0), abs=0.01)
-        assert row.gumbel_mu_std == pytest.approx(524.67, abs=0.01)
-        assert row.gumbel_beta == 20500.0
-        assert row.gumbel_beta_std == pytest.approx(1000.0 / math.sqrt(2.0))
+        table = self._table(fast_sim_config)
+        (mu, beta), = table.means[DistFamily.GUMBEL]
+        (mu_std, beta_std), = table.stds[DistFamily.GUMBEL]
+        assert mu == pytest.approx(75371.0)
+        assert mu_std == pytest.approx(742.0 / math.sqrt(2.0), abs=0.01)
+        assert mu_std == pytest.approx(524.67, abs=0.01)
+        assert beta == 20500.0
+        assert beta_std == pytest.approx(1000.0 / math.sqrt(2.0))
 
     def test_matches_two_pass_reference(self, fast_sim_config):
         design = sample_uniform_inputs(4, seed=21)
@@ -220,19 +246,20 @@ class TestAggregateFits:
             var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
             return mean, math.sqrt(var)
 
-        for i, (record, row) in enumerate(zip(design, table.rows)):
+        for i, record in enumerate(design):
             outs = [simulate(record, fast_sim_config, derive_seed(5, TAG_SIM, i, m))
                     for m in range(m_runs)]
             for family in DistFamily:
                 params = [fit_family(family, out.peaks) for out in outs]
-                means, stds = row.family_values(family)
+                means, stds = table.means[family][i], table.stds[family][i]
+                assert len(means) == len(stds) == len(params[0])
                 for j in range(len(params[0])):
                     mean, std = two_pass([p[j] for p in params])
                     assert means[j] == pytest.approx(mean, rel=1e-12)
                     assert stds[j] == pytest.approx(std, rel=1e-10)
             mean, std = two_pass([float(out.count) for out in outs])
-            assert row.l_mean == pytest.approx(mean, rel=1e-12)
-            assert row.l_std == pytest.approx(std, rel=1e-10)
+            assert table.l_mean[i] == pytest.approx(mean, rel=1e-12)
+            assert table.l_std[i] == pytest.approx(std, rel=1e-10)
 
 
 class TestBuildTrainingTable:
@@ -252,24 +279,27 @@ class TestBuildTrainingTable:
 
     def test_empty_design(self, fast_sim_config):
         table = build_training_table([], 3, fast_sim_config, seed=1)
-        assert table.rows == []
+        assert table.inputs.shape == (0, 3)
+        assert table.test.shape == table.l_mean.shape == table.l_std.shape == (0,)
+        for family in DistFamily:
+            shape = (0, len(family.param_names))
+            assert table.means[family].shape == table.stds[family].shape == shape
 
     def test_desk_scale_split_and_order(self, fast_sim_config):
         design = sample_uniform_inputs(10, seed=21)
         table = build_training_table(design, 2, fast_sim_config, seed=5)
-        assert len(table.rows) == 10
-        assert len(table.train_rows()) == 8
-        assert len(table.test_rows()) == 2
-        for record, row in zip(design, table.rows):
-            assert (row.hs, row.tp, row.vw) == (record.hs, record.tp, record.vw)
-        assert all(r.rayleigh_sigma > 0 for r in table.rows)
-        assert all(r.l_mean > 0 for r in table.rows)
+        assert table.test.dtype == bool and len(table.test) == 10
+        assert (~table.test).sum() == 8
+        assert table.test.sum() == 2
+        assert table.inputs.tolist() == [[r.hs, r.tp, r.vw] for r in design]
+        assert (table.means[DistFamily.RAYLEIGH] > 0).all()
+        assert (table.l_mean > 0).all()
 
     def test_deterministic(self, fast_sim_config):
         design = sample_uniform_inputs(6, seed=2)
         a = build_training_table(design, 2, fast_sim_config, seed=9)
         b = build_training_table(design, 2, fast_sim_config, seed=9)
-        assert a.rows == b.rows
+        assert_same_table(a, b)
 
     def test_rerun_writes_identical_csv(self, tmp_path, fast_sim_config):
         design = sample_uniform_inputs(6, seed=2)
@@ -297,16 +327,49 @@ class TestTableCsv:
         path = tmp_path / "table.csv"
         write_training_table(path, small_table)
         loaded = load_training_table(path)
-        assert loaded.rows == small_table.rows
+        assert_same_table(loaded, small_table)
 
     def test_missing_fits_round_trip(self, tmp_path):
-        row = TrainingRow(hs=1.0, tp=5.0, vw=0.0, rayleigh_sigma=2.0,
-                          rayleigh_sigma_std=0.1, l_mean=10.0, l_std=1.0, split="test")
-        from searesponse.distfit import TrainingTable
         path = tmp_path / "table.csv"
-        write_training_table(path, TrainingTable(rows=[row]))
+        write_training_table(path, one_rayleigh_row())
+        assert path.read_text().splitlines()[1] == "1.0,5.0,0.0,,,,,2.0,0.1,,,,,10.0,1.0,test"
         loaded = load_training_table(path)
-        assert loaded.rows[0].gumbel_mu is None
-        assert loaded.rows[0].rayleigh_sigma == 2.0
-        assert loaded.rows[0].family_values(DistFamily.GUMBEL) is None
-        assert loaded.rows[0].family_values(DistFamily.RAYLEIGH) == ((2.0,), (0.1,))
+        assert np.isnan(loaded.means[DistFamily.GUMBEL]).all()
+        assert loaded.means[DistFamily.RAYLEIGH].tolist() == [[2.0]]
+        assert loaded.stds[DistFamily.RAYLEIGH].tolist() == [[0.1]]
+        assert loaded.usable(DistFamily.GUMBEL).tolist() == [False]
+        assert loaded.usable(DistFamily.RAYLEIGH).tolist() == [True]
+        assert loaded.test.tolist() == [True]
+        assert_same_table(loaded, one_rayleigh_row())
+
+    def test_byte_round_trip_with_empty_family_cells(self, tmp_path, small_table):
+        means = {f: m.copy() for f, m in small_table.means.items()}
+        stds = {f: s.copy() for f, s in small_table.stds.items()}
+        for family, rows in ((DistFamily.WEIBULL, [0, 1, 7]), (DistFamily.GUMBEL, [7, 30])):
+            means[family][rows] = math.nan
+            stds[family][rows] = math.nan
+        table = TrainingTable(small_table.inputs, means, stds, small_table.l_mean,
+                              small_table.l_std, small_table.test)
+        write_training_table(tmp_path / "a.csv", table)
+        cells = (tmp_path / "a.csv").read_text().splitlines()[8].split(",")
+        assert cells[3:7] == [""] * 4 and cells[9:13] == [""] * 4 and all(cells[7:9])
+        write_training_table(tmp_path / "b.csv", load_training_table(tmp_path / "a.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("column,family", [("rayleigh_sigma_std", "rayleigh"),
+                                               ("gumbel_beta", "gumbel"),
+                                               ("weibull_k", "weibull")])
+    def test_half_filled_family_block_rejected(self, tmp_path, small_table, column, family):
+        path = tmp_path / "table.csv"
+        write_training_table(path, small_table)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        assert cells[header.index(column)]
+        cells[header.index(column)] = ""
+        lines[2] = ",".join(cells)
+        path.write_text("".join(f"{text}\n" for text in lines))
+        with pytest.raises(ParseError) as err:
+            load_training_table(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}: line 3: {family} columns ")

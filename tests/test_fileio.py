@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from searesponse.distfit import TrainingRow, TrainingTable, load_training_table, write_training_table
+from searesponse.distfit import DistFamily, TrainingTable, load_training_table, write_training_table
 from searesponse.errors import ParseError, SchemaError
 from searesponse.fileio import parse_float, read_csv, read_json_object, write_csv
 from searesponse.orderstats import QoiResult, load_qoi_result, save_qoi_result
@@ -18,9 +18,13 @@ def _weather(tmp_path):
 
 def _table(tmp_path):
     path = tmp_path / "training_table.csv"
-    rows = [TrainingRow(hs=1.0 + i, tp=8.0, vw=5.0, rayleigh_sigma=2.0, rayleigh_sigma_std=0.1,
-                        l_mean=100.0, l_std=3.0, split="train") for i in range(3)]
-    write_training_table(path, TrainingTable(rows=rows))
+    means = {f: np.full((3, len(f.param_names)), np.nan) for f in DistFamily}
+    stds = {f: np.full((3, len(f.param_names)), np.nan) for f in DistFamily}
+    means[DistFamily.RAYLEIGH][:] = 2.0
+    stds[DistFamily.RAYLEIGH][:] = 0.1
+    write_training_table(path, TrainingTable(
+        inputs=np.array([[1.0 + i, 8.0, 5.0] for i in range(3)]), means=means, stds=stds,
+        l_mean=np.full(3, 100.0), l_std=np.full(3, 3.0), test=np.zeros(3, dtype=bool)))
     return path, lambda: load_training_table(path), "l_mean"
 
 

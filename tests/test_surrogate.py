@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from searesponse import gp, surrogate
-from searesponse.distfit import DistFamily, TrainingRow, TrainingTable, fit_family
+from searesponse.distfit import DistFamily, TrainingTable, fit_family
 from searesponse.errors import ConfigurationError, InsufficientDataError
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
@@ -60,28 +60,25 @@ def moments_at(model, *points):
     return predict_moments_batch(model, np.array(points, dtype=float))
 
 
-def synthetic_rows(n=30, include_gumbel=True, seed=0):
-    """Rows with smooth parameter surfaces and small noise, no simulator."""
+def synthetic_table(n=30, include_gumbel=True, seed=0):
+    """A train-split table with smooth parameter surfaces and small noise,
+    no simulator."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        hs, tp, vw = rng.uniform(1, 8), rng.uniform(5, 15), rng.uniform(0, 20)
-        sigma = 1000.0 * hs + 50.0 * tp
-        row = TrainingRow(
-            hs=hs, tp=tp, vw=vw,
-            rayleigh_sigma=sigma, rayleigh_sigma_std=0.01 * sigma,
-            weibull_k=2.0 + 0.05 * hs, weibull_k_std=0.02,
-            weibull_lambda=sigma * math.sqrt(2.0), weibull_lambda_std=0.01 * sigma,
-            l_mean=300.0 + 10.0 * hs, l_std=5.0,
-            split="train",
-        )
-        if include_gumbel:
-            row.gumbel_mu = 0.9 * sigma
-            row.gumbel_mu_std = 0.01 * sigma
-            row.gumbel_beta = 0.5 * sigma
-            row.gumbel_beta_std = 0.005 * sigma
-        rows.append(row)
-    return rows
+    inputs = np.array([[rng.uniform(1, 8), rng.uniform(5, 15), rng.uniform(0, 20)]
+                       for _ in range(n)])
+    hs = inputs[:, 0]
+    sigma = 1000.0 * hs + 50.0 * inputs[:, 1]
+    gumbel = np.column_stack([0.9 * sigma, 0.5 * sigma, 0.01 * sigma, 0.005 * sigma])
+    if not include_gumbel:
+        gumbel[:] = np.nan
+    return TrainingTable(
+        inputs=inputs,
+        means={DistFamily.GUMBEL: gumbel[:, :2], DistFamily.RAYLEIGH: sigma[:, None],
+               DistFamily.WEIBULL: np.column_stack([2.0 + 0.05 * hs, sigma * math.sqrt(2.0)])},
+        stds={DistFamily.GUMBEL: gumbel[:, 2:], DistFamily.RAYLEIGH: 0.01 * sigma[:, None],
+              DistFamily.WEIBULL: np.column_stack([np.full(n, 0.02), 0.01 * sigma])},
+        l_mean=300.0 + 10.0 * hs, l_std=np.full(n, 5.0), test=np.zeros(n, dtype=bool),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -91,21 +88,21 @@ def rayleigh_model(small_table):
 
 class TestTrainSurrogate:
     def test_gumbel_arity(self):
-        model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, RESTARTS, seed=1)
+        model = train_surrogate(synthetic_table(), DistFamily.GUMBEL, RESTARTS, seed=1)
         assert tuple(model.param_models) == ("mu", "beta")
         assert model.l_model is not None
 
     def test_rayleigh_arity(self):
-        model = train_surrogate(synthetic_rows(), DistFamily.RAYLEIGH, RESTARTS, seed=1)
+        model = train_surrogate(synthetic_table(), DistFamily.RAYLEIGH, RESTARTS, seed=1)
         assert tuple(model.param_models) == ("sigma",)
         assert model.l_model is not None
 
     def test_table_values_consumed_verbatim(self):
-        rows = synthetic_rows(25)
-        rows[0].hs, rows[0].tp, rows[0].vw = 3.2, 11.3, 1.2
-        rows[0].gumbel_mu, rows[0].gumbel_mu_std = 75371.0, 891.0
-        rows[0].gumbel_beta, rows[0].gumbel_beta_std = 20983.0, 530.0
-        model = train_surrogate(rows, DistFamily.GUMBEL, RESTARTS, seed=1)
+        table = synthetic_table(25)
+        table.inputs[0] = 3.2, 11.3, 1.2
+        table.means[DistFamily.GUMBEL][0] = 75371.0, 20983.0
+        table.stds[DistFamily.GUMBEL][0] = 891.0, 530.0
+        model = train_surrogate(table, DistFamily.GUMBEL, RESTARTS, seed=1)
         mu_gp = model.param_models["mu"]
         raw_targets = mu_gp.target_mean + mu_gp.target_scale * mu_gp.train_targets
         raw_inputs = mu_gp.train_inputs * mu_gp.input_scale + mu_gp.input_mean
@@ -120,18 +117,24 @@ class TestTrainSurrogate:
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
-            train_surrogate(synthetic_rows(10), DistFamily.RAYLEIGH, RESTARTS, seed=1)
+            train_surrogate(synthetic_table(10), DistFamily.RAYLEIGH, RESTARTS, seed=1)
 
     def test_missing_family_rows_excluded(self):
-        rows = synthetic_rows(40, include_gumbel=False)
+        table = synthetic_table(40, include_gumbel=False)
         with pytest.raises(InsufficientDataError):
-            train_surrogate(rows, DistFamily.GUMBEL, RESTARTS, seed=1)
-        model = train_surrogate(rows, DistFamily.WEIBULL, RESTARTS, seed=1)
+            train_surrogate(table, DistFamily.GUMBEL, RESTARTS, seed=1)
+        model = train_surrogate(table, DistFamily.WEIBULL, RESTARTS, seed=1)
         assert tuple(model.param_models) == ("k", "lambda")
+
+    def test_test_rows_excluded(self):
+        table = synthetic_table(30)
+        table.test[:15] = True
+        with pytest.raises(InsufficientDataError, match="got 15$"):
+            train_surrogate(table, DistFamily.RAYLEIGH, RESTARTS, seed=1)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            train_surrogate(synthetic_rows(), DistFamily.RAYLEIGH, RESTARTS, seed=1, mode="magic")
+            train_surrogate(synthetic_table(), DistFamily.RAYLEIGH, RESTARTS, seed=1, mode="magic")
 
 
 class TestPredictParams:
@@ -274,7 +277,7 @@ NUMPY_SAMPLERS = {
 
 def weather_moments(family, n_hours=24, seed=73):
     """Moments over a short synthetic weather set: the parameter surfaces of
-    synthetic_rows with a 10% predictive std, and L near 300 per hour."""
+    synthetic_table with a 10% predictive std, and L near 300 per hour."""
     hs, tp, _ = records_to_array(synthesize_weather(n_hours, seed=seed)).T
     sigma = 1000.0 * hs + 50.0 * tp
     theta = {
@@ -396,15 +399,16 @@ class TestDistributionalMatch:
         # At a training input, pooled surrogate samples must be
         # indistinguishable (KS at 0.001) from pooled simulator peaks for
         # the best-fitting family there.
-        row = max(small_table.train_rows(), key=lambda r: r.l_mean)
-        x = WeatherRecord(hs=row.hs, tp=row.tp, vw=row.vw, index=0)
+        train = np.flatnonzero(~small_table.test)
+        point = small_table.inputs[train[np.argmax(small_table.l_mean[train])]].tolist()
+        x = WeatherRecord(*point, index=0)
         sim_pool = np.concatenate([simulate(x, fast_sim_config, seed=s).peaks for s in range(60)])
         scores = {}
         for family in DistFamily:
             scores[family] = LOGLIKS[family](sim_pool, *fit_family(family, sim_pool))
         best = max(scores, key=scores.get)
         model = train_surrogate(small_table, best, RESTARTS, seed=3, mode=MODE_POINT)
-        moments = moments_at(model, *[[row.hs, row.tp, row.vw]] * 60)
+        moments = moments_at(model, *[point] * 60)
         _, sur_pool = draw(best, moments, MODE_POINT, seed=1000)
         result = stats.ks_2samp(sim_pool, sur_pool)
         assert result.pvalue > 0.001
@@ -412,25 +416,25 @@ class TestDistributionalMatch:
 
 class TestEvaluateSurrogate:
     def test_perfect_model_near_zero_rmse(self):
-        rows = synthetic_rows(60, seed=4)
-        for r in rows:
-            r.rayleigh_sigma_std = 0.0
-            r.l_std = 0.0
-        train_rows, test_rows = rows[:45], rows[45:]
-        for r in test_rows:
-            r.split = "test"
-        model = train_surrogate(train_rows, DistFamily.RAYLEIGH, RESTARTS, seed=2)
-        evals = {e.target: e for e in evaluate_surrogate(model, test_rows)}
+        table = synthetic_table(60, seed=4)
+        table.stds[DistFamily.RAYLEIGH][:] = 0.0
+        table.l_std[:] = 0.0
+        table.test[45:] = True
+        model = train_surrogate(table, DistFamily.RAYLEIGH, RESTARTS, seed=2)
+        evals = {e.target: e for e in evaluate_surrogate(model, table)}
         sigma_eval = evals["sigma"]
+        assert sigma_eval.true.tolist() == table.means[DistFamily.RAYLEIGH][45:, 0].tolist()
         spread = float(np.std(sigma_eval.true))
         assert sigma_eval.rmse < 0.02 * spread
 
     def test_no_usable_rows(self, rayleigh_model):
-        rows = synthetic_rows(5, include_gumbel=False)
-        for r in rows:
-            r.rayleigh_sigma = None
+        table = synthetic_table(5, include_gumbel=False)
+        table.test[:] = True
+        table.means[DistFamily.RAYLEIGH][:] = np.nan
         with pytest.raises(InsufficientDataError):
-            evaluate_surrogate(rayleigh_model, rows)
+            evaluate_surrogate(rayleigh_model, table)
+        with pytest.raises(InsufficientDataError):
+            evaluate_surrogate(rayleigh_model, synthetic_table(5))  # no test rows
 
 
 class TestBundlePersistence:
@@ -447,7 +451,7 @@ class TestBundlePersistence:
             np.testing.assert_array_equal(a, b)
 
     def test_gumbel_bundle_has_three_model_files(self, tmp_path):
-        model = train_surrogate(synthetic_rows(), DistFamily.GUMBEL, RESTARTS, seed=1)
+        model = train_surrogate(synthetic_table(), DistFamily.GUMBEL, RESTARTS, seed=1)
         save_surrogate(tmp_path / "b", model)
         names = sorted(p.name for p in (tmp_path / "b").glob("gp_*.json"))
         assert names == ["gp_beta.json", "gp_l_count.json", "gp_mu.json"]
