@@ -45,6 +45,8 @@ from searesponse.distfit import (
 from searesponse.errors import ConfigurationError, DataError, NumericError, SchemaError
 from searesponse.fileio import FORMAT_VERSIONS, read_json_object, write_csv
 from searesponse.orderstats import (
+    MODE_SAMPLE,
+    MODES,
     QoiConfig,
     compare_qoi,
     load_qoi_result,
@@ -202,12 +204,12 @@ def cmd_trainset(args: argparse.Namespace) -> Stage:
 
 
 def cmd_train(args: argparse.Namespace) -> Stage:
-    from searesponse.surrogate import COUNT_TARGET, save_surrogate, train_surrogate
+    from searesponse.surrogate import save_surrogate, train_surrogate
 
     table = load_training_table(args.table)
     family = DistFamily(args.family)
-    model = train_surrogate(table, family, args.restarts, seed=args.seed, mode=args.mode)
-    files = sorted(f"gp_{name}.json" for name in [*model.param_models, COUNT_TARGET])
+    model = train_surrogate(table, family, args.restarts, seed=args.seed)
+    files = sorted(f"gp_{name}.json" for name in model.models)
     return Stage([str(args.table)], lambda out: save_surrogate(out, model),
                  {"family": family.value, "targets": files},
                  f"trained {family.value} surrogate ({len(files)} GP models) into {Path(args.out)}")
@@ -219,6 +221,10 @@ def cmd_eval(args: argparse.Namespace) -> Stage:
     table = load_training_table(args.table)
     model = load_surrogate(args.bundle)
     evals = evaluate_surrogate(model, table, include_noise=args.include_noise)
+    without_fits = int((table.test & ~table.usable(model.family)).sum())
+    if without_fits:
+        logger.warning("%s: %d test rows have no %s fits and are left out of the evaluation",
+                       args.table, without_fits, model.family.value)
     summary = {"family": model.family.value, "n_test": len(evals[0].true),
                "targets": {ev.target: {"rmse": ev.rmse, "coverage95": ev.coverage95}
                            for ev in evals}}
@@ -232,13 +238,14 @@ def cmd_eval(args: argparse.Namespace) -> Stage:
         written[-1].write_text(json.dumps(summary, indent=2) + "\n")
         return written
 
-    return Stage([str(args.table), str(args.bundle)], write, {"summary": summary},
+    return Stage([str(args.table), str(args.bundle)], write,
+                 {"summary": summary, "test_rows_without_fits": without_fits},
                  "\n".join(f"{model.family.value}/{ev.target}: rmse={ev.rmse:.6g} "
                            f"coverage95={ev.coverage95:.3f}" for ev in evals))
 
 
 def cmd_qoi(args: argparse.Namespace) -> Stage:
-    unread = ([("--bundle", args.bundle), ("--theta-frozen", args.theta_frozen)]
+    unread = ([("--bundle", args.bundle), ("--mode", args.mode)]
               if args.source == "simulator" else [("--sim-config", args.sim_config)])
     for flag, value in unread:
         if value:
@@ -250,14 +257,13 @@ def cmd_qoi(args: argparse.Namespace) -> Stage:
     else:
         if not args.bundle:
             raise ConfigurationError("--bundle is required for --source surrogate")
-        from searesponse.surrogate import MODE_POINT, load_surrogate
+        from searesponse.surrogate import load_surrogate
 
         model = load_surrogate(args.bundle)
-        if args.theta_frozen and model.mode == MODE_POINT:
-            raise ConfigurationError("--theta-frozen does not apply to a point-mode bundle")
         inputs = [str(args.weather), str(args.bundle)]
+        args.mode = args.mode or MODE_SAMPLE  # named in the manifest's config
     cfg = QoiConfig(k=args.k, realizations=args.m, base_seed=args.seed,
-                    theta_frozen=args.theta_frozen)
+                    mode=args.mode or MODE_SAMPLE)
     result = run_qoi(cfg, weather, model)
     return Stage(inputs, lambda out: save_qoi_result(out, result),
                  {"total_count": result.total_count,
@@ -365,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--family", required=True, choices=[f.value for f in DistFamily])
     p_train.add_argument("--restarts", type=int, default=5,
                          help="hyperparameter search restarts (default 5)")
-    p_train.add_argument("--mode", choices=["point", "sample"], default="sample",
-                         help="parameter generation mode (default sample)")
     _add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -386,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_qoi.add_argument("--m", type=int, required=True, help="number of realizations")
     p_qoi.add_argument("--sim-config", help="simulator configuration JSON")
     p_qoi.add_argument("--bundle", help="surrogate bundle directory (surrogate source)")
-    p_qoi.add_argument("--theta-frozen", action="store_true",
-                       help="draw surrogate parameter shifts once per realization "
-                            "instead of per hour (sample-mode bundles only)")
+    p_qoi.add_argument("--mode", choices=MODES,
+                       help="surrogate parameters: the GP means (point), a draw per hour "
+                            "(sample, the default) or one shift per realization (frozen)")
     _add_common(p_qoi)
     p_qoi.set_defaults(func=cmd_qoi)
 

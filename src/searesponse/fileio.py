@@ -26,7 +26,7 @@ FORMAT_VERSIONS = {
     "sim_config": 1,
     "training_table": 1,
     "gp_model": 1,
-    "surrogate_bundle": 1,
+    "surrogate_bundle": 2,
     "qoi_result": 3,
     "comparison_report": 1,
 }

@@ -43,6 +43,12 @@ SOURCE_SURROGATE = "surrogate"
 YK_SAMPLES_COLUMNS = ("realization", "yk")
 RANK_SUMMARY_COLUMNS = ("rank", "mean", "p2.5", "p97.5")
 
+# A surrogate run's draw modes; here, so the CLI need not load the GP layer.
+MODE_POINT = "point"
+MODE_SAMPLE = "sample"
+MODE_FROZEN = "frozen"
+MODES = (MODE_POINT, MODE_SAMPLE, MODE_FROZEN)
+
 
 class TopK:
     """Bounded collection of the k largest values seen so far (min-heap).
@@ -80,20 +86,22 @@ class TopK:
 
 @dataclass(frozen=True)
 class QoiConfig:
-    """k: order-statistic rank; theta_frozen: draw the surrogate's parameter
-    shifts once per realization instead of per (realization, hour). run_qoi
-    takes the hour count from the weather and the source from the model."""
+    """k: order-statistic rank; mode: how a surrogate draws its parameters,
+    one of MODES, which a simulator ignores. run_qoi takes the hour count
+    from the weather and the source from the model."""
 
     k: int = 100
     realizations: int = 1
     base_seed: int = 0
-    theta_frozen: bool = False
+    mode: str = MODE_SAMPLE
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if self.realizations < 1:
             raise ConfigurationError(f"realizations must be >= 1, got {self.realizations}")
+        if self.mode not in MODES:
+            raise ConfigurationError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
 
 @dataclass
@@ -198,8 +206,7 @@ def run_qoi(
         moments = predict_moments_batch(model, records_to_array(weather))
         for m, acc in enumerate(accs):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
-            draw = generate_from_moments(model.family, moments, model.mode, rng, cfg.k,
-                                         theta_frozen=cfg.theta_frozen)
+            draw = generate_from_moments(model.family, moments, cfg.mode, rng, cfg.k)
             acc.update(draw.peaks)
             totals[m] = int(draw.counts.sum())
 

@@ -1,16 +1,17 @@
 """GP surrogate for the simulator: predict distribution parameters and the
 peak count from weather inputs, then regenerate synthetic peak samples.
 
-One GP per target (each distribution parameter plus the count L), trained
-on the table's per-point means with the per-point standard deviations
-squared as heteroscedastic noise. predict_moments_batch evaluates every GP
-once over a weather sequence; generate_from_moments then draws one
-realization over the whole sequence from a single generator. Parameters
-are either the posterior means ("point" mode) or draws from each GP's
-predictive Gaussian ("sample" mode); L values are drawn from the resulting
-distribution. Only the peaks that can reach the top k are drawn, over a
-threshold (Coles, An Introduction to Statistical Modeling of Extreme
-Values, 2001, ch. 4), which leaves the law of the k largest unchanged.
+One GP per target (target_names: each distribution parameter, then the
+count L), trained on the table's per-point means with the per-point
+standard deviations squared as heteroscedastic noise. predict_moments_batch
+evaluates every GP once over a weather sequence; generate_from_moments then
+draws one realization over the whole sequence from a single generator, in
+the run's mode: parameters are the posterior means ("point"), drawn per
+hour from each GP's predictive Gaussian ("sample"), or shifted once per
+realization ("frozen"). Only the peaks that can reach the top k are drawn,
+over a threshold (Coles, An Introduction to Statistical Modeling of
+Extreme Values, 2001, ch. 4), which leaves the law of the k largest
+unchanged.
 """
 
 from __future__ import annotations
@@ -36,16 +37,12 @@ from searesponse.gp import (
     subsample_cap,
     train,
 )
+from searesponse.orderstats import MODE_FROZEN, MODE_POINT
 from searesponse.seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
 MIN_TRAIN_ROWS = 20
-
-MODE_POINT = "point"
-MODE_SAMPLE = "sample"
-
-COUNT_TARGET = "l_count"
 
 # Cap on GP training points; larger tables are subsampled with a seeded
 # draw, since exact GP inference costs O(n^3).
@@ -73,35 +70,37 @@ _FLOOR_FACTORS: dict[DistFamily, tuple] = {
 }
 
 
+def target_names(family: DistFamily) -> tuple[str, ...]:
+    """A surrogate's GP targets, in order: the family's parameters, then L."""
+    return (*family.param_names, "l_count")
+
+
+def target_table(table: TrainingTable, family: DistFamily, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, p+1) means and stds of the target_names(family) on the rows."""
+    return (np.column_stack([table.means[family][rows], table.l_mean[rows]]),
+            np.column_stack([table.stds[family][rows], table.l_std[rows]]))
+
+
 @dataclass
 class SurrogateModel:
+    """One GP per target, keyed and ordered as target_names(family)."""
+
     family: DistFamily
-    param_models: dict[str, GPModel]
-    l_model: GPModel
-    mode: str = MODE_SAMPLE
+    models: dict[str, GPModel]
 
     def __post_init__(self):
-        if self.mode not in (MODE_POINT, MODE_SAMPLE):
-            raise ConfigurationError(f"mode must be {MODE_POINT!r} or {MODE_SAMPLE!r}, got {self.mode!r}")
-        expected = self.family.param_names
-        if tuple(self.param_models) != expected:
-            raise ConfigurationError(
-                f"{self.family.value} needs one model per parameter {expected}, "
-                f"got {tuple(self.param_models)}"
-            )
-        for name, gp_model in [*self.param_models.items(), (COUNT_TARGET, self.l_model)]:
+        expected = target_names(self.family)
+        if tuple(self.models) != expected:
+            raise ConfigurationError(f"{self.family.value} needs one model per target {expected}, "
+                                     f"got {tuple(self.models)}")
+        for name, gp_model in self.models.items():
             if gp_model.train_inputs.shape[1] != 3:
                 raise ConfigurationError(f"the {name} GP takes {gp_model.train_inputs.shape[1]} "
                                          f"inputs, not the 3 of (hs, tp, vw)")
 
 
-def train_surrogate(
-    table: TrainingTable,
-    family: DistFamily,
-    restarts: int = 5,
-    seed: int = 0,
-    mode: str = MODE_SAMPLE,
-) -> SurrogateModel:
+def train_surrogate(table: TrainingTable, family: DistFamily, restarts: int = 5,
+                    seed: int = 0) -> SurrogateModel:
     """Fit one GP per distribution parameter and one for the peak count.
 
     Uses the train-split rows whose fits for `family` are present; requires
@@ -116,18 +115,15 @@ def train_surrogate(
         )
     rows = rows[subsample_cap(len(rows), MAX_TRAIN_POINTS, seed)]
     inputs = table.inputs[rows]
-    targets = {name: (table.means[family][rows, j], table.stds[family][rows, j] ** 2)
-               for j, name in enumerate(family.param_names)}
-    targets[COUNT_TARGET] = (table.l_mean[rows], table.l_std[rows] ** 2)
-
+    means, stds = target_table(table, family, rows)
     models = {}
-    for j, (name, (y, noise)) in enumerate(targets.items()):
+    for j, name in enumerate(target_names(family)):
+        y, noise = means[:, j], stds[:, j] ** 2
         kernel = fit_hyperparams(inputs, y, noise,
                                  restarts=restarts, seed=derive_seed(seed, j))
         models[name] = train(inputs, y, noise, kernel)
         logger.info("trained %s/%s GP on %d rows: %s", family.value, name, len(inputs), kernel)
-    l_model = models.pop(COUNT_TARGET)
-    return SurrogateModel(family=family, param_models=models, l_model=l_model, mode=mode)
+    return SurrogateModel(family, models)
 
 
 class SurrogateMoments(NamedTuple):
@@ -152,11 +148,11 @@ def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray) -> Surrogat
     """Predictive moments of every target over an (n, 3) input array, one
     predict_batch call per GP."""
     inputs = np.atleast_2d(inputs)
-    theta = [predict_batch(gp_model, inputs) for gp_model in model.param_models.values()]
-    l_mean, l_std = predict_batch(model.l_model, inputs)
+    moments = [predict_batch(gp_model, inputs) for gp_model in model.models.values()]
+    l_mean, l_std = moments.pop()
     return SurrogateMoments(
-        theta_mean=np.column_stack([mean for mean, _ in theta]),
-        theta_std=np.column_stack([std for _, std in theta]),
+        theta_mean=np.column_stack([mean for mean, _ in moments]),
+        theta_std=np.column_stack([std for _, std in moments]),
         l_mean=l_mean, l_std=l_std,
     )
 
@@ -184,25 +180,19 @@ def exceedance_threshold(hazard: Hazard, theta: np.ndarray, counts: np.ndarray,
     return hi
 
 
-def generate_from_moments(
-    family: DistFamily,
-    moments: SurrogateMoments,
-    mode: str,
-    rng: np.random.Generator,
-    k: int,
-    theta_frozen: bool = False,
-) -> SurrogateDraw:
+def generate_from_moments(family: DistFamily, moments: SurrogateMoments, mode: str,
+                          rng: np.random.Generator, k: int) -> SurrogateDraw:
     """Draw one realization over all hours of `moments`: its peaks that can
     be among the k largest.
 
     From the one generator `rng`, in this order: the parameter shifts
-    (theta_frozen, sample mode only), theta for all hours, all counts, the
+    (frozen mode), theta for all hours (sample mode), all counts, the
     counts above the threshold, the peaks above it, then, only if fewer
     than k, the peaks below it. Point mode uses the posterior means as
-    theta; sample mode draws each parameter from its predictive Gaussian,
-    or shifts it by a per-realization standard-normal multiple of its std
-    when theta_frozen. A sample-mode draw below its parameter's relative
-    floor is drawn once more; every mode then clamps theta to the floor.
+    theta; sample mode draws each parameter from its predictive Gaussian;
+    frozen mode shifts it by a per-realization standard-normal multiple of
+    its std. A sample-mode draw below its parameter's relative floor is
+    drawn once more; every mode then clamps theta to the floor.
     Each count L_h is N(l_mean, l_std) rounded and clamped at zero.
 
     Given theta and the counts, and a threshold u set from them alone, hour
@@ -217,7 +207,7 @@ def generate_from_moments(
                      np.array([f or 0.0 for f in factors]) * np.abs(mean), -np.inf)
     if mode == MODE_POINT:
         theta = mean
-    elif theta_frozen:
+    elif mode == MODE_FROZEN:
         theta = mean + rng.standard_normal(mean.shape[1]) * std
     else:
         theta = rng.normal(mean, std)
@@ -269,15 +259,11 @@ def evaluate_surrogate(model: SurrogateModel, table: TrainingTable,
     if not rows.any():
         raise InsufficientDataError(f"no usable test rows with {model.family.value} fits")
     inputs = table.inputs[rows]
-    truths = {name: table.means[model.family][rows, j]
-              for j, name in enumerate(model.family.param_names)}
-    truths[COUNT_TARGET] = table.l_mean[rows]
-    models = dict(model.param_models)
-    models[COUNT_TARGET] = model.l_model
+    truths, _ = target_table(table, model.family, rows)
     out = []
-    for name, gp_model in models.items():
+    for j, (name, gp_model) in enumerate(model.models.items()):
         mean, std = predict_batch(gp_model, inputs, include_noise=include_noise)
-        true = truths[name]
+        true = truths[:, j]
         rmse = float(np.sqrt(np.mean((true - mean) ** 2)))
         out.append(TargetEval(target=name, true=true, pred_mean=mean, pred_std=std,
                               rmse=rmse, coverage95=interval_coverage(true, mean, std)))
@@ -289,16 +275,15 @@ def save_surrogate(directory: str | Path, model: SurrogateModel) -> list[Path]:
     the paths written: the GP files in target order, then bundle.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    targets = list(model.param_models) + [COUNT_TARGET]
+    targets = list(model.models)
     manifest = {
         "format_version": FORMAT_VERSIONS["surrogate_bundle"],
         "family": model.family.value,
-        "mode": model.mode,
         "targets": targets,
         "files": {name: f"gp_{name}.json" for name in targets},
     }
     written = [directory / f"gp_{name}.json" for name in targets]
-    for path, gp_model in zip(written, [*model.param_models.values(), model.l_model]):
+    for path, gp_model in zip(written, model.models.values()):
         save_model(path, gp_model)
     written.append(directory / "bundle.json")
     written[-1].write_text(json.dumps(manifest, indent=2) + "\n")
@@ -311,14 +296,12 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
     if not manifest_path.exists():
         raise SchemaError(f"{directory}: missing bundle.json")
     manifest = read_json_object(manifest_path)
-    if manifest.get("format_version") != FORMAT_VERSIONS["surrogate_bundle"]:
-        raise SchemaError(f"{directory}: unsupported bundle version {manifest.get('format_version')!r}")
+    if (version := manifest.get("format_version")) != FORMAT_VERSIONS["surrogate_bundle"]:
+        raise SchemaError(f"{directory}: unsupported bundle version {version!r}; run train again")
     try:
         family = DistFamily(manifest["family"])
         files = manifest["files"]
-        param_models = {name: load_model(directory / files[name]) for name in family.param_names}
-        l_model = load_model(directory / files[COUNT_TARGET])
-        return SurrogateModel(family=family, param_models=param_models, l_model=l_model,
-                              mode=manifest["mode"])
+        return SurrogateModel(family, {name: load_model(directory / files[name])
+                                       for name in target_names(family)})
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SchemaError(f"{directory}: malformed bundle: {exc}")

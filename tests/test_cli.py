@@ -425,7 +425,7 @@ class TestTrainsetCommand:
 class TestTrainCommand:
     def test_bundle_layout_rayleigh(self, bundle_path):
         bundle = load_surrogate(bundle_path)
-        assert tuple(bundle.param_models) == ("sigma",)
+        assert tuple(bundle.models) == ("sigma", "l_count")
         files = json.loads(open(f"{bundle_path}/bundle.json").read())["files"]
         assert set(files) == {"sigma", "l_count"}
 
@@ -441,8 +441,8 @@ class TestTrainCommand:
         bundle = load_surrogate(bundle_path)
         reloaded = load_surrogate(bundle_path)
         x = np.array([4.0, 10.0, 5.0])
-        [mean_a], [std_a] = predict_batch(bundle.param_models["sigma"], x)
-        [mean_b], [std_b] = predict_batch(reloaded.param_models["sigma"], x)
+        [mean_a], [std_a] = predict_batch(bundle.models["sigma"], x)
+        [mean_b], [std_b] = predict_batch(reloaded.models["sigma"], x)
         assert abs(mean_a - mean_b) <= 1e-10
         assert abs(std_a - std_b) <= 1e-10
 
@@ -464,6 +464,13 @@ class TestTrainCommand:
                       "--seed", "1", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
 
+    def test_mode_is_not_a_train_flag(self, table_path, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train", "--table", table_path, "--family", "rayleigh", "--mode", "point",
+                      "--seed", "1", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvalCommand:
     def test_eval_writes_per_target_reports(self, tmp_path, table_path, bundle_path):
@@ -478,6 +485,23 @@ class TestEvalCommand:
         for stats in summary["targets"].values():
             assert stats["rmse"] >= 0.0
             assert 0.0 <= stats["coverage95"] <= 1.0
+
+    def test_test_rows_without_fits_are_counted(self, tmp_path, table_path, bundle_path,
+                                                caplog):
+        table = load_training_table(table_path)
+        rayleigh = DistFamily.RAYLEIGH
+        row = np.flatnonzero(table.test & table.usable(rayleigh))[0]
+        table.means[rayleigh][row] = table.stds[rayleigh][row] = np.nan
+        write_training_table(tmp_path / "table.csv", table)
+        out = tmp_path / "e"
+        assert cli.main(["eval", "--table", str(tmp_path / "table.csv"), "--bundle", bundle_path,
+                         "--out", str(out)]) == 0
+        without_fits = int((table.test & ~table.usable(rayleigh)).sum())
+        assert without_fits >= 1
+        assert _read_manifest(out)["test_rows_without_fits"] == without_fits
+        summary = json.loads((out / "eval_summary.json").read_text())
+        assert summary["n_test"] == int(table.test.sum()) - without_fits
+        assert f"{without_fits} test rows have no rayleigh fits" in caplog.text
 
     def test_missing_bundle_is_data_error_without_outputs(self, tmp_path, table_path):
         out = tmp_path / "e"
@@ -500,6 +524,7 @@ class TestQoiCommand:
         manifest = _read_manifest(out)
         assert manifest["seeds"] == {"seed": 11}
         assert manifest["inputs"] == [weather_csv, fast_config_path]
+        assert manifest["config"]["mode"] is None
         assert manifest["workers"] == min(usable_cpus(), 6)
 
     def test_weather_is_required(self, tmp_path):
@@ -514,6 +539,22 @@ class TestQoiCommand:
                          "--weather", weather_csv, "--seed", "2", "--bundle", bundle_path,
                          "--out", str(out)])
         assert code == 0
+        assert _read_manifest(out)["config"]["mode"] == "sample"
+
+    def test_each_mode_draws_its_own_reproducible_samples(self, tmp_path, bundle_path,
+                                                          weather_csv):
+        samples = {}
+        for mode in ("point", "sample", "frozen"):
+            out = tmp_path / mode
+            argv = ["qoi", "--source", "surrogate", "--k", "2", "--m", "3", "--mode", mode,
+                    "--weather", weather_csv, "--seed", "2", "--bundle", bundle_path,
+                    "--out", str(out)]
+            assert cli.main(argv) == 0
+            samples[mode] = (out / "yk_samples.csv").read_bytes()
+            assert _read_manifest(out)["config"]["mode"] == mode
+            assert cli.main(argv + ["--force"]) == 0
+            assert (out / "yk_samples.csv").read_bytes() == samples[mode]
+        assert len(set(samples.values())) == 3
 
     @pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
     def test_corrupt_bundle_json_is_data_error(self, tmp_path, bundle_path, weather_csv, content):
@@ -630,7 +671,7 @@ class TestQoiCommand:
 
 class TestBundleInputs:
     """qoi and eval end with exit 3 on a bundle whose GPs do not take the
-    three weather inputs or whose mode is unknown."""
+    three weather inputs or whose bundle.json has an older version."""
 
     def _run(self, command, tmp_path, bundle, weather_csv, table_path):
         out = tmp_path / "out"
@@ -677,18 +718,19 @@ class TestBundleInputs:
         assert "the sigma GP takes 2 inputs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["qoi", "eval"])
-    def test_unknown_mode(self, tmp_path, bundle_path, weather_csv, table_path, capsys, command):
+    def test_version_1_bundle(self, tmp_path, bundle_path, weather_csv, table_path, capsys,
+                              command):
         bundle = self._copy(tmp_path, bundle_path, "bundle.json",
-                            lambda payload: payload.update(mode="median"))
+                            lambda payload: payload.update(format_version=1, mode="sample"))
         assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
-        assert "mode must be 'point' or 'sample', got 'median'" in capsys.readouterr().err
+        assert "unsupported bundle version 1; run train again" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source,extra", [
     ("simulator", ["--bundle", "BUNDLE"]),
-    ("simulator", ["--theta-frozen"]),
+    ("simulator", ["--mode", "point"]),
     ("surrogate", ["--bundle", "BUNDLE", "--sim-config", "CONFIG"]),
-], ids=["simulator-bundle", "simulator-theta-frozen", "surrogate-sim-config"])
+], ids=["simulator-bundle", "simulator-mode", "surrogate-sim-config"])
 def test_qoi_flag_its_source_never_reads_is_usage_error(tmp_path, capsys, bundle_path,
                                                          fast_config_path, weather_csv,
                                                          source, extra):
@@ -699,22 +741,6 @@ def test_qoi_flag_its_source_never_reads_is_usage_error(tmp_path, capsys, bundle
     assert code == 2
     assert "does not apply to --source " + source in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_qoi_theta_frozen_with_point_mode_bundle_is_usage_error(tmp_path, capsys, bundle_path,
-                                                                weather_csv):
-    bundle = tmp_path / "point"
-    shutil.copytree(bundle_path, bundle)
-    payload = json.loads((bundle / "bundle.json").read_text())
-    (bundle / "bundle.json").write_text(json.dumps({**payload, "mode": "point"}))
-    out = tmp_path / "q"
-    argv = ["qoi", "--source", "surrogate", "--weather", weather_csv, "--k", "1", "--m", "1",
-            "--seed", "2", "--bundle", str(bundle), "--out", str(out)]
-    assert cli.main(argv) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert cli.main(argv + ["--theta-frozen", "--force"]) == 2
-    assert "--theta-frozen does not apply to a point-mode bundle" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestCompareCommand:

@@ -7,12 +7,8 @@ from scipy.linalg import LinAlgError, cholesky
 from searesponse import gp
 from searesponse.distfit import DistFamily
 from searesponse.errors import ConfigurationError, NumericError
-from searesponse.surrogate import (
-    MODE_SAMPLE,
-    SurrogateMoments,
-    generate_from_moments,
-    train_surrogate,
-)
+from searesponse.orderstats import MODE_SAMPLE
+from searesponse.surrogate import SurrogateMoments, generate_from_moments, train_surrogate
 
 
 def make_dataset(rng, n, noise=0.05, d=3):
@@ -381,7 +377,7 @@ class TestFitHyperparams:
     @pytest.mark.parametrize("family", list(DistFamily), ids=lambda f: f.value)
     def test_lml_not_below_recorded_search(self, small_table, family):
         model = train_surrogate(small_table, family, restarts=2, seed=7)
-        fitted = dict(model.param_models, l_count=model.l_model)
+        fitted = model.models
         recorded = RECORDED_TABLE_LML[family]
         assert set(fitted) == set(recorded)
         for name, m in fitted.items():

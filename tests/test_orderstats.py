@@ -6,6 +6,8 @@ import pytest
 from searesponse.distfit import DistFamily
 from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.orderstats import (
+    MODE_FROZEN,
+    MODE_SAMPLE,
     QoiConfig,
     QoiResult,
     TopK,
@@ -169,13 +171,18 @@ class TestRunQoi:
     def test_theta_frozen_mode(self, short_weather, small_table):
         model = train_surrogate(small_table, DistFamily.RAYLEIGH, restarts=2, seed=7)
         base = QoiConfig(k=5, realizations=3, base_seed=29)
-        frozen = QoiConfig(k=5, realizations=3, base_seed=29, theta_frozen=True)
+        frozen = QoiConfig(k=5, realizations=3, base_seed=29, mode=MODE_FROZEN)
+        assert base.mode == MODE_SAMPLE
         a = run_qoi(base, short_weather, model)
         b = run_qoi(frozen, short_weather, model)
         assert not np.array_equal(a.yk_samples, b.yk_samples)
         # frozen mode stays deterministic per seed
         c = run_qoi(frozen, short_weather, model)
         np.testing.assert_array_equal(b.yk_samples, c.yk_samples)
+
+    def test_invalid_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="mode must be one of point, sample, frozen"):
+            QoiConfig(mode="median")
 
 
 def _fake_result(rank_means, yk_samples, k=None, source="simulator", spread=1.0):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,9 @@ from scipy import stats
 from searesponse import gp, surrogate
 from searesponse.distfit import DistFamily, TrainingTable, fit_family
 from searesponse.errors import ConfigurationError, InsufficientDataError
+from searesponse.orderstats import MODE_FROZEN, MODE_POINT, MODE_SAMPLE
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
-    MODE_POINT,
-    MODE_SAMPLE,
     SCALE_FLOOR_FACTOR,
     SurrogateMoments,
     evaluate_surrogate,
@@ -49,10 +49,9 @@ def fixed_moments(theta, l_moments, n_hours=1):
 ALL_PEAKS = 10**9
 
 
-def draw(family, moments, mode, seed, theta_frozen=False):
+def draw(family, moments, mode, seed):
     """One realization from generate_from_moments: the draw and all values."""
-    result = generate_from_moments(family, moments, mode, np.random.default_rng(seed),
-                                   ALL_PEAKS, theta_frozen=theta_frozen)
+    result = generate_from_moments(family, moments, mode, np.random.default_rng(seed), ALL_PEAKS)
     return result, result.peaks
 
 
@@ -89,13 +88,11 @@ def rayleigh_model(small_table):
 class TestTrainSurrogate:
     def test_gumbel_arity(self):
         model = train_surrogate(synthetic_table(), DistFamily.GUMBEL, RESTARTS, seed=1)
-        assert tuple(model.param_models) == ("mu", "beta")
-        assert model.l_model is not None
+        assert tuple(model.models) == ("mu", "beta", "l_count")
 
     def test_rayleigh_arity(self):
         model = train_surrogate(synthetic_table(), DistFamily.RAYLEIGH, RESTARTS, seed=1)
-        assert tuple(model.param_models) == ("sigma",)
-        assert model.l_model is not None
+        assert tuple(model.models) == ("sigma", "l_count")
 
     def test_table_values_consumed_verbatim(self):
         table = synthetic_table(25)
@@ -103,7 +100,7 @@ class TestTrainSurrogate:
         table.means[DistFamily.GUMBEL][0] = 75371.0, 20983.0
         table.stds[DistFamily.GUMBEL][0] = 891.0, 530.0
         model = train_surrogate(table, DistFamily.GUMBEL, RESTARTS, seed=1)
-        mu_gp = model.param_models["mu"]
+        mu_gp = model.models["mu"]
         raw_targets = mu_gp.target_mean + mu_gp.target_scale * mu_gp.train_targets
         raw_inputs = mu_gp.train_inputs * mu_gp.input_scale + mu_gp.input_mean
         i = int(np.argmin(np.abs(raw_inputs[:, 0] - 3.2)))
@@ -111,7 +108,7 @@ class TestTrainSurrogate:
         assert raw_targets[i] == pytest.approx(75371.0, rel=1e-9)
         raw_noise = mu_gp.noise_variances * mu_gp.target_scale**2
         assert raw_noise[i] == pytest.approx(891.0**2, rel=1e-9)
-        beta_gp = model.param_models["beta"]
+        beta_gp = model.models["beta"]
         raw_beta = beta_gp.target_mean + beta_gp.target_scale * beta_gp.train_targets
         assert raw_beta[i] == pytest.approx(20983.0, rel=1e-9)
 
@@ -124,7 +121,7 @@ class TestTrainSurrogate:
         with pytest.raises(InsufficientDataError):
             train_surrogate(table, DistFamily.GUMBEL, RESTARTS, seed=1)
         model = train_surrogate(table, DistFamily.WEIBULL, RESTARTS, seed=1)
-        assert tuple(model.param_models) == ("k", "lambda")
+        assert tuple(model.models) == ("k", "lambda", "l_count")
 
     def test_test_rows_excluded(self):
         table = synthetic_table(30)
@@ -132,9 +129,19 @@ class TestTrainSurrogate:
         with pytest.raises(InsufficientDataError, match="got 15$"):
             train_surrogate(table, DistFamily.RAYLEIGH, RESTARTS, seed=1)
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            train_surrogate(synthetic_table(), DistFamily.RAYLEIGH, RESTARTS, seed=1, mode="magic")
+    def test_count_trained_on_l_columns(self):
+        # The last target column is L: its GP sees l_mean and l_std^2.
+        table = synthetic_table(25)
+        model = train_surrogate(table, DistFamily.RAYLEIGH, RESTARTS, seed=1)
+        l_gp = model.models["l_count"]
+        raw = l_gp.target_mean + l_gp.target_scale * l_gp.train_targets
+        assert sorted(raw) == pytest.approx(sorted(table.l_mean), rel=1e-12)
+        assert l_gp.noise_variances * l_gp.target_scale**2 == pytest.approx(np.full(25, 25.0))
+
+    def test_targets_out_of_order_rejected(self):
+        model = train_surrogate(synthetic_table(), DistFamily.RAYLEIGH, RESTARTS, seed=1)
+        with pytest.raises(ConfigurationError, match="one model per target"):
+            surrogate.SurrogateModel(DistFamily.RAYLEIGH, dict(reversed(model.models.items())))
 
 
 class TestPredictParams:
@@ -150,14 +157,14 @@ class TestPredictParams:
         assert not np.array_equal(a.theta, c.theta)
 
     def test_point_mode_theta_equals_gp_predict(self, small_table):
-        model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7, mode=MODE_POINT)
+        model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7)
         inputs = records_to_array(sample_uniform_inputs(12, seed=41))
         result, _ = draw(DistFamily.RAYLEIGH, predict_moments_batch(model, inputs), MODE_POINT, seed=5)
-        expected, _ = gp.predict_batch(model.param_models["sigma"], inputs)
+        expected, _ = gp.predict_batch(model.models["sigma"], inputs)
         np.testing.assert_array_equal(result.theta[:, 0], expected)
 
     def test_point_mode_theta_constant_across_seeds(self, small_table):
-        model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7, mode=MODE_POINT)
+        model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7)
         moments = moments_at(model, [3.0, 9.0, 2.0])
         draws = [draw(DistFamily.RAYLEIGH, moments, MODE_POINT, seed=s)[0] for s in range(10)]
         assert len({float(d.theta[0, 0]) for d in draws}) == 1
@@ -244,7 +251,7 @@ class TestGenerateResponses:
 
     def test_frozen_shifts_reproduce_theta(self, rayleigh_model):
         moments = moments_at(rayleigh_model, [4.0, 10.0, 2.0], [6.0, 12.0, 8.0])
-        result, _ = draw(DistFamily.RAYLEIGH, moments, MODE_SAMPLE, seed=1, theta_frozen=True)
+        result, _ = draw(DistFamily.RAYLEIGH, moments, MODE_FROZEN, seed=1)
         shift = np.random.default_rng(1).standard_normal(1)
         expected = moments.theta_mean + shift * moments.theta_std
         np.testing.assert_allclose(result.theta, expected, rtol=1e-12)
@@ -290,22 +297,22 @@ def weather_moments(family, n_hours=24, seed=73):
                             l_mean=300.0 + 10.0 * hs, l_std=np.full(n_hours, 20.0))
 
 
-def full_draw_yk(family, moments, mode, rng, k, theta_frozen=False):
+def full_draw_yk(family, moments, mode, rng, k):
     """Y_k of one realization drawn in full: theta and the counts as
     generate_from_moments draws them first, then every one of the
     sum_h L_h peaks from numpy's own sampler."""
-    drawn = generate_from_moments(family, moments, mode, rng, k, theta_frozen=theta_frozen)
+    drawn = generate_from_moments(family, moments, mode, rng, k)
     peaks = NUMPY_SAMPLERS[family](rng, np.repeat(drawn.theta, drawn.counts, axis=0))
     return np.sort(peaks)[-k]
 
 
-def threshold_yk_samples(family, moments, mode, seed, theta_frozen=False):
+def threshold_yk_samples(family, moments, mode, seed):
     """Y_k over LAW_REALIZATIONS realizations of the threshold draw, and
     how many of them fell back to drawing below the threshold."""
     yk, fallbacks = [], 0
     for m in range(LAW_REALIZATIONS):
         drawn = generate_from_moments(family, moments, mode, np.random.default_rng([seed, m]),
-                                      LAW_K, theta_frozen=theta_frozen)
+                                      LAW_K)
         yk.append(np.sort(drawn.peaks)[-LAW_K])
         fallbacks += len(drawn.peaks) == drawn.counts.sum()
     return np.array(yk), fallbacks
@@ -342,14 +349,15 @@ class TestThresholdDraw:
             assert tail.min() > u
             assert stats.ks_2samp(tail, accepted).pvalue > 0.01
 
-    @pytest.mark.parametrize("mode, theta_frozen", [(MODE_POINT, False), (MODE_SAMPLE, False),
-                                                    (MODE_SAMPLE, True)])
+    # Each id names where theta comes from, then whether it is frozen per realization.
+    @pytest.mark.parametrize("mode", [MODE_POINT, MODE_SAMPLE, MODE_FROZEN],
+                             ids=["point-False", "sample-False", "sample-True"])
     @pytest.mark.parametrize("family", list(DistFamily))
-    def test_yk_law_matches_full_draw(self, family, mode, theta_frozen):
+    def test_yk_law_matches_full_draw(self, family, mode):
         moments = weather_moments(family)
-        yk, fallbacks = threshold_yk_samples(family, moments, mode, LAW_SEED, theta_frozen)
+        yk, fallbacks = threshold_yk_samples(family, moments, mode, LAW_SEED)
         full = [full_draw_yk(family, moments, mode, np.random.default_rng([LAW_SEED + 1, m]),
-                             LAW_K, theta_frozen) for m in range(LAW_REALIZATIONS)]
+                             LAW_K) for m in range(LAW_REALIZATIONS)]
         assert fallbacks == 0
         assert stats.ks_2samp(yk, full).pvalue > 0.01
 
@@ -407,7 +415,7 @@ class TestDistributionalMatch:
         for family in DistFamily:
             scores[family] = LOGLIKS[family](sim_pool, *fit_family(family, sim_pool))
         best = max(scores, key=scores.get)
-        model = train_surrogate(small_table, best, RESTARTS, seed=3, mode=MODE_POINT)
+        model = train_surrogate(small_table, best, RESTARTS, seed=3)
         moments = moments_at(model, *[point] * 60)
         _, sur_pool = draw(best, moments, MODE_POINT, seed=1000)
         result = stats.ks_2samp(sim_pool, sur_pool)
@@ -444,7 +452,10 @@ class TestBundlePersistence:
         assert files == ["bundle.json", "gp_l_count.json", "gp_sigma.json"]
         loaded = load_surrogate(tmp_path / "bundle")
         assert loaded.family is DistFamily.RAYLEIGH
-        assert loaded.mode == rayleigh_model.mode
+        assert tuple(loaded.models) == ("sigma", "l_count")
+        manifest = json.loads((tmp_path / "bundle" / "bundle.json").read_text())
+        assert manifest["format_version"] == 2
+        assert "mode" not in manifest
         inputs = records_to_array(sample_uniform_inputs(6, seed=31))
         for a, b in zip(predict_moments_batch(rayleigh_model, inputs),
                         predict_moments_batch(loaded, inputs)):
