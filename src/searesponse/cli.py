@@ -63,7 +63,7 @@ from searesponse.weather import (
     write_weather,
 )
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("searesponse.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 2

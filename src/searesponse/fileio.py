@@ -27,7 +27,7 @@ FORMAT_VERSIONS = {
     "training_table": 1,
     "gp_model": 1,
     "surrogate_bundle": 2,
-    "qoi_result": 3,
+    "qoi_result": 4,
     "comparison_report": 1,
 }
 

@@ -5,6 +5,8 @@ Inputs and targets are z-scored internally; per-point noise variances are
 rescaled accordingly. Inference is a dense Cholesky factorization of
 K + diag(noise) + jitter*I, with jitter escalating from 1e-8 of the mean
 diagonal by factors of 100 (at most 3 times) on factorization failure.
+A trained model keeps the Cholesky factor L and its inverse, so that
+prediction needs matrix products only.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 scipy's bounded quasi-Newton L-BFGS-B over log-parameters, restarted from
 seeded log-uniform initializations. The optimizer is given the analytic
@@ -71,16 +73,29 @@ class GPModel:
     input_scale: np.ndarray
     target_mean: float
     target_scale: float
-    factor: np.ndarray            # lower-triangular Cholesky factor
+    factor: np.ndarray            # lower-triangular Cholesky factor L
+    factor_inverse: np.ndarray    # L^{-1}, lower-triangular
     weights: np.ndarray           # (K + D + jitter I)^{-1} y, standardized
     jitter: float
 
 
 def matern52_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Cross-covariance matrix between row sets a (n, d) and b (m, d)."""
+    """Cross-covariance matrix between row sets a (n, d) and b (m, d):
+    sv (1 + sqrt5 r + 5/3 r r) exp(-sqrt5 r), built in place in r and two
+    work arrays with the closed form's operations in its order, so every
+    entry has the closed form's bits."""
     ell = np.asarray(params.lengthscales, dtype=float)
     r = cdist(a / ell, b / ell)
-    return params.signal_variance * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * np.exp(-SQRT5 * r)
+    quad = np.multiply(5.0 / 3.0, r)
+    quad *= r
+    r *= SQRT5
+    decay = np.negative(r)
+    np.exp(decay, out=decay)
+    r += 1.0
+    r += quad
+    r *= params.signal_variance
+    r *= decay
+    return r
 
 
 def _factorize(k_matrix: np.ndarray, noise_variances: np.ndarray) -> tuple[np.ndarray, float]:
@@ -123,11 +138,16 @@ def _assemble(kernel: KernelParams, inputs_std: np.ndarray, targets_std: np.ndar
     factor, jitter = _factorize(gram, noise_std)
     weights = solve_triangular(factor, targets_std, lower=True, check_finite=False)
     weights = solve_triangular(factor.T, weights, lower=False, check_finite=False)
+    # dtrtri writes L^{-1} into the lower triangle; the upper triangle keeps
+    # the zeros of cholesky's lower factor.
+    factor_inverse, info = lapack.dtrtri(factor, lower=1)
+    if info != 0:
+        raise NumericError(f"inverting the covariance factor failed (dtrtri info {info})")
     return GPModel(
         kernel=kernel, train_inputs=inputs_std, train_targets=targets_std,
         noise_variances=noise_std, input_mean=input_mean, input_scale=input_scale,
         target_mean=target_mean, target_scale=target_scale,
-        factor=factor, weights=weights, jitter=jitter,
+        factor=factor, factor_inverse=factor_inverse, weights=weights, jitter=jitter,
     )
 
 
@@ -292,7 +312,8 @@ def predict_batch(model: GPModel, points: np.ndarray,
     The predictive variance is epistemic only; include_noise adds the mean
     training noise variance as a homoscedastic stand-in. Rows are evaluated
     PREDICT_BLOCK_ROWS at a time, which bounds the (n_train, rows) kernel
-    matrices for long weather sequences.
+    matrices for long weather sequences. Each block's variance reduction is
+    |L^{-1} k*|^2, one matrix product with the stored inverse factor.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     points_std = (points - model.input_mean) / model.input_scale
@@ -302,7 +323,7 @@ def predict_batch(model: GPModel, points: np.ndarray,
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         kstar = matern52_matrix(model.train_inputs, points_std[rows], model.kernel)
         mean_std[rows] = kstar.T @ model.weights
-        half = solve_triangular(model.factor, kstar, lower=True, check_finite=False)
+        half = model.factor_inverse @ kstar
         var[rows] = model.kernel.signal_variance - np.einsum("ij,ij->j", half, half)
     if include_noise:
         var = var + float(np.mean(model.noise_variances))

@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,9 +27,9 @@ WEATHER_COLUMNS = ("index", "hs", "tp", "vw")
 AR1_COEFF = 0.95
 
 
-@dataclass(frozen=True)
-class WeatherRecord:
-    """One hour of sea state."""
+class WeatherRecord(NamedTuple):
+    """One hour of sea state; a tuple, so that a year of hours is cheap to
+    build and to stack."""
 
     hs: float
     tp: float
@@ -96,7 +96,7 @@ def load_weather(path: str | Path) -> list[WeatherRecord]:
             raise _row_error(path, line, row) from None
         if not (0.0 < hs < math.inf and 0.0 < tp < math.inf and 0.0 <= vw < math.inf):
             raise _row_error(path, line, row)
-        records.append(WeatherRecord(hs=hs, tp=tp, vw=vw, index=index))
+        records.append(WeatherRecord(hs, tp, vw, index))
     if not records:
         raise DataError(f"{path}: no weather records")
     logger.info("loaded %d weather records from %s", len(records), path)
@@ -140,11 +140,8 @@ def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0)
     for j, (name, (lo, hi)) in enumerate(box.bounds().items()):
         rng = np.random.default_rng(derive_seed(seed, TAG_WEATHER, j))
         columns[name] = lo + (hi - lo) * _logistic(_ar1_series(n_hours, AR1_COEFF, rng))
-    return [
-        WeatherRecord(hs=float(columns["hs"][i]), tp=float(columns["tp"][i]),
-                      vw=float(columns["vw"][i]), index=i)
-        for i in range(n_hours)
-    ]
+    return [WeatherRecord(*hour) for hour in zip(
+        columns["hs"].tolist(), columns["tp"].tolist(), columns["vw"].tolist(), range(n_hours))]
 
 
 def sample_uniform_inputs(n: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> list[WeatherRecord]:
@@ -153,18 +150,11 @@ def sample_uniform_inputs(n: int, box: InputBox = DEFAULT_BOX, seed: int = 0) ->
         raise ConfigurationError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(derive_seed(seed, TAG_WEATHER))
     draws = {name: rng.uniform(lo, hi, size=n) for name, (lo, hi) in box.bounds().items()}
-    return [
-        WeatherRecord(hs=float(draws["hs"][i]), tp=float(draws["tp"][i]),
-                      vw=float(draws["vw"][i]), index=i)
-        for i in range(n)
-    ]
+    return [WeatherRecord(*hour) for hour in zip(
+        draws["hs"].tolist(), draws["tp"].tolist(), draws["vw"].tolist(), range(n))]
 
 
 def records_to_array(records: Sequence[WeatherRecord]) -> np.ndarray:
     """Stack records into an (n, 3) array of columns (hs, tp, vw)."""
-    out = np.empty((len(records), 3))
-    for i, r in enumerate(records):
-        out[i, 0] = r.hs
-        out[i, 1] = r.tp
-        out[i, 2] = r.vw
-    return out
+    return np.column_stack([[r.hs for r in records], [r.tp for r in records],
+                            [r.vw for r in records]]).astype(float, copy=False)

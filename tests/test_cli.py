@@ -503,6 +503,24 @@ class TestEvalCommand:
         assert summary["n_test"] == int(table.test.sum()) - without_fits
         assert f"{without_fits} test rows have no rayleigh fits" in caplog.text
 
+    def test_warning_names_the_cli_logger_when_run_as_module(self, tmp_path, table_path,
+                                                             bundle_path):
+        table = load_training_table(table_path)
+        rayleigh = DistFamily.RAYLEIGH
+        row = np.flatnonzero(table.test & table.usable(rayleigh))[0]
+        table.means[rayleigh][row] = table.stds[rayleigh][row] = np.nan
+        write_training_table(tmp_path / "table.csv", table)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env.pop("SEARESPONSE_LOGLEVEL", None)
+        result = subprocess.run([sys.executable, "-m", "searesponse.cli", "eval",
+                                 "--table", str(tmp_path / "table.csv"), "--bundle", bundle_path,
+                                 "--out", str(tmp_path / "e")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "WARNING searesponse.cli: " in result.stderr
+        assert "left out of the evaluation" in result.stderr
+        assert "__main__" not in result.stderr
+
     def test_missing_bundle_is_data_error_without_outputs(self, tmp_path, table_path):
         out = tmp_path / "e"
         code = cli.main(["eval", "--table", table_path, "--bundle", str(tmp_path / "nope"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cholesky
+from scipy.spatial.distance import cdist
 
 from searesponse import gp
 from searesponse.distfit import DistFamily
@@ -88,6 +89,21 @@ class TestMatern52:
         for i in range(6):
             for j in range(4):
                 assert matrix[i, j] == pytest.approx(matern52(a[i], b[j], k), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 513), (310, 512)])
+    def test_bits_match_the_closed_form(self, rng, shape):
+        # The in-place build must keep every entry's bits: bundles and
+        # posterior means are byte-identical to the closed form's.
+        k = gp.KernelParams(signal_variance=float(rng.uniform(0.1, 5.0)),
+                            lengthscales=tuple(rng.uniform(0.05, 3.0, 3)))
+        a, b = rng.normal(size=(shape[0], 3)), rng.normal(size=(shape[1], 3))
+        b[: min(shape) // 2 + 1] = a[: min(shape) // 2 + 1]  # coincident points, r = 0
+        ell = np.asarray(k.lengthscales)
+        r = cdist(a / ell, b / ell)
+        assert (r == 0.0).any()
+        closed = (k.signal_variance * (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r * r)
+                  * np.exp(-math.sqrt(5.0) * r))
+        assert gp.matern52_matrix(a, b, k).tobytes() == closed.tobytes()
 
     def test_gram_matrices_positive_definite(self, rng):
         k = gp.KernelParams(signal_variance=1.0, lengthscales=(1.0, 1.0, 1.0))
@@ -420,6 +436,58 @@ class TestFitHyperparams:
         x, y, nv = make_dataset(rng, 4)
         with pytest.raises(ConfigurationError):
             gp.fit_hyperparams(x, y, nv)
+
+
+def longdouble_variance(model, points_std):
+    """Epistemic variance sv - |v|^2 with L v = k* solved by forward
+    substitution in np.longdouble, from the model's float64 factor."""
+    factor = model.factor.astype(np.longdouble)
+    kstar = gp.matern52_matrix(model.train_inputs, points_std, model.kernel).astype(np.longdouble)
+    v = np.empty_like(kstar)
+    for i in range(len(factor)):
+        v[i] = (kstar[i] - factor[i, :i] @ v[:i]) / factor[i, i]
+    return np.longdouble(model.kernel.signal_variance) - np.sum(v * v, axis=0)
+
+
+class TestPredictAcrossBlocks:
+    @pytest.fixture(scope="class")
+    def ill_conditioned(self):
+        # Nearly noise-free targets on a dense design: cond(L) is large, so a
+        # careless variance shows up well above double rounding.
+        rng = np.random.default_rng(5)
+        x, y, _ = make_dataset(rng, 100, noise=1e-4)
+        model = gp.train(x, y, np.full(100, 1e-8),
+                         gp.KernelParams(signal_variance=1.0, lengthscales=(2.5, 3.0, 3.5)))
+        points = rng.uniform(0.0, 10.0, (2 * gp.PREDICT_BLOCK_ROWS + 76, 3))
+        return model, points
+
+    def test_factor_is_ill_conditioned(self, ill_conditioned):
+        model, points = ill_conditioned
+        assert np.linalg.cond(model.factor) >= 1e3
+        assert len(points) > 2 * gp.PREDICT_BLOCK_ROWS
+
+    def test_variance_matches_extended_precision(self, ill_conditioned):
+        model, points = ill_conditioned
+        _, std = gp.predict_batch(model, points)
+        var = (std / model.target_scale) ** 2
+        want = longdouble_variance(model, (points - model.input_mean) / model.input_scale)
+        assert (want > 0.0).all()
+        np.testing.assert_allclose(var, want.astype(float), rtol=1e-8, atol=0.0)
+
+    def test_means_are_the_weighted_kernel_sum(self, ill_conditioned):
+        model, points = ill_conditioned
+        mean, _ = gp.predict_batch(model, points)
+        kstar = gp.matern52_matrix(model.train_inputs,
+                                   (points - model.input_mean) / model.input_scale, model.kernel)
+        want = model.target_mean + model.target_scale * (kstar.T @ model.weights)
+        assert mean.tobytes() == want.tobytes()
+
+    def test_saved_model_predicts_the_same_bits(self, ill_conditioned, tmp_path):
+        model, points = ill_conditioned
+        gp.save_model(tmp_path / "model.json", model)
+        loaded = gp.load_model(tmp_path / "model.json")
+        for got, want in zip(gp.predict_batch(loaded, points), gp.predict_batch(model, points)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPersistence:

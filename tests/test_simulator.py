@@ -253,7 +253,7 @@ class TestCheckWeather:
     ])
     def test_first_bad_hour_is_named(self, fast_sim_config, field, value, message):
         weather = [WeatherRecord(hs=2.0, tp=9.0, vw=5.0, index=i) for i in range(4)]
-        weather[2] = WeatherRecord(**{**weather[2].__dict__, field: value})
+        weather[2] = weather[2]._replace(**{field: value})
         weather[3] = WeatherRecord(hs=-1.0, tp=9.0, vw=5.0, index=3)
         with pytest.raises(ConfigurationError, match=message):
             check_weather(weather, fast_sim_config)

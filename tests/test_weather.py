@@ -188,3 +188,23 @@ class TestSampleUniformInputs:
 def test_records_to_array_layout():
     records = [WeatherRecord(1.0, 2.0, 3.0, 0), WeatherRecord(4.0, 5.0, 6.0, 1)]
     np.testing.assert_array_equal(records_to_array(records), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+def test_records_to_array_matches_the_row_loop():
+    # A C-ordered float array, as the row loop built it: reductions over its
+    # columns (the GP's standardization) keep their summation order and bits.
+    records = synthesize_weather(1000, seed=9)
+    want = np.empty((len(records), 3))
+    for i, r in enumerate(records):
+        want[i] = r.hs, r.tp, r.vw
+    got = records_to_array(records)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert records_to_array([]).shape == (0, 3)
+
+
+def test_record_is_immutable_and_built_by_keyword():
+    record = WeatherRecord(hs=1.0, tp=2.0, vw=3.0, index=4)
+    assert record == WeatherRecord(1.0, 2.0, 3.0, 4)
+    with pytest.raises(AttributeError):
+        record.hs = 5.0
