@@ -170,18 +170,18 @@ def _sim_config_from_args(args: argparse.Namespace):
 
 def cmd_weather(args: argparse.Namespace) -> Stage:
     if args.weather_mode == "synth":
-        records = synthesize_weather(args.hours, _box_from_args(args), args.seed)
+        weather = synthesize_weather(args.hours, _box_from_args(args), args.seed)
         inputs: list[str] = []
     else:
-        records = load_weather(args.path)
+        weather = load_weather(args.path)
         inputs = [str(args.path)]
 
     def write(out: Path) -> list[Path]:
-        write_weather(out / "weather.csv", records)
+        write_weather(out / "weather.csv", weather)
         return [out / "weather.csv"]
 
-    return Stage(inputs, write, {"n_records": len(records)},
-                 f"wrote {len(records)} weather records to {Path(args.out) / 'weather.csv'}")
+    return Stage(inputs, write, {"n_records": len(weather)},
+                 f"wrote {len(weather)} weather records to {Path(args.out) / 'weather.csv'}")
 
 
 def cmd_trainset(args: argparse.Namespace) -> Stage:
@@ -251,24 +251,31 @@ def cmd_qoi(args: argparse.Namespace) -> Stage:
         if value:
             raise ConfigurationError(f"{flag} does not apply to --source {args.source}")
     weather = load_weather(args.weather)
+    extra = {}
     if args.source == "simulator":
         model = _sim_config_from_args(args)
         inputs = [str(args.weather)] + ([str(args.sim_config)] if args.sim_config else [])
     else:
         if not args.bundle:
             raise ConfigurationError("--bundle is required for --source surrogate")
-        from searesponse.surrogate import load_surrogate
+        from searesponse.surrogate import hours_outside_training_box, load_surrogate
 
         model = load_surrogate(args.bundle)
         inputs = [str(args.weather), str(args.bundle)]
         args.mode = args.mode or MODE_SAMPLE  # named in the manifest's config
+        outside = hours_outside_training_box(model, weather.inputs)
+        if outside:
+            logger.warning("%s: %d of %d hours lie outside the training inputs' box of %s, "
+                           "where the surrogate extrapolates",
+                           args.weather, outside, len(weather), args.bundle)
+        extra["hours_outside_training_box"] = outside
     cfg = QoiConfig(k=args.k, realizations=args.m, base_seed=args.seed,
                     mode=args.mode or MODE_SAMPLE)
     result = run_qoi(cfg, weather, model)
     return Stage(inputs, lambda out: save_qoi_result(out, result),
                  {"total_count": result.total_count,
                   "yk_mean": float(result.yk_samples.mean()),
-                  "workers": result.workers},
+                  "workers": result.workers, **extra},
                  f"Y_{args.k} over {len(weather)} hours x {args.m} realizations "
                  f"({args.source}): mean={result.yk_samples.mean():.6g}")
 

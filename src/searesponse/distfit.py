@@ -31,7 +31,7 @@ from searesponse.errors import (
 from searesponse.fileio import parse_float, read_csv, write_csv
 from searesponse.seeding import TAG_SIM, TAG_SPLIT, derive_seed
 from searesponse.simulator import SimConfig, check_weather, simulate
-from searesponse.weather import WeatherRecord, records_to_array
+from searesponse.weather import Weather
 
 logger = logging.getLogger(__name__)
 
@@ -223,7 +223,7 @@ def fit_family(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
 
 
 def build_training_table(
-    design: Sequence[WeatherRecord],
+    design: Weather,
     m_runs: int,
     cfg: SimConfig,
     seed: int,
@@ -244,8 +244,9 @@ def build_training_table(
     means = {fam: np.full((n, len(fam.param_names)), np.nan) for fam in DistFamily}
     stds = {fam: np.full((n, len(fam.param_names)), np.nan) for fam in DistFamily}
     l_mean, l_std = np.empty(n), np.empty(n)
-    for i, record in enumerate(design):
-        outputs = simulate(record, cfg, [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
+    for i in range(n):
+        outputs = simulate(design.record(i), cfg,
+                           [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
         counts = np.array([out.count for out in outputs], dtype=float)
         l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
         for fam in DistFamily:
@@ -261,7 +262,7 @@ def build_training_table(
         test[rng.permutation(n)[int(round(TRAIN_FRACTION * n)):]] = True
     logger.info("built training table: %d rows (%d train / %d test), M=%d",
                 n, n - test.sum(), test.sum(), m_runs)
-    return TrainingTable(records_to_array(design), means, stds, l_mean, l_std, test)
+    return TrainingTable(design.inputs, means, stds, l_mean, l_std, test)
 
 
 def write_training_table(path: str | Path, table: TrainingTable) -> None:

@@ -5,7 +5,9 @@ with ``\\n``. Float cells are written with ``repr``, so they read back to
 the same float; an empty cell marks a missing value. Readers skip blank
 rows. A missing or wrong header raises SchemaError; a row of the wrong
 width, or a cell that is not a finite number, raises ParseError naming the
-file, its 1-based line and the column. JSON files each hold one object.
+file, its 1-based line and the column. read_csv yields the rows one by one;
+read_csv_array parses a whole body of plain decimal numerals in one
+vectorized pass. JSON files each hold one object.
 The CLI maps both errors to exit 3. FORMAT_VERSIONS holds the version of
 each file kind; every run's manifest.json lists it, and the GP and bundle
 files also carry their own.
@@ -14,10 +16,14 @@ files also carry their own.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from searesponse.errors import ParseError, SchemaError
 
@@ -42,16 +48,19 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
         writer.writerows(rows)
 
 
+def _check_header(path: Path, header: list[str] | None, columns: Sequence[str]) -> None:
+    if header is None or [h.strip() for h in header] != list(columns):
+        found = "nothing" if header is None else ",".join(header)
+        raise SchemaError(f"{path}: expected columns {','.join(columns)}, got {found}")
+
+
 def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, cells) for each non-blank row after checking the header
     is exactly columns; a row of another width raises ParseError."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(columns):
-            found = "nothing" if header is None else ",".join(header)
-            raise SchemaError(f"{path}: expected columns {','.join(columns)}, got {found}")
+        _check_header(path, next(reader, None), columns)
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -59,6 +68,25 @@ def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, li
                 raise ParseError(f"expected {len(columns)} fields, got {len(row)}",
                                  line=line, path=path)
             yield line, row
+
+
+def read_csv_array(path: str | Path, columns: Sequence[str], dtype: np.dtype) -> np.ndarray:
+    """The rows of a CSV as one structured array of dtype, one field per
+    column, parsed in one vectorized pass after read_csv's header check.
+    Cells are plain decimal numerals (no digit separators or non-ASCII
+    digits), optionally quoted or padded with spaces; blank rows are skipped.
+    Any other body raises ValueError without naming a line: read_csv names
+    it. The file must be ASCII without the separators 0x1c-0x1f, which the
+    vectorized parser would take for spaces where float() does not."""
+    path = Path(path)
+    text = path.read_text()
+    fh = io.StringIO(text)
+    _check_header(path, next(csv.reader(fh), None), columns)
+    if not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("a character outside ASCII or an ASCII separator 0x1c-0x1f")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
 
 
 def parse_float(path: str | Path, line: int, column: str, text: str) -> float:

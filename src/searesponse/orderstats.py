@@ -30,7 +30,7 @@ from searesponse.errors import ConfigurationError, DataError, InsufficientDataEr
 from searesponse.fileio import parse_float, read_csv, read_json_object, write_csv
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import SimConfig, check_weather, simulate
-from searesponse.weather import WeatherRecord, records_to_array
+from searesponse.weather import Weather
 
 if TYPE_CHECKING:
     from searesponse.surrogate import SurrogateModel
@@ -131,7 +131,7 @@ def usable_cpus() -> int:
 
 
 def _sweep_hours(
-    cfg: QoiConfig, weather: Sequence[WeatherRecord], model: SimConfig, start: int, stop: int,
+    cfg: QoiConfig, weather: Weather, model: SimConfig, start: int, stop: int,
 ) -> tuple[list[TopK], list[int]]:
     """One accumulator and one peak total per realization over hours
     start..stop-1, realization m of hour i on the seed derived from
@@ -140,7 +140,7 @@ def _sweep_hours(
     totals = [0] * cfg.realizations
     for i in range(start, stop):
         seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-        for m, out in enumerate(simulate(weather[i], model, seeds)):
+        for m, out in enumerate(simulate(weather.record(i), model, seeds)):
             totals[m] += out.count
             accs[m].update(out.peaks)
     return accs, totals
@@ -148,7 +148,7 @@ def _sweep_hours(
 
 def run_qoi(
     cfg: QoiConfig,
-    weather: Sequence[WeatherRecord],
+    weather: Weather,
     model: Union[SimConfig, SurrogateModel],
 ) -> QoiResult:
     """Estimate the distribution of Y_k from M realizations of the weather
@@ -203,7 +203,7 @@ def run_qoi(
         source = SOURCE_SURROGATE
         accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
         totals = [0] * cfg.realizations
-        moments = predict_moments_batch(model, records_to_array(weather))
+        moments = predict_moments_batch(model, weather.inputs)
         for m, acc in enumerate(accs):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
             draw = generate_from_moments(model.family, moments, cfg.mode, rng, cfg.k)

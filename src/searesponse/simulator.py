@@ -23,7 +23,7 @@ import numpy as np
 
 from searesponse.errors import ConfigurationError, SchemaError
 from searesponse.fileio import read_json_object
-from searesponse.weather import WeatherRecord
+from searesponse.weather import Weather, WeatherRecord
 
 logger = logging.getLogger(__name__)
 
@@ -182,12 +182,20 @@ def _check_wind(vw: float) -> None:
         raise ConfigurationError(f"vw must be non-negative and finite, got {vw}")
 
 
-def check_weather(weather: Sequence[WeatherRecord], cfg: SimConfig, label: str = "hour") -> None:
-    """Raise, before any record runs, the ConfigurationError that `simulate`
-    would raise at the first record it cannot run, prefixed with label and
-    that record's index."""
+def check_weather(weather: Weather, cfg: SimConfig, label: str = "hour") -> None:
+    """Raise, before any hour runs, the ConfigurationError that `simulate`
+    would raise at the first hour it cannot run, prefixed with label and
+    that hour's position; one vectorized pass over the hours finds it."""
     omega_top = cfg.omega_grid[-1]
-    for i, record in enumerate(weather):
+    hs, tp, vw = weather.inputs.T
+    # The checks of _check_sea_state and _check_wind, which NaN fails too.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        good = ((hs >= 0.0) & (hs < math.inf) & (tp > 0.0) & (tp < math.inf)
+                & (2.0 * np.pi / tp <= omega_top) & (vw >= 0.0) & (vw < math.inf))
+    bad = np.flatnonzero(~good)
+    if len(bad):
+        i = int(bad[0])
+        record = weather.record(i)
         try:
             _check_sea_state(record.hs, record.tp, omega_top)
             _check_wind(record.vw)

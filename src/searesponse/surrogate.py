@@ -157,6 +157,18 @@ def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray) -> Surrogat
     )
 
 
+def hours_outside_training_box(model: SurrogateModel, inputs: np.ndarray) -> int:
+    """The number of rows of an (n, 3) input array outside the per-column
+    min-max box of the training inputs, where the GPs extrapolate. Every GP
+    of a bundle has the same training inputs; the rows are standardized as
+    predict_batch standardizes them, so a row on the box's edge is inside."""
+    gp_model = next(iter(model.models.values()))
+    points = (inputs - gp_model.input_mean) / gp_model.input_scale
+    train = gp_model.train_inputs
+    outside = (points < train.min(axis=0)) | (points > train.max(axis=0))
+    return int(outside.any(axis=1).sum())
+
+
 def exceedance_threshold(hazard: Hazard, theta: np.ndarray, counts: np.ndarray,
                          target: float) -> float:
     """A threshold that 90-100% of `target` peaks are expected to exceed,

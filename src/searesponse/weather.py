@@ -1,40 +1,61 @@
 """Hourly weather inputs: CSV ingestion, synthetic multi-year sequences,
 and uniform training designs over the input box.
 
-Each record is one hour of sea state: significant wave height ``hs`` [m],
-peak wave period ``tp`` [s], and mean wind speed ``vw`` [m/s].
+Each hour is one sea state: significant wave height ``hs`` [m], peak wave
+period ``tp`` [s], and mean wind speed ``vw`` [m/s]. A sequence of hours
+is one Weather value of columns; a WeatherRecord is one hour, the argument
+of `simulate`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from searesponse.errors import ConfigurationError, DataError, ParseError
-from searesponse.fileio import parse_float, read_csv, write_csv
+from searesponse.fileio import parse_float, read_csv, read_csv_array, write_csv
 from searesponse.seeding import TAG_WEATHER, derive_seed
 
 logger = logging.getLogger(__name__)
 
 WEATHER_COLUMNS = ("index", "hs", "tp", "vw")
+_WEATHER_DTYPE = np.dtype([("index", np.int64), ("hs", float), ("tp", float), ("vw", float)])
 
 # Hour-to-hour persistence of the synthetic sequence, applied in logit space.
 AR1_COEFF = 0.95
 
 
 class WeatherRecord(NamedTuple):
-    """One hour of sea state; a tuple, so that a year of hours is cheap to
-    build and to stack."""
+    """One hour of sea state, as `simulate` takes it."""
 
     hs: float
     tp: float
     vw: float
     index: int
+
+
+@dataclass(eq=False)
+class Weather:
+    """A sequence of hours as columns: the (n,) int64 hour index and the
+    (n, 3) C-ordered float64 inputs in the column order (hs, tp, vw), as
+    TrainingTable.inputs."""
+
+    index: np.ndarray
+    inputs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def record(self, i: int) -> WeatherRecord:
+        """Hour i as a WeatherRecord."""
+        hs, tp, vw = self.inputs[i].tolist()
+        return WeatherRecord(hs, tp, vw, int(self.index[i]))
 
 
 @dataclass(frozen=True)
@@ -65,48 +86,66 @@ class InputBox:
 DEFAULT_BOX = InputBox()
 
 
-def _row_error(path: Path, line: int, row: list[str]) -> ParseError:
-    """The error for a weather row that failed load_weather's one-pass parse."""
+def _check_row(path: Path, line: int, row: list[str]) -> None:
+    """Raise the ParseError for a weather row that int() and float() cannot
+    parse, or whose values are out of range."""
     try:
         int(row[0])
     except ValueError:
-        return ParseError(f"non-integer value {row[0]!r} in column index", line=line, path=path)
+        raise ParseError(f"non-integer value {row[0]!r} in column index",
+                         line=line, path=path) from None
     hs, tp, vw = (parse_float(path, line, col, text)
                   for col, text in zip(WEATHER_COLUMNS[1:], row[1:]))
     if hs <= 0.0:
-        return ParseError(f"hs must be positive, got {hs}", line=line, path=path)
+        raise ParseError(f"hs must be positive, got {hs}", line=line, path=path)
     if tp <= 0.0:
-        return ParseError(f"tp must be positive, got {tp}", line=line, path=path)
-    return ParseError(f"vw must be non-negative, got {vw}", line=line, path=path)
+        raise ParseError(f"tp must be positive, got {tp}", line=line, path=path)
+    if vw < 0.0:
+        raise ParseError(f"vw must be non-negative, got {vw}", line=line, path=path)
 
 
-def load_weather(path: str | Path) -> list[WeatherRecord]:
+def _bad_file(path: Path, reason: str) -> ParseError:
+    """For a file that load_weather's one-pass parse or range check
+    rejected, raise the error of its first bad row, or return one that
+    names the file alone."""
+    for line, row in read_csv(path, WEATHER_COLUMNS):
+        _check_row(path, line, row)
+    # numpy counts its row and column from the first row after the header,
+    # not as the file's lines are counted; the message names the cell instead.
+    reason = re.sub(r" at row \d+, column \d+\.$", "", reason)
+    return ParseError(f"cells must be plain decimal numerals and the index must fit "
+                      f"in int64: {reason}", path=path)
+
+
+def load_weather(path: str | Path) -> Weather:
     """Load an hourly weather CSV with header ``index,hs,tp,vw``, in the
-    shared file format (see fileio). hs and tp must be positive and vw
-    non-negative, and the file must hold at least one hour; a file without
-    one raises DataError.
+    shared file format (see fileio), in one vectorized pass. Cells are plain
+    decimal numerals and the index fits in int64; hs and tp must be positive
+    and vw non-negative, and the file must hold at least one hour; a file
+    without one raises DataError.
     """
     path = Path(path)
-    records = []
-    for line, row in read_csv(path, WEATHER_COLUMNS):
-        # One try per row, and chained range checks that NaN and inf fail too.
-        try:
-            index, hs, tp, vw = int(row[0]), float(row[1]), float(row[2]), float(row[3])
-        except ValueError:
-            raise _row_error(path, line, row) from None
-        if not (0.0 < hs < math.inf and 0.0 < tp < math.inf and 0.0 <= vw < math.inf):
-            raise _row_error(path, line, row)
-        records.append(WeatherRecord(hs, tp, vw, index))
-    if not records:
+    try:
+        body = read_csv_array(path, WEATHER_COLUMNS, _WEATHER_DTYPE)
+    except ValueError as exc:
+        raise _bad_file(path, str(exc)) from None
+    hs, tp, vw = body["hs"], body["tp"], body["vw"]
+    # Range checks written so that NaN and inf fail them too.
+    good = ((0.0 < hs) & (hs < math.inf) & (0.0 < tp) & (tp < math.inf)
+            & (0.0 <= vw) & (vw < math.inf))
+    if not good.all():
+        raise _bad_file(path, "a value out of range")
+    if not len(body):
         raise DataError(f"{path}: no weather records")
-    logger.info("loaded %d weather records from %s", len(records), path)
-    return records
+    logger.info("loaded %d weather records from %s", len(body), path)
+    return Weather(body["index"].copy(), np.column_stack((hs, tp, vw)))
 
 
-def write_weather(path: str | Path, records: Sequence[WeatherRecord]) -> None:
-    """Write records in the shared CSV format (see fileio)."""
+def write_weather(path: str | Path, weather: Weather) -> None:
+    """Write the hours in the shared CSV format (see fileio)."""
     write_csv(path, WEATHER_COLUMNS,
-              ([r.index, float(r.hs), float(r.tp), float(r.vw)] for r in records))
+              ([index, *inputs] for index, inputs in zip(weather.index.tolist(),
+                                                         weather.inputs.tolist())))
 
 
 def _ar1_series(n: int, coeff: float, rng: np.random.Generator) -> np.ndarray:
@@ -126,7 +165,7 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return np.array([1.0 / (1.0 + math.exp(-x)) for x in z.tolist()])
 
 
-def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> list[WeatherRecord]:
+def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> Weather:
     """Generate a correlated synthetic hourly sequence inside the box.
 
     Each variable follows an independent stationary AR(1) process
@@ -136,25 +175,17 @@ def synthesize_weather(n_hours: int, box: InputBox = DEFAULT_BOX, seed: int = 0)
     """
     if n_hours < 1:
         raise ConfigurationError(f"n_hours must be >= 1, got {n_hours}")
-    columns = {}
-    for j, (name, (lo, hi)) in enumerate(box.bounds().items()):
+    columns = []
+    for j, (lo, hi) in enumerate(box.bounds().values()):
         rng = np.random.default_rng(derive_seed(seed, TAG_WEATHER, j))
-        columns[name] = lo + (hi - lo) * _logistic(_ar1_series(n_hours, AR1_COEFF, rng))
-    return [WeatherRecord(*hour) for hour in zip(
-        columns["hs"].tolist(), columns["tp"].tolist(), columns["vw"].tolist(), range(n_hours))]
+        columns.append(lo + (hi - lo) * _logistic(_ar1_series(n_hours, AR1_COEFF, rng)))
+    return Weather(np.arange(n_hours, dtype=np.int64), np.column_stack(columns))
 
 
-def sample_uniform_inputs(n: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> list[WeatherRecord]:
+def sample_uniform_inputs(n: int, box: InputBox = DEFAULT_BOX, seed: int = 0) -> Weather:
     """Draw n independent design points, each coordinate uniform on its interval."""
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(derive_seed(seed, TAG_WEATHER))
-    draws = {name: rng.uniform(lo, hi, size=n) for name, (lo, hi) in box.bounds().items()}
-    return [WeatherRecord(*hour) for hour in zip(
-        draws["hs"].tolist(), draws["tp"].tolist(), draws["vw"].tolist(), range(n))]
-
-
-def records_to_array(records: Sequence[WeatherRecord]) -> np.ndarray:
-    """Stack records into an (n, 3) array of columns (hs, tp, vw)."""
-    return np.column_stack([[r.hs for r in records], [r.tp for r in records],
-                            [r.vw for r in records]]).astype(float, copy=False)
+    draws = [rng.uniform(lo, hi, size=n) for lo, hi in box.bounds().values()]
+    return Weather(np.arange(n, dtype=np.int64), np.column_stack(draws))

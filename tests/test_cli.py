@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import platform
 import shutil
@@ -18,7 +19,7 @@ from searesponse.orderstats import usable_cpus
 from searesponse.simulator import write_sim_config
 from searesponse.surrogate import load_surrogate
 from searesponse.weather import (
-    WeatherRecord,
+    Weather,
     load_weather,
     sample_uniform_inputs,
     synthesize_weather,
@@ -214,6 +215,14 @@ class TestWeatherCommand:
         code = cli.main(["weather", "load", "--path", str(src), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_index_beyond_int64_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("index,hs,tp,vw\n12345678901234567890,3.2,11.3,1.2\n")
+        out = tmp_path / "o"
+        assert cli.main(["weather", "load", "--path", str(src), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {src}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["weather", "load", "--path", "IN"],
         ["qoi", "--source", "simulator", "--weather", "IN", "--k", "1", "--m", "1", "--seed", "1"],
@@ -381,7 +390,7 @@ class TestTrainsetCommand:
 
     def test_dropped_fits_reach_the_manifest(self, tmp_path, fast_config_path, monkeypatch):
         # Gumbel and Weibull fail on design point 2 only.
-        failing = sample_uniform_inputs(6, seed=3)[2]
+        failing = sample_uniform_inputs(6, seed=3).record(2)
         real_simulate, real_fit, current = distfit.simulate, distfit.fit_family, []
 
         def simulate(record, cfg, seeds):
@@ -559,6 +568,28 @@ class TestQoiCommand:
         assert code == 0
         assert _read_manifest(out)["config"]["mode"] == "sample"
 
+    @pytest.mark.parametrize("tp,outside", [(12.0, 0), (1.5, 1)])
+    def test_hours_outside_the_training_box_reach_the_manifest(self, tmp_path, caplog,
+                                                                 bundle_path, tp, outside):
+        # The training design covers tp in (4, 20) s; a 1.5 s hour lies
+        # outside it, where the GPs extrapolate.
+        weather = tmp_path / "weather.csv"
+        write_weather(weather, Weather(np.arange(1), np.array([[6.0, tp, 15.0]])))
+        out = tmp_path / "q"
+        with caplog.at_level(logging.WARNING, logger="searesponse.cli"):
+            code = cli.main(["qoi", "--source", "surrogate", "--k", "1", "--m", "1",
+                             "--weather", str(weather), "--seed", "2", "--bundle", bundle_path,
+                             "--out", str(out)])
+        assert code == 0
+        assert _read_manifest(out)["hours_outside_training_box"] == outside
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ([f"{weather}: 1 of 1 hours lie outside the training inputs' box "
+                             f"of {bundle_path}, where the surrogate extrapolates"]
+                            if outside else [])
+
+    def test_simulator_manifest_has_no_training_box(self, qoi_run):
+        assert "hours_outside_training_box" not in _read_manifest(Path(qoi_run))
+
     def test_each_mode_draws_its_own_reproducible_samples(self, tmp_path, bundle_path,
                                                           weather_csv):
         samples = {}
@@ -647,9 +678,9 @@ class TestQoiCommand:
     def test_weather_off_the_grid_fails_before_any_hour_runs(self, tmp_path, fast_config_path,
                                                                monkeypatch, capsys):
         # pi/dt = 6.28 rad/s on the fast grid; tp = 0.9 s peaks at 6.98 rad/s.
-        records = [WeatherRecord(hs=2.0, tp=9.0, vw=5.0, index=i) for i in range(4)]
-        records.append(WeatherRecord(hs=2.0, tp=0.9, vw=5.0, index=4))
-        write_weather(tmp_path / "weather.csv", records)
+        inputs = np.tile([2.0, 9.0, 5.0], (5, 1))
+        inputs[4, 1] = 0.9
+        write_weather(tmp_path / "weather.csv", Weather(np.arange(5), inputs))
         calls = []
         original = simulator.wave_spectrum
         monkeypatch.setattr(simulator, "wave_spectrum",

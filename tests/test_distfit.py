@@ -25,7 +25,7 @@ from searesponse.errors import (
 )
 from searesponse.seeding import TAG_SIM, derive_seed
 from searesponse.simulator import SimOutput, simulate
-from searesponse.weather import sample_uniform_inputs
+from searesponse.weather import Weather, sample_uniform_inputs
 
 from loglik import LOGLIKS, gumbel_loglik, rayleigh_loglik, weibull_loglik
 
@@ -246,8 +246,8 @@ class TestAggregateFits:
             var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
             return mean, math.sqrt(var)
 
-        for i, record in enumerate(design):
-            outs = [simulate(record, fast_sim_config, derive_seed(5, TAG_SIM, i, m))
+        for i in range(len(design)):
+            outs = [simulate(design.record(i), fast_sim_config, derive_seed(5, TAG_SIM, i, m))
                     for m in range(m_runs)]
             for family in DistFamily:
                 params = [fit_family(family, out.peaks) for out in outs]
@@ -274,11 +274,12 @@ class TestBuildTrainingTable:
 
         monkeypatch.setattr(distfit, "simulate", record_call)
         build_training_table(design, 4, fast_sim_config, seed=5)
-        assert calls == [(record, [derive_seed(5, TAG_SIM, i, m) for m in range(4)])
-                         for i, record in enumerate(design)]
+        assert calls == [(design.record(i), [derive_seed(5, TAG_SIM, i, m) for m in range(4)])
+                         for i in range(3)]
 
     def test_empty_design(self, fast_sim_config):
-        table = build_training_table([], 3, fast_sim_config, seed=1)
+        empty = Weather(np.arange(0), np.empty((0, 3)))
+        table = build_training_table(empty, 3, fast_sim_config, seed=1)
         assert table.inputs.shape == (0, 3)
         assert table.test.shape == table.l_mean.shape == table.l_std.shape == (0,)
         for family in DistFamily:
@@ -291,7 +292,7 @@ class TestBuildTrainingTable:
         assert table.test.dtype == bool and len(table.test) == 10
         assert (~table.test).sum() == 8
         assert table.test.sum() == 2
-        assert table.inputs.tolist() == [[r.hs, r.tp, r.vw] for r in design]
+        assert table.inputs.tolist() == design.inputs.tolist()
         assert (table.means[DistFamily.RAYLEIGH] > 0).all()
         assert (table.l_mean > 0).all()
 

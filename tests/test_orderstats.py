@@ -27,7 +27,7 @@ from searesponse.surrogate import (
     predict_moments_batch,
     train_surrogate,
 )
-from searesponse.weather import records_to_array, synthesize_weather
+from searesponse.weather import Weather, synthesize_weather
 
 
 class TestTopK:
@@ -98,8 +98,9 @@ class TestRunQoi:
         result = run_qoi(cfg, short_weather, fast_sim_config)
         for m in range(m_total):
             pool = np.concatenate([
-                simulate(rec, fast_sim_config, derive_seed(17, TAG_QOI, m, i)).peaks
-                for i, rec in enumerate(short_weather)
+                simulate(short_weather.record(i), fast_sim_config,
+                         derive_seed(17, TAG_QOI, m, i)).peaks
+                for i in range(len(short_weather))
             ])
             expected = np.sort(pool)[::-1][k - 1]
             assert result.yk_samples[m] == expected
@@ -132,7 +133,7 @@ class TestRunQoi:
     def test_empty_weather_is_configuration_error(self, fast_sim_config, weibull_model):
         for model in (fast_sim_config, weibull_model):
             with pytest.raises(ConfigurationError, match="at least one hour"):
-                run_qoi(QoiConfig(k=5), [], model)
+                run_qoi(QoiConfig(k=5), Weather(np.arange(0), np.empty((0, 3))), model)
 
     def test_source_follows_the_model(self, short_weather, fast_sim_config, weibull_model):
         cfg = QoiConfig(k=5, realizations=1, base_seed=1)
@@ -145,7 +146,7 @@ class TestRunQoi:
         # exceedances in hour order, lambda ((u / lambda)^k + E)^(1/k).
         cfg = QoiConfig(k=5, realizations=3, base_seed=29)
         result = run_qoi(cfg, short_weather, weibull_model)
-        moments = predict_moments_batch(weibull_model, records_to_array(short_weather))
+        moments = predict_moments_batch(weibull_model, short_weather.inputs)
         mean, std = moments.theta_mean, moments.theta_std
         floor = np.array([SHAPE_FLOOR_FACTOR, SCALE_FLOOR_FACTOR]) * np.abs(mean)
         total = 0
@@ -294,8 +295,9 @@ class TestWorkerInvariance:
     def test_insufficient_peaks_names_first_short_realization(self, monkeypatch,
                                                               fast_sim_config):
         weather = synthesize_weather(6, seed=42)
-        totals = [sum(simulate(rec, fast_sim_config, derive_seed(14, TAG_QOI, m, i)).count
-                      for i, rec in enumerate(weather)) for m in range(4)]
+        totals = [sum(simulate(weather.record(i), fast_sim_config,
+                               derive_seed(14, TAG_QOI, m, i)).count
+                      for i in range(len(weather))) for m in range(4)]
         # k = realization 0's total: realizations below it are short, and
         # the first of them is named.
         first_short = next(m for m, total in enumerate(totals) if total < totals[0])

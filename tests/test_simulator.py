@@ -10,6 +10,8 @@ from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
     SimConfig,
+    _check_sea_state,
+    _check_wind,
     check_weather,
     extract_peaks,
     load_sim_config,
@@ -19,7 +21,7 @@ from searesponse.simulator import (
     wind_moment,
     write_sim_config,
 )
-from searesponse.weather import WeatherRecord
+from searesponse.weather import Weather, WeatherRecord
 
 
 class TestWaveSpectrum:
@@ -252,14 +254,42 @@ class TestCheckWeather:
         ("vw", float("inf"), "hour 2: vw must be non-negative and finite, got inf"),
     ])
     def test_first_bad_hour_is_named(self, fast_sim_config, field, value, message):
-        weather = [WeatherRecord(hs=2.0, tp=9.0, vw=5.0, index=i) for i in range(4)]
-        weather[2] = weather[2]._replace(**{field: value})
-        weather[3] = WeatherRecord(hs=-1.0, tp=9.0, vw=5.0, index=3)
+        inputs = np.tile([2.0, 9.0, 5.0], (4, 1))
+        inputs[2, ("hs", "tp", "vw").index(field)] = value
+        inputs[3, 0] = -1.0
         with pytest.raises(ConfigurationError, match=message):
-            check_weather(weather, fast_sim_config)
+            check_weather(Weather(np.arange(4), inputs), fast_sim_config)
+
+    def test_matches_the_hour_loop(self, fast_sim_config):
+        # The vectorized pass names the hour, and gives the message, that
+        # the per-hour checks of simulate give first, near the grid's top too.
+        top = fast_sim_config.omega_grid[-1]
+        tp_edge = 2.0 * np.pi / top
+        specials = [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0, 5e-324, 0.9,
+                    tp_edge, np.nextafter(tp_edge, 0.0), np.nextafter(tp_edge, np.inf)]
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            inputs = np.tile([2.0, 9.0, 5.0], (12, 1))
+            hit = rng.random(inputs.shape) < 0.05
+            inputs[hit] = rng.choice(specials, size=hit.sum())
+            expected = None
+            for i, (hs, tp, vw) in enumerate(inputs.tolist()):
+                try:
+                    _check_sea_state(hs, tp, top)
+                    _check_wind(vw)
+                except ConfigurationError as exc:
+                    expected = f"design point {i}: {exc}"
+                    break
+            try:
+                check_weather(Weather(np.arange(12), inputs), fast_sim_config,
+                              label="design point")
+                got = None
+            except ConfigurationError as exc:
+                got = str(exc)
+            assert got == expected
 
     def test_values_on_the_bounds_pass(self, fast_sim_config):
-        check_weather([WeatherRecord(hs=0.0, tp=1.0, vw=0.0, index=0)], fast_sim_config)
+        check_weather(Weather(np.arange(1), np.array([[0.0, 1.0, 0.0]])), fast_sim_config)
 
 
 class TestSimConfig:

@@ -16,6 +16,7 @@ from searesponse.surrogate import (
     evaluate_surrogate,
     exceedance_threshold,
     generate_from_moments,
+    hours_outside_training_box,
     load_surrogate,
     predict_moments_batch,
     save_surrogate,
@@ -23,7 +24,6 @@ from searesponse.surrogate import (
 )
 from searesponse.weather import (
     WeatherRecord,
-    records_to_array,
     sample_uniform_inputs,
     synthesize_weather,
 )
@@ -158,7 +158,7 @@ class TestPredictParams:
 
     def test_point_mode_theta_equals_gp_predict(self, small_table):
         model = train_surrogate(small_table, DistFamily.RAYLEIGH, RESTARTS, seed=7)
-        inputs = records_to_array(sample_uniform_inputs(12, seed=41))
+        inputs = sample_uniform_inputs(12, seed=41).inputs
         result, _ = draw(DistFamily.RAYLEIGH, predict_moments_batch(model, inputs), MODE_POINT, seed=5)
         expected, _ = gp.predict_batch(model.models["sigma"], inputs)
         np.testing.assert_array_equal(result.theta[:, 0], expected)
@@ -285,7 +285,7 @@ NUMPY_SAMPLERS = {
 def weather_moments(family, n_hours=24, seed=73):
     """Moments over a short synthetic weather set: the parameter surfaces of
     synthetic_table with a 10% predictive std, and L near 300 per hour."""
-    hs, tp, _ = records_to_array(synthesize_weather(n_hours, seed=seed)).T
+    hs, tp, _ = synthesize_weather(n_hours, seed=seed).inputs.T
     sigma = 1000.0 * hs + 50.0 * tp
     theta = {
         DistFamily.GUMBEL: [0.9 * sigma, 0.5 * sigma],
@@ -390,7 +390,7 @@ class TestThresholdDraw:
 
 class TestBatchedMoments:
     def test_batch_equals_per_record_generation(self, rayleigh_model):
-        inputs = records_to_array(sample_uniform_inputs(8, seed=77))
+        inputs = sample_uniform_inputs(8, seed=77).inputs
         batch = predict_moments_batch(rayleigh_model, inputs)
         rows = [predict_moments_batch(rayleigh_model, x) for x in inputs]
         per_record = SurrogateMoments(*(np.concatenate(parts) for parts in zip(*rows)))
@@ -400,6 +400,18 @@ class TestBatchedMoments:
         _, direct = draw(DistFamily.RAYLEIGH, per_record, MODE_SAMPLE, seed=900)
         _, batched = draw(DistFamily.RAYLEIGH, batch, MODE_SAMPLE, seed=900)
         np.testing.assert_allclose(direct, batched, rtol=1e-9)
+
+
+class TestTrainingBox:
+    def test_counts_rows_outside_the_training_inputs(self, small_table, rayleigh_model):
+        # The training rows themselves, the box's edges included, are inside.
+        train = small_table.inputs[~small_table.test & small_table.usable(DistFamily.RAYLEIGH)]
+        assert hours_outside_training_box(rayleigh_model, train) == 0
+        beyond = train.copy()
+        beyond[0, 0] = train[:, 0].max() + 0.1
+        beyond[1, 2] = train[:, 2].min() - 0.1
+        beyond[2, 1:] = train[:, 1].max() + 0.1, train[:, 2].max() + 0.1
+        assert hours_outside_training_box(rayleigh_model, beyond) == 3
 
 
 class TestDistributionalMatch:
@@ -456,7 +468,7 @@ class TestBundlePersistence:
         manifest = json.loads((tmp_path / "bundle" / "bundle.json").read_text())
         assert manifest["format_version"] == 2
         assert "mode" not in manifest
-        inputs = records_to_array(sample_uniform_inputs(6, seed=31))
+        inputs = sample_uniform_inputs(6, seed=31).inputs
         for a, b in zip(predict_moments_batch(rayleigh_model, inputs),
                         predict_moments_batch(loaded, inputs)):
             np.testing.assert_array_equal(a, b)
