@@ -5,7 +5,7 @@ Inputs and targets are z-scored internally; per-point noise variances are
 rescaled accordingly. Inference is a dense Cholesky factorization of
 K + diag(noise) + jitter*I, with jitter escalating from 1e-8 of the mean
 diagonal by factors of 100 (at most 3 times) on factorization failure.
-A trained model keeps the Cholesky factor L and its inverse, so that
+A trained model keeps the inverse L^{-1} of the Cholesky factor L, so that
 prediction needs matrix products only.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 scipy's bounded quasi-Newton L-BFGS-B over log-parameters, restarted from
@@ -73,8 +73,7 @@ class GPModel:
     input_scale: np.ndarray
     target_mean: float
     target_scale: float
-    factor: np.ndarray            # lower-triangular Cholesky factor L
-    factor_inverse: np.ndarray    # L^{-1}, lower-triangular
+    factor_inverse: np.ndarray    # L^{-1}, L the lower Cholesky factor of K + D + jitter I
     weights: np.ndarray           # (K + D + jitter I)^{-1} y, standardized
     jitter: float
 
@@ -147,7 +146,7 @@ def _assemble(kernel: KernelParams, inputs_std: np.ndarray, targets_std: np.ndar
         kernel=kernel, train_inputs=inputs_std, train_targets=targets_std,
         noise_variances=noise_std, input_mean=input_mean, input_scale=input_scale,
         target_mean=target_mean, target_scale=target_scale,
-        factor=factor, factor_inverse=factor_inverse, weights=weights, jitter=jitter,
+        factor_inverse=factor_inverse, weights=weights, jitter=jitter,
     )
 
 

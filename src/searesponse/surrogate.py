@@ -4,14 +4,14 @@ peak count from weather inputs, then regenerate synthetic peak samples.
 One GP per target (target_names: each distribution parameter, then the
 count L), trained on the table's per-point means with the per-point
 standard deviations squared as heteroscedastic noise. predict_moments_batch
-evaluates every GP once over a weather sequence; generate_from_moments then
-draws one realization over the whole sequence from a single generator, in
-the run's mode: parameters are the posterior means ("point"), drawn per
-hour from each GP's predictive Gaussian ("sample"), or shifted once per
+evaluates every GP once, into (n, p+1) mean and std arrays in target order;
+evaluate_surrogate scores them on test rows. generate_from_moments draws
+one realization over a weather sequence from a single generator, in the
+run's mode: parameters are the posterior means ("point"), drawn per hour
+from each GP's predictive Gaussian ("sample"), or shifted once per
 realization ("frozen"). Only the peaks that can reach the top k are drawn,
-over a threshold (Coles, An Introduction to Statistical Modeling of
-Extreme Values, 2001, ch. 4), which leaves the law of the k largest
-unchanged.
+over a threshold (Coles, An Introduction to Statistical Modeling of Extreme
+Values, 2001, ch. 4), which leaves the law of the k largest unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ THRESHOLD_BISECTIONS = 60
 # parameters (Gumbel mu) are unconstrained (None).
 SCALE_FLOOR_FACTOR = 1e-6
 SHAPE_FLOOR_FACTOR = 0.1
+
+Z95 = 1.959963984540054   # standard-normal 0.975 quantile: mean +- Z95 std covers 95%
 
 _FLOOR_FACTORS: dict[DistFamily, tuple] = {
     DistFamily.GUMBEL: (None, SCALE_FLOOR_FACTOR),
@@ -126,15 +128,6 @@ def train_surrogate(table: TrainingTable, family: DistFamily, restarts: int = 5,
     return SurrogateModel(family, models)
 
 
-class SurrogateMoments(NamedTuple):
-    """GP predictive moments over a sequence of weather hours."""
-
-    theta_mean: np.ndarray   # (n_hours, p), one column per parameter
-    theta_std: np.ndarray
-    l_mean: np.ndarray       # (n_hours,)
-    l_std: np.ndarray
-
-
 class SurrogateDraw(NamedTuple):
     """The parameters and counts one realization drew, per hour, and its
     peaks that can be among the k largest."""
@@ -144,17 +137,15 @@ class SurrogateDraw(NamedTuple):
     peaks: np.ndarray        # (n,), in no particular order
 
 
-def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray) -> SurrogateMoments:
-    """Predictive moments of every target over an (n, 3) input array, one
+def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray,
+                          include_noise: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive (mean, std) of every target over an (n, 3) input array:
+    two (n, p+1) arrays whose column j is target_names(family)[j], from one
     predict_batch call per GP."""
-    inputs = np.atleast_2d(inputs)
-    moments = [predict_batch(gp_model, inputs) for gp_model in model.models.values()]
-    l_mean, l_std = moments.pop()
-    return SurrogateMoments(
-        theta_mean=np.column_stack([mean for mean, _ in moments]),
-        theta_std=np.column_stack([std for _, std in moments]),
-        l_mean=l_mean, l_std=l_std,
-    )
+    moments = [predict_batch(gp_model, inputs, include_noise=include_noise)
+               for gp_model in model.models.values()]
+    return (np.column_stack([mean for mean, _ in moments]),
+            np.column_stack([std for _, std in moments]))
 
 
 def hours_outside_training_box(model: SurrogateModel, inputs: np.ndarray) -> int:
@@ -192,10 +183,10 @@ def exceedance_threshold(hazard: Hazard, theta: np.ndarray, counts: np.ndarray,
     return hi
 
 
-def generate_from_moments(family: DistFamily, moments: SurrogateMoments, mode: str,
+def generate_from_moments(family: DistFamily, moments: tuple[np.ndarray, np.ndarray], mode: str,
                           rng: np.random.Generator, k: int) -> SurrogateDraw:
-    """Draw one realization over all hours of `moments`: its peaks that can
-    be among the k largest.
+    """Draw one realization over all hours of `moments`, the (mean, std)
+    pair of predict_moments_batch: its peaks that can be among the k largest.
 
     From the one generator `rng`, in this order: the parameter shifts
     (frozen mode), theta for all hours (sample mode), all counts, the
@@ -213,7 +204,8 @@ def generate_from_moments(family: DistFamily, moments: SurrogateMoments, mode: s
     least k; otherwise the other peaks are drawn below u by the inverse CDF
     on [0, F_h(u)], completing the stream.
     """
-    mean, std = moments.theta_mean, moments.theta_std
+    mean, std = (m[:, :-1] for m in moments)
+    l_mean, l_std = (m[:, -1] for m in moments)
     factors = _FLOOR_FACTORS[family]
     floor = np.where([f is not None for f in factors],
                      np.array([f or 0.0 for f in factors]) * np.abs(mean), -np.inf)
@@ -226,7 +218,7 @@ def generate_from_moments(family: DistFamily, moments: SurrogateMoments, mode: s
         low = theta < floor
         theta[low] = rng.normal(mean[low], std[low])
     theta = np.maximum(theta, floor)
-    counts = np.maximum(np.rint(rng.normal(moments.l_mean, moments.l_std)), 0.0).astype(np.int64)
+    counts = np.maximum(np.rint(rng.normal(l_mean, l_std)), 0.0).astype(np.int64)
     hazard = family.hazard
     with np.errstate(over="ignore", divide="ignore"):
         u = exceedance_threshold(hazard, theta, counts, EXCEEDANCE_TARGET_PER_K * k)
@@ -253,32 +245,27 @@ class TargetEval:
     coverage95: float
 
 
-def interval_coverage(true: np.ndarray, mean: np.ndarray, std: np.ndarray,
-                      z: float = 1.959963984540054) -> float:
-    """Fraction of true values inside the central 95% predictive interval."""
-    return float(np.mean(np.abs(true - mean) <= z * std))
-
-
 def evaluate_surrogate(model: SurrogateModel, table: TrainingTable,
                        include_noise: bool = False) -> list[TargetEval]:
     """Predicted-vs-true comparison of every GP target on the table's test
     rows.
 
     Rows missing the model's family fits are skipped. Each target reports
-    RMSE and the empirical coverage of the 95% predictive interval.
+    RMSE and the empirical coverage of the 95% predictive interval
+    mean +- Z95 std.
     """
     rows = table.test & table.usable(model.family)
     if not rows.any():
         raise InsufficientDataError(f"no usable test rows with {model.family.value} fits")
-    inputs = table.inputs[rows]
     truths, _ = target_table(table, model.family, rows)
+    means, stds = predict_moments_batch(model, table.inputs[rows], include_noise=include_noise)
     out = []
-    for j, (name, gp_model) in enumerate(model.models.items()):
-        mean, std = predict_batch(gp_model, inputs, include_noise=include_noise)
-        true = truths[:, j]
+    for j, name in enumerate(model.models):
+        true, mean, std = truths[:, j], means[:, j], stds[:, j]
         rmse = float(np.sqrt(np.mean((true - mean) ** 2)))
+        coverage = float(np.mean(np.abs(true - mean) <= Z95 * std))
         out.append(TargetEval(target=name, true=true, pred_mean=mean, pred_std=std,
-                              rmse=rmse, coverage95=interval_coverage(true, mean, std)))
+                              rmse=rmse, coverage95=coverage))
     return out
 
 

@@ -495,6 +495,28 @@ class TestEvalCommand:
             assert stats["rmse"] >= 0.0
             assert 0.0 <= stats["coverage95"] <= 1.0
 
+    def test_include_noise_widens_only_the_std(self, tmp_path, table_path, bundle_path):
+        # The same bundle and table with and without --include-noise: the
+        # truths and means keep their bytes; each std and coverage can only grow.
+        plain, noisy = tmp_path / "plain", tmp_path / "noisy"
+        for out, flags in ((plain, []), (noisy, ["--include-noise"])):
+            assert cli.main(["eval", "--table", table_path, "--bundle", bundle_path,
+                             "--out", str(out), *flags]) == 0
+        for target in ("sigma", "l_count"):
+            plain_rows, noisy_rows = (
+                [line.split(",") for line in (out / f"eval_{target}.csv").read_text().splitlines()]
+                for out in (plain, noisy))
+            assert noisy_rows[0] == ["true", "pred_mean", "pred_std"]
+            assert [row[:2] for row in noisy_rows] == [row[:2] for row in plain_rows]
+            plain_std, noisy_std = (np.array([float(row[2]) for row in rows[1:]])
+                                    for rows in (plain_rows, noisy_rows))
+            assert (noisy_std >= plain_std).all() and (noisy_std > plain_std).any()
+        plain_summary, noisy_summary = (json.loads((out / "eval_summary.json").read_text())
+                                        for out in (plain, noisy))
+        assert noisy_summary["n_test"] == plain_summary["n_test"]
+        for target, stats in plain_summary["targets"].items():
+            assert noisy_summary["targets"][target]["coverage95"] >= stats["coverage95"]
+
     def test_test_rows_without_fits_are_counted(self, tmp_path, table_path, bundle_path,
                                                 caplog):
         table = load_training_table(table_path)

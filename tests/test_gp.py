@@ -9,7 +9,7 @@ from searesponse import gp
 from searesponse.distfit import DistFamily
 from searesponse.errors import ConfigurationError, NumericError
 from searesponse.orderstats import MODE_SAMPLE
-from searesponse.surrogate import SurrogateMoments, generate_from_moments, train_surrogate
+from searesponse.surrogate import generate_from_moments, train_surrogate
 
 
 def make_dataset(rng, n, noise=0.05, d=3):
@@ -17,6 +17,12 @@ def make_dataset(rng, n, noise=0.05, d=3):
     y = np.sin(x[:, 0]) + 0.3 * x[:, 1] - 0.1 * (x[:, 2] - 5.0) ** 2 + rng.normal(0, noise, n)
     nv = np.full(n, noise**2)
     return x, y, nv
+
+
+def covariance_system(model):
+    """The model's K + diag(noise) + jitter I, in standardized units."""
+    gram = gp.matern52_matrix(model.train_inputs, model.train_inputs, model.kernel)
+    return gram + np.diag(model.noise_variances) + model.jitter * np.eye(len(gram))
 
 
 # LML reached by the coordinate-wise golden-section search that L-BFGS-B
@@ -49,9 +55,7 @@ def matern52(x, y, params):
 
 def dense_oracle(model, x):
     """Reference posterior via an explicit matrix inverse."""
-    gram = gp.matern52_matrix(model.train_inputs, model.train_inputs, model.kernel)
-    system = gram + np.diag(model.noise_variances) + model.jitter * np.eye(len(gram))
-    inv = np.linalg.inv(system)
+    inv = np.linalg.inv(covariance_system(model))
     xs = (np.asarray(x, dtype=float) - model.input_mean) / model.input_scale
     ks = gp.matern52_matrix(model.train_inputs, xs[None, :], model.kernel).ravel()
     mean_std = ks @ inv @ model.train_targets
@@ -150,18 +154,19 @@ class TestTrain:
     def test_factor_reconstructs_covariance(self, rng):
         x, y, nv = make_dataset(rng, 40)
         model = gp.train(x, y, nv, gp.KernelParams(1.2, (1.0, 2.0, 1.5)))
-        gram = gp.matern52_matrix(model.train_inputs, model.train_inputs, model.kernel)
-        target = gram + np.diag(model.noise_variances) + model.jitter * np.eye(len(gram))
-        rebuilt = model.factor @ model.factor.T
+        target = covariance_system(model)
+        factor = cholesky(target, lower=True)
+        rebuilt = factor @ factor.T
         rel = np.linalg.norm(rebuilt - target) / np.linalg.norm(target)
         assert rel < 1e-8
+        # The model keeps the inverse of this factor for prediction.
+        np.testing.assert_allclose(model.factor_inverse @ factor, np.eye(len(factor)),
+                                   rtol=0.0, atol=1e-8)
 
     def test_weights_solve_system(self, rng):
         x, y, nv = make_dataset(rng, 30)
         model = gp.train(x, y, nv, gp.KernelParams(1.0, (1.0, 1.0, 1.0)))
-        gram = gp.matern52_matrix(model.train_inputs, model.train_inputs, model.kernel)
-        system = gram + np.diag(model.noise_variances) + model.jitter * np.eye(len(gram))
-        residual = np.linalg.norm(system @ model.weights - model.train_targets)
+        residual = np.linalg.norm(covariance_system(model) @ model.weights - model.train_targets)
         assert residual / np.linalg.norm(model.train_targets) < 1e-8
 
 
@@ -244,9 +249,7 @@ def posterior_draws(model, q, seed, n=1):
     sampling path: the GP's moments at q serve as a Gumbel location (a
     parameter without a floor) at each of n hours of one realization."""
     [mean], [std] = gp.predict_batch(model, q)
-    moments = SurrogateMoments(theta_mean=np.tile([mean, 1.0], (n, 1)),
-                               theta_std=np.tile([std, 0.0], (n, 1)),
-                               l_mean=np.zeros(n), l_std=np.zeros(n))
+    moments = np.tile([mean, 1.0, 0.0], (n, 1)), np.tile([std, 0.0, 0.0], (n, 1))
     draw = generate_from_moments(DistFamily.GUMBEL, moments, MODE_SAMPLE,
                                  np.random.default_rng(seed), k=1)
     return draw.theta[:, 0]
@@ -440,8 +443,9 @@ class TestFitHyperparams:
 
 def longdouble_variance(model, points_std):
     """Epistemic variance sv - |v|^2 with L v = k* solved by forward
-    substitution in np.longdouble, from the model's float64 factor."""
-    factor = model.factor.astype(np.longdouble)
+    substitution in np.longdouble, from the float64 Cholesky factor of the
+    model's covariance system."""
+    factor = cholesky(covariance_system(model), lower=True).astype(np.longdouble)
     kstar = gp.matern52_matrix(model.train_inputs, points_std, model.kernel).astype(np.longdouble)
     v = np.empty_like(kstar)
     for i in range(len(factor)):
@@ -463,7 +467,7 @@ class TestPredictAcrossBlocks:
 
     def test_factor_is_ill_conditioned(self, ill_conditioned):
         model, points = ill_conditioned
-        assert np.linalg.cond(model.factor) >= 1e3
+        assert np.linalg.cond(cholesky(covariance_system(model), lower=True)) >= 1e3
         assert len(points) > 2 * gp.PREDICT_BLOCK_ROWS
 
     def test_variance_matches_extended_precision(self, ill_conditioned):

@@ -146,8 +146,9 @@ class TestRunQoi:
         # exceedances in hour order, lambda ((u / lambda)^k + E)^(1/k).
         cfg = QoiConfig(k=5, realizations=3, base_seed=29)
         result = run_qoi(cfg, short_weather, weibull_model)
-        moments = predict_moments_batch(weibull_model, short_weather.inputs)
-        mean, std = moments.theta_mean, moments.theta_std
+        mean, std = predict_moments_batch(weibull_model, short_weather.inputs)
+        l_mean, l_std = mean[:, 2], std[:, 2]
+        mean, std = mean[:, :2], std[:, :2]
         floor = np.array([SHAPE_FLOOR_FACTOR, SCALE_FLOOR_FACTOR]) * np.abs(mean)
         total = 0
         for m in range(3):
@@ -156,7 +157,7 @@ class TestRunQoi:
             for i, j in zip(*np.nonzero(theta < floor)):
                 theta[i, j] = rng.normal(mean[i, j], std[i, j])
             theta = np.maximum(theta, floor)
-            counts = np.maximum(np.rint(rng.normal(moments.l_mean, moments.l_std)), 0).astype(int)
+            counts = np.maximum(np.rint(rng.normal(l_mean, l_std)), 0).astype(int)
             u = exceedance_threshold(DistFamily.WEIBULL.hazard, theta, counts,
                                      EXCEEDANCE_TARGET_PER_K * 5)
             shape, scale = theta[:, 0], theta[:, 1]

@@ -12,7 +12,6 @@ from searesponse.orderstats import MODE_FROZEN, MODE_POINT, MODE_SAMPLE
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
     SCALE_FLOOR_FACTOR,
-    SurrogateMoments,
     evaluate_surrogate,
     exceedance_threshold,
     generate_from_moments,
@@ -35,13 +34,8 @@ RESTARTS = 2
 
 def fixed_moments(theta, l_moments, n_hours=1):
     """The same (mean, std) per parameter and for L at every hour."""
-    theta = np.asarray(theta, dtype=float)
-    return SurrogateMoments(
-        theta_mean=np.tile(theta[:, 0], (n_hours, 1)),
-        theta_std=np.tile(theta[:, 1], (n_hours, 1)),
-        l_mean=np.full(n_hours, float(l_moments[0])),
-        l_std=np.full(n_hours, float(l_moments[1])),
-    )
+    targets = np.array([*theta, l_moments], dtype=float)   # (p+1, 2)
+    return np.tile(targets[:, 0], (n_hours, 1)), np.tile(targets[:, 1], (n_hours, 1))
 
 
 # A k beyond every count in these tests: the threshold sits at the bottom of
@@ -253,7 +247,8 @@ class TestGenerateResponses:
         moments = moments_at(rayleigh_model, [4.0, 10.0, 2.0], [6.0, 12.0, 8.0])
         result, _ = draw(DistFamily.RAYLEIGH, moments, MODE_FROZEN, seed=1)
         shift = np.random.default_rng(1).standard_normal(1)
-        expected = moments.theta_mean + shift * moments.theta_std
+        mean, std = moments
+        expected = mean[:, :-1] + shift * std[:, :-1]
         np.testing.assert_allclose(result.theta, expected, rtol=1e-12)
 
 
@@ -293,8 +288,8 @@ def weather_moments(family, n_hours=24, seed=73):
         DistFamily.WEIBULL: [2.0 + 0.05 * hs, sigma * math.sqrt(2.0)],
     }[family]
     theta_mean = np.column_stack(theta)
-    return SurrogateMoments(theta_mean=theta_mean, theta_std=0.1 * theta_mean,
-                            l_mean=300.0 + 10.0 * hs, l_std=np.full(n_hours, 20.0))
+    return (np.column_stack([theta_mean, 300.0 + 10.0 * hs]),
+            np.column_stack([0.1 * theta_mean, np.full(n_hours, 20.0)]))
 
 
 def full_draw_yk(family, moments, mode, rng, k):
@@ -389,11 +384,22 @@ class TestThresholdDraw:
 
 
 class TestBatchedMoments:
+    @pytest.mark.parametrize("include_noise", [False, True])
+    def test_columns_are_the_targets_in_order(self, rayleigh_model, include_noise):
+        inputs = sample_uniform_inputs(8, seed=77).inputs
+        means, stds = predict_moments_batch(rayleigh_model, inputs, include_noise=include_noise)
+        assert means.shape == stds.shape == (8, 2)
+        for j, name in enumerate(surrogate.target_names(DistFamily.RAYLEIGH)):
+            mean, std = gp.predict_batch(rayleigh_model.models[name], inputs,
+                                         include_noise=include_noise)
+            assert means[:, j].tobytes() == mean.tobytes()
+            assert stds[:, j].tobytes() == std.tobytes()
+
     def test_batch_equals_per_record_generation(self, rayleigh_model):
         inputs = sample_uniform_inputs(8, seed=77).inputs
         batch = predict_moments_batch(rayleigh_model, inputs)
         rows = [predict_moments_batch(rayleigh_model, x) for x in inputs]
-        per_record = SurrogateMoments(*(np.concatenate(parts) for parts in zip(*rows)))
+        per_record = tuple(np.concatenate(parts) for parts in zip(*rows))
         # Batch shapes change BLAS rounding, and the std carries cancellation.
         for a, b in zip(batch, per_record):
             np.testing.assert_allclose(a, b, rtol=1e-9)
