@@ -3,7 +3,9 @@ construction.
 
 The M simulator runs of one design point come from one `simulate` call
 with M seeds. Each run is fitted with Gumbel, Rayleigh, and Weibull
-distributions; the M per-run parameter estimates at one design point are
+distributions, the M runs of a point together: one family's M fits are
+one Newton iteration over the M samples laid end to end in one flat
+array. The M per-run parameter estimates at one design point are
 aggregated into means and standard deviations (the Table-style training
 schema), with the standard deviations later serving as per-point noise
 levels for the surrogate GPs.
@@ -118,22 +120,44 @@ class TrainingTable:
         return np.isfinite(self.means[family]).all(axis=1) & np.isfinite(self.stds[family]).all(axis=1)
 
 
-def _check_sample(data: np.ndarray, positive: bool) -> np.ndarray:
-    data = np.asarray(data, dtype=float).ravel()
-    if len(data) < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {len(data)}")
-    if positive and np.any(data <= 0.0):
-        raise DomainError("all observations must be positive")
-    return data
+class _Runs(NamedTuple):
+    """M samples laid end to end: the flat values, each run's start offset
+    and each run's length."""
+
+    flat: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-run sums of a flat array, each in sequence."""
+        return np.add.reduceat(values, self.starts)
+
+    def spread(self, per_run: np.ndarray) -> np.ndarray:
+        """A per-run array broadcast to the flat layout."""
+        return np.repeat(per_run, self.lengths)
 
 
-def fit_rayleigh(data: Sequence[float]) -> tuple[float]:
-    """Closed-form Rayleigh MLE: (sigma,) with sigma = sqrt(sum(x^2) / (2n))."""
-    x = _check_sample(np.asarray(data), positive=True)
-    return (math.sqrt(float(np.sum(x * x)) / (2.0 * len(x))),)
+def _newton(step: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, name: str) -> np.ndarray:
+    """Iterate theta <- step(theta) over all runs at once; each run stops
+    when its relative change is below NEWTON_TOL and keeps that value while
+    the others iterate."""
+    active = np.ones(len(theta), dtype=bool)
+    for _ in range(NEWTON_MAX_ITER):
+        new = step(theta)
+        done = np.abs(new - theta) < NEWTON_TOL * theta
+        theta = np.where(active, new, theta)
+        active &= ~done
+        if not active.any():
+            return theta
+    raise NumericError(f"{name} MLE did not converge")
 
 
-def fit_gumbel(data: Sequence[float]) -> tuple[float, float]:
+def _fit_rayleigh_runs(runs: _Runs) -> np.ndarray:
+    """Closed-form Rayleigh MLE: sigma = sqrt(sum(x^2) / (2n))."""
+    return np.sqrt(runs.sums(runs.flat * runs.flat) / (2.0 * runs.lengths))[:, None]
+
+
+def _fit_gumbel_runs(runs: _Runs) -> np.ndarray:
     """Gumbel MLE (mu, beta) by Newton iteration on the scale.
 
     The scale equation g(beta) = beta - mean(x) + sum(x w)/sum(w) with
@@ -141,85 +165,106 @@ def fit_gumbel(data: Sequence[float]) -> tuple[float, float]:
     Newton from the moment initializer beta0 = s*sqrt(6)/pi converges to the
     unique root; the location then follows in closed form.
     """
-    x = _check_sample(np.asarray(data), positive=False)
-    xbar = float(np.mean(x))
-    s = float(np.std(x, ddof=1))
-    if s == 0.0:
-        raise DegenerateFitError("constant data: Gumbel scale would be zero")
-    beta = s * math.sqrt(6.0) / math.pi
-    x0 = float(np.min(x))
-    shifted = x - x0
-    trace = [beta]
-    for _ in range(NEWTON_MAX_ITER):
-        w = np.exp(-shifted / beta)
-        total = float(np.sum(w))
-        mean_w = float(np.sum(x * w)) / total
-        var_w = float(np.sum((x - mean_w) ** 2 * w)) / total
-        g = beta - xbar + mean_w
-        gprime = 1.0 + var_w / (beta * beta)
-        step = g / gprime
-        new_beta = beta - step
-        if new_beta <= 0.0:
-            new_beta = beta / 2.0
-        trace.append(new_beta)
-        if abs(new_beta - beta) < NEWTON_TOL * beta:
-            beta = new_beta
-            break
-        beta = new_beta
-    else:
-        raise NumericError("Gumbel MLE did not converge", trace=trace)
-    mu = x0 - beta * math.log(float(np.mean(np.exp(-shifted / beta))))
-    return mu, beta
+    x, n = runs.flat, runs.lengths
+    xbar = runs.sums(x) / n
+    dev = x - runs.spread(xbar)
+    s = np.sqrt(runs.sums(dev * dev) / (n - 1))
+    x0 = np.minimum.reduceat(x, runs.starts)
+    neg_shifted = runs.spread(x0) - x
+
+    def step(beta):
+        w = np.exp(neg_shifted / runs.spread(beta))
+        total = runs.sums(w)
+        mean_w = runs.sums(x * w) / total
+        dev = x - runs.spread(mean_w)
+        var_w = runs.sums(dev * dev * w) / total
+        new = beta - (beta - xbar + mean_w) / (1.0 + var_w / (beta * beta))
+        return np.where(new <= 0.0, beta / 2.0, new)
+
+    beta = _newton(step, s * math.sqrt(6.0) / math.pi, "Gumbel")
+    mu = x0 - beta * np.log(runs.sums(np.exp(neg_shifted / runs.spread(beta))) / n)
+    return np.column_stack((mu, beta))
 
 
-def fit_weibull(data: Sequence[float]) -> tuple[float, float]:
+def _fit_weibull_runs(runs: _Runs) -> np.ndarray:
     """Weibull MLE (k, lambda): Newton on the shape profile equation, scale
     closed-form.
 
     Works on centered log-data, so the profile equation is scale-invariant
     and safe against overflow; the shape is capped at 100.
     """
-    x = _check_sample(np.asarray(data), positive=True)
-    logx = np.log(x)
-    center = float(np.mean(logx))
-    t = logx - center
-    s_log = float(np.std(t, ddof=1))
-    if s_log == 0.0:
-        raise DegenerateFitError("constant data: Weibull fit is degenerate")
-    k = min(math.pi / (s_log * math.sqrt(6.0)), WEIBULL_SHAPE_CAP)
-    trace = [k]
-    for _ in range(NEWTON_MAX_ITER):
-        e = np.exp(k * t)
-        a = float(np.mean(e))
-        b = float(np.mean(t * e))
-        c = float(np.mean(t * t * e))
+    n = runs.lengths
+    logx = np.log(runs.flat)
+    center = runs.sums(logx) / n
+    t = logx - runs.spread(center)
+    tt = t * t
+    s_log = np.sqrt(runs.sums(tt) / (n - 1))
+
+    def step(k):
+        e = np.exp(runs.spread(k) * t)
+        a = runs.sums(e) / n
+        b = runs.sums(t * e) / n
+        c = runs.sums(tt * e) / n
         f = b / a - 1.0 / k  # mean(t) = 0 by construction
         fprime = (c * a - b * b) / (a * a) + 1.0 / (k * k)
-        new_k = k - f / fprime
-        if new_k <= 0.0:
-            new_k = k / 2.0
-        new_k = min(new_k, WEIBULL_SHAPE_CAP)
-        trace.append(new_k)
-        if abs(new_k - k) < NEWTON_TOL * k:
-            k = new_k
-            break
-        k = new_k
-    else:
-        raise NumericError("Weibull MLE did not converge", trace=trace)
-    lam = math.exp(center) * float(np.mean(np.exp(k * t))) ** (1.0 / k)
-    return k, lam
+        new = k - f / fprime
+        return np.minimum(np.where(new <= 0.0, k / 2.0, new), WEIBULL_SHAPE_CAP)
+
+    k = _newton(step, np.minimum(math.pi / (s_log * math.sqrt(6.0)), WEIBULL_SHAPE_CAP),
+                "Weibull")
+    lam = np.exp(center) * (runs.sums(np.exp(runs.spread(k) * t)) / n) ** (1.0 / k)
+    return np.column_stack((k, lam))
 
 
 _FITTERS = {
-    DistFamily.GUMBEL: fit_gumbel,
-    DistFamily.RAYLEIGH: fit_rayleigh,
-    DistFamily.WEIBULL: fit_weibull,
+    DistFamily.GUMBEL: _fit_gumbel_runs,
+    DistFamily.RAYLEIGH: _fit_rayleigh_runs,
+    DistFamily.WEIBULL: _fit_weibull_runs,
 }
 
 
-def fit_family(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
-    """The family's MLE parameters, ordered as family.param_names."""
-    return _FITTERS[family](data)
+def fit_family(family: DistFamily, runs: Sequence[Sequence[float]]) -> np.ndarray:
+    """The family's MLE parameters for each of the M samples in runs, an
+    (M, p) array whose columns are ordered as family.param_names.
+
+    All M samples are fitted together, on one flat array, by one Newton
+    iteration. Every sample needs at least 2 values, all positive for
+    Rayleigh and Weibull and not all equal for Gumbel and Weibull; one
+    sample that breaks a rule fails the whole call.
+    """
+    samples = [np.asarray(r, dtype=float).ravel() for r in runs]
+    if not samples:
+        raise InsufficientDataError("need at least one sample")
+    lengths = np.array([len(x) for x in samples])
+    if lengths.min() < 2:
+        raise InsufficientDataError(f"need at least 2 observations, got {lengths.min()}")
+    flat = np.concatenate(samples)
+    if family is not DistFamily.GUMBEL and np.any(flat <= 0.0):
+        raise DomainError("all observations must be positive")
+    starts = np.cumsum(lengths) - lengths
+    if family is not DistFamily.RAYLEIGH and np.any(
+            np.maximum.reduceat(flat, starts) == np.minimum.reduceat(flat, starts)):
+        raise DegenerateFitError(f"constant data: {family.value} fit is degenerate")
+    return _FITTERS[family](_Runs(flat, starts, lengths))
+
+
+def _fit_one(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
+    return tuple(fit_family(family, [data])[0].tolist())
+
+
+def fit_rayleigh(data: Sequence[float]) -> tuple[float]:
+    """Rayleigh MLE of one sample: (sigma,)."""
+    return _fit_one(DistFamily.RAYLEIGH, data)
+
+
+def fit_gumbel(data: Sequence[float]) -> tuple[float, float]:
+    """Gumbel MLE of one sample: (mu, beta)."""
+    return _fit_one(DistFamily.GUMBEL, data)
+
+
+def fit_weibull(data: Sequence[float]) -> tuple[float, float]:
+    """Weibull MLE of one sample: (k, lambda)."""
+    return _fit_one(DistFamily.WEIBULL, data)
 
 
 def build_training_table(
@@ -247,11 +292,12 @@ def build_training_table(
     for i in range(n):
         outputs = simulate(design.record(i), cfg,
                            [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
-        counts = np.array([out.count for out in outputs], dtype=float)
+        peaks = [out.peaks for out in outputs]
+        counts = np.array([len(p) for p in peaks], dtype=float)
         l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
         for fam in DistFamily:
             try:
-                params = np.array([fit_family(fam, out.peaks) for out in outputs])
+                params = fit_family(fam, peaks)
             except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
                 continue
             means[fam][i] = params.mean(axis=0)

@@ -45,10 +45,6 @@ class InsufficientDataError(DataError):
 class NumericError(SeaResponseError):
     """A numerical procedure failed (non-convergence, factorization failure)."""
 
-    def __init__(self, message: str, trace: list | None = None):
-        super().__init__(message)
-        self.trace = trace or []
-
 
 class DegenerateFitError(DataError):
     """Data admits no proper fit (constant sample, zero variance)."""

@@ -30,7 +30,7 @@ from searesponse.errors import ParseError, SchemaError
 FORMAT_VERSIONS = {
     "weather_csv": 1,
     "sim_config": 1,
-    "training_table": 1,
+    "training_table": 2,
     "gp_model": 1,
     "surrogate_bundle": 2,
     "qoi_result": 4,

@@ -241,10 +241,16 @@ def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int
             f"density has {len(density)} bins, the config's rfft layout has {n_fft // 2 + 1}"
         )
     domega = 2.0 * np.pi / (n_fft * cfg.dt)
-    phases = np.stack([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(density))
-                       for s in seeds])
-    amplitude = (n_fft / 2.0) * np.sqrt(2.0 * density * domega)
-    spectrum = amplitude * np.exp(1j * phases)
+    # uniform(0, 2 pi) draws 0 + 2 pi u, and exp(1j phase) is cos + 1j sin:
+    # the same bits, written in place.
+    phases = np.empty((len(seeds), len(density)))
+    for row, s in zip(phases, seeds):
+        np.random.default_rng(s).random(out=row)
+    phases *= 2.0 * np.pi
+    spectrum = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=spectrum.real)
+    np.sin(phases, out=spectrum.imag)
+    spectrum *= (n_fft / 2.0) * np.sqrt(2.0 * density * domega)
     spectrum[:, 0] = 0.0   # zero mean
     spectrum[:, -1] = 0.0  # drop the (phase-less) Nyquist bin
     return np.fft.irfft(spectrum, n=n_fft, axis=-1)[:, :n_samples]

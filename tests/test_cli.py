@@ -397,10 +397,10 @@ class TestTrainsetCommand:
             current[:] = [record]
             return real_simulate(record, cfg, seeds)
 
-        def fit_family(family, data):
+        def fit_family(family, runs):
             if family is not DistFamily.RAYLEIGH and current == [failing]:
                 raise DomainError("scripted failure")
-            return real_fit(family, data)
+            return real_fit(family, runs)
 
         monkeypatch.setattr(distfit, "simulate", simulate)
         monkeypatch.setattr(distfit, "fit_family", fit_family)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from searesponse import distfit
 from searesponse.distfit import (
@@ -21,6 +21,7 @@ from searesponse.errors import (
     DegenerateFitError,
     DomainError,
     InsufficientDataError,
+    NumericError,
     ParseError,
 )
 from searesponse.seeding import TAG_SIM, derive_seed
@@ -167,13 +168,139 @@ class TestMleOptimality:
     @pytest.mark.parametrize("family", list(DistFamily))
     def test_fit_beats_random_perturbations(self, family, rng):
         data = rng.rayleigh(3.0, 500) + (0.0 if family is DistFamily.GUMBEL else 0.1)
-        fit = fit_family(family, data)
+        fit = fit_family(family, [data])[0]
         loglik = LOGLIKS[family]
         for _ in range(1000):
             perturbed = tuple(
                 p * (1.0 + rng.uniform(-0.1, 0.1)) for p in fit
             )
             assert loglik(data, *fit) >= loglik(data, *perturbed) - 1e-9
+
+
+ONE_SAMPLE_FITTERS = {DistFamily.GUMBEL: fit_gumbel, DistFamily.RAYLEIGH: fit_rayleigh,
+                      DistFamily.WEIBULL: fit_weibull}
+
+
+def newton_reference(step, theta):
+    """Scalar Newton iteration to the fitters' relative tolerance."""
+    for _ in range(distfit.NEWTON_MAX_ITER):
+        new = step(theta)
+        if abs(new - theta) < distfit.NEWTON_TOL * theta:
+            return new
+        theta = new
+    raise NumericError("reference did not converge")
+
+
+def reference_fit(family, x):
+    """One sample's MLE by a scalar loop with numpy's pairwise sums: the
+    same equations and starting points as the flat batched fitter."""
+    if family is DistFamily.RAYLEIGH:
+        return (math.sqrt(np.sum(x * x) / (2.0 * len(x))),)
+    if family is DistFamily.GUMBEL:
+        shifted = x - x.min()
+
+        def step(beta):
+            w = np.exp(-shifted / beta)
+            mean_w = np.sum(x * w) / np.sum(w)
+            var_w = np.sum((x - mean_w) ** 2 * w) / np.sum(w)
+            new = beta - (beta - x.mean() + mean_w) / (1.0 + var_w / beta**2)
+            return new if new > 0.0 else beta / 2.0
+
+        beta = newton_reference(step, x.std(ddof=1) * math.sqrt(6.0) / math.pi)
+        return x.min() - beta * math.log(np.mean(np.exp(-shifted / beta))), beta
+    t = np.log(x) - np.log(x).mean()
+
+    def step(k):
+        e = np.exp(k * t)
+        a, b, c = e.mean(), (t * e).mean(), (t * t * e).mean()
+        new = k - (b / a - 1.0 / k) / ((c * a - b * b) / (a * a) + 1.0 / (k * k))
+        return min(new if new > 0.0 else k / 2.0, distfit.WEIBULL_SHAPE_CAP)
+
+    k = newton_reference(step, min(math.pi / (t.std(ddof=1) * math.sqrt(6.0)),
+                                   distfit.WEIBULL_SHAPE_CAP))
+    return k, math.exp(np.log(x).mean()) * np.mean(np.exp(k * t)) ** (1.0 / k)
+
+
+class TestBatchedFits:
+    """fit_family fits M samples together, one Newton iteration over all of
+    them laid end to end; each row is that sample's own fit."""
+
+    def test_ragged_runs_match_one_sample_fits(self, rng):
+        runs = [rng.rayleigh(2.0, n) + 0.1 for n in (2, 53, 397)]
+        for family in DistFamily:
+            batch = fit_family(family, runs)
+            assert batch.shape == (3, len(family.param_names))
+            for row, data in zip(batch, runs):
+                np.testing.assert_allclose(row, ONE_SAMPLE_FITTERS[family](data), rtol=1e-13)
+                np.testing.assert_allclose(row, reference_fit(family, data), rtol=1e-13)
+
+    def test_run_converged_on_its_first_step_keeps_its_value(self, rng, monkeypatch):
+        # One value of the sample is tuned so that the Gumbel moment
+        # initializer is already the MLE scale: Newton stops after one step.
+        base = rng.gumbel(0.0, 1.0, 40)
+
+        def gap(v):
+            data = np.append(base, v)
+            return fit_gumbel(data)[1] - data.std(ddof=1) * math.sqrt(6.0) / math.pi
+
+        crafted = np.append(base, optimize.brentq(gap, 6.0, 7.0, xtol=1e-14))
+        other = rng.gumbel(0.0, 1.0, 300)
+        monkeypatch.setattr(distfit, "NEWTON_MAX_ITER", 1)
+        first_step = fit_family(DistFamily.GUMBEL, [crafted])
+        with pytest.raises(NumericError):
+            fit_family(DistFamily.GUMBEL, [crafted, other])
+        monkeypatch.undo()
+        batch = fit_family(DistFamily.GUMBEL, [crafted, other])
+        assert batch[0].tobytes() == first_step[0].tobytes()
+        assert batch[1].tobytes() == fit_family(DistFamily.GUMBEL, [other])[0].tobytes()
+
+    @pytest.mark.parametrize("runs,error,families", [
+        ([[1.0, 2.0], [3.0]], InsufficientDataError, list(DistFamily)),
+        ([[1.0, 2.0], [3.0, -0.5, 4.0]], DomainError, [DistFamily.RAYLEIGH, DistFamily.WEIBULL]),
+        ([[1.0, 2.0], [3.0, 3.0, 3.0]], DegenerateFitError, [DistFamily.GUMBEL, DistFamily.WEIBULL]),
+        ([], InsufficientDataError, list(DistFamily)),
+    ])
+    def test_one_bad_run_fails_the_call(self, runs, error, families):
+        for family in DistFamily:
+            if family in families:
+                with pytest.raises(error):
+                    fit_family(family, runs)
+            else:
+                assert np.isfinite(fit_family(family, runs)).all()
+
+
+# (bad run, families it drops): one peak, a non-positive peak, constant
+# data, and data that Gumbel's Newton iteration needs 10 steps for, which
+# fails once NEWTON_MAX_ITER is 8 (the simulated runs need at most 5).
+FAILING_RUNS = {
+    "one_peak": (np.array([5.0e4]), {"gumbel", "rayleigh", "weibull"}),
+    "non_positive": (np.array([3.0e4, -1.0, 5.0e4]), {"rayleigh", "weibull"}),
+    "constant": (np.full(30, 4.0e4), {"gumbel", "weibull"}),
+    "no_convergence": (1.0 + 1e-9 * np.arange(20), {"gumbel"}),
+}
+
+
+@pytest.mark.parametrize("kind", list(FAILING_RUNS))
+def test_failing_run_drops_its_family_at_its_point_only(kind, monkeypatch, fast_sim_config):
+    bad, dropped = FAILING_RUNS[kind]
+    design = sample_uniform_inputs(3, seed=21)
+    clean = build_training_table(design, 3, fast_sim_config, seed=5)
+    real = distfit.simulate
+
+    def simulate(record, cfg, seeds):
+        outputs = real(record, cfg, seeds)
+        if record == design.record(1):
+            outputs[2] = SimOutput(bad)
+        return outputs
+
+    monkeypatch.setattr(distfit, "simulate", simulate)
+    if kind == "no_convergence":
+        monkeypatch.setattr(distfit, "NEWTON_MAX_ITER", 8)
+    table = build_training_table(design, 3, fast_sim_config, seed=5)
+    for family in DistFamily:
+        assert table.usable(family).tolist() == [True, family.value not in dropped, True]
+        assert table.means[family][[0, 2]].tobytes() == clean.means[family][[0, 2]].tobytes()
+        assert table.stds[family][[0, 2]].tobytes() == clean.stds[family][[0, 2]].tobytes()
 
 
 def assert_same_table(a, b):
@@ -212,19 +339,19 @@ class TestAggregateFits:
                             lambda record, cfg, seeds: [SimOutput(peaks) for _ in seeds])
         table = self._table(fast_sim_config)
         for family in DistFamily:
-            params = fit_family(family, peaks)
+            params = fit_family(family, [peaks])[0]
             assert table.means[family].tolist() == [list(params)]
             assert table.stds[family].tolist() == [[0.0] * len(params)]
         assert table.l_mean.tolist() == [100.0] and table.l_std.tolist() == [0.0]
 
     def test_hand_computed_mean_and_std(self, monkeypatch, fast_sim_config):
-        scripted = iter([(75000.0, 20000.0), (75742.0, 21000.0)])
+        scripted = np.array([(75000.0, 20000.0), (75742.0, 21000.0)])
         real = distfit.fit_family
 
-        def fit(family, data):
+        def fit(family, runs):
             if family is DistFamily.GUMBEL:
-                return next(scripted)
-            return real(family, data)
+                return scripted
+            return real(family, runs)
 
         monkeypatch.setattr(distfit, "fit_family", fit)
         table = self._table(fast_sim_config)
@@ -250,7 +377,7 @@ class TestAggregateFits:
             outs = [simulate(design.record(i), fast_sim_config, derive_seed(5, TAG_SIM, i, m))
                     for m in range(m_runs)]
             for family in DistFamily:
-                params = [fit_family(family, out.peaks) for out in outs]
+                params = [fit_family(family, [out.peaks])[0] for out in outs]
                 means, stds = table.means[family][i], table.stds[family][i]
                 assert len(means) == len(stds) == len(params[0])
                 for j in range(len(params[0])):

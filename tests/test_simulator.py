@@ -124,6 +124,26 @@ class TestRealizeTimeSeries:
             np.testing.assert_array_equal(row, expected)
             np.testing.assert_array_equal(realize_time_series(density, cfg, [seed])[0], expected)
 
+    @pytest.mark.parametrize("seeds", [[0], [7, 8, 9], list(range(100, 130))])
+    def test_phasor_bytes_equal_the_complex_exponential(self, monkeypatch, seeds):
+        # The spectrum is cos + 1j sin of 2 pi u, written in place; its bytes
+        # must be those of exp(1j * uniform(0, 2 pi)), or this host's math
+        # dispatch has moved the simulator's output.
+        cfg = DEFAULT_SIM_CONFIG
+        density = cfg.transfer_squared * wave_spectrum(3.0, 10.0, cfg.omega_grid).density
+        spectra, irfft = [], np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda spectrum, **kw: spectra.append(spectrum.copy()) or irfft(spectrum, **kw))
+        realize_time_series(density, cfg, seeds)
+        domega = 2.0 * np.pi / (cfg.n_fft * cfg.dt)
+        amplitude = (cfg.n_fft / 2.0) * np.sqrt(2.0 * density * domega)
+        expected = np.stack([
+            amplitude * np.exp(1j * np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(density)))
+            for s in seeds])
+        expected[:, 0] = 0.0
+        expected[:, -1] = 0.0
+        assert len(spectra) == 1 and spectra[0].tobytes() == expected.tobytes()
+
 
 class TestWindMoment:
     CFG = SimConfig(rated_speed=11.0, cutout_speed=25.0, rated_force=1.0e3, lever_arm=50.0)
