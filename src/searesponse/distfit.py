@@ -216,21 +216,22 @@ def _fit_weibull_runs(runs: _Runs) -> np.ndarray:
     return np.column_stack((k, lam))
 
 
-_FITTERS = {
+_RUN_FITTERS = {
     DistFamily.GUMBEL: _fit_gumbel_runs,
     DistFamily.RAYLEIGH: _fit_rayleigh_runs,
     DistFamily.WEIBULL: _fit_weibull_runs,
 }
 
 
-def fit_family(family: DistFamily, runs: Sequence[Sequence[float]]) -> np.ndarray:
+def fit_runs(family: DistFamily, runs: Sequence[Sequence[float]]) -> np.ndarray:
     """The family's MLE parameters for each of the M samples in runs, an
     (M, p) array whose columns are ordered as family.param_names.
 
     All M samples are fitted together, on one flat array, by one Newton
     iteration. Every sample needs at least 2 values, all positive for
-    Rayleigh and Weibull and not all equal for Gumbel and Weibull; one
-    sample that breaks a rule fails the whole call.
+    Rayleigh and Weibull, and a spread: its values (their logs for
+    Weibull) not all equal for Gumbel and Weibull. One sample that breaks a
+    rule fails the whole call.
     """
     samples = [np.asarray(r, dtype=float).ravel() for r in runs]
     if not samples:
@@ -242,14 +243,17 @@ def fit_family(family: DistFamily, runs: Sequence[Sequence[float]]) -> np.ndarra
     if family is not DistFamily.GUMBEL and np.any(flat <= 0.0):
         raise DomainError("all observations must be positive")
     starts = np.cumsum(lengths) - lengths
-    if family is not DistFamily.RAYLEIGH and np.any(
-            np.maximum.reduceat(flat, starts) == np.minimum.reduceat(flat, starts)):
-        raise DegenerateFitError(f"constant data: {family.value} fit is degenerate")
-    return _FITTERS[family](_Runs(flat, starts, lengths))
+    if family is not DistFamily.RAYLEIGH:
+        hi, lo = np.maximum.reduceat(flat, starts), np.minimum.reduceat(flat, starts)
+        if family is DistFamily.WEIBULL:  # log is monotone: these are the extremes of log x
+            hi, lo = np.log(hi), np.log(lo)
+        if np.any(hi == lo):
+            raise DegenerateFitError(f"constant data: {family.value} fit is degenerate")
+    return _RUN_FITTERS[family](_Runs(flat, starts, lengths))
 
 
 def _fit_one(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
-    return tuple(fit_family(family, [data])[0].tolist())
+    return tuple(fit_runs(family, [data])[0].tolist())
 
 
 def fit_rayleigh(data: Sequence[float]) -> tuple[float]:
@@ -265,6 +269,18 @@ def fit_gumbel(data: Sequence[float]) -> tuple[float, float]:
 def fit_weibull(data: Sequence[float]) -> tuple[float, float]:
     """Weibull MLE of one sample: (k, lambda)."""
     return _fit_one(DistFamily.WEIBULL, data)
+
+
+_FITTERS = {
+    DistFamily.GUMBEL: fit_gumbel,
+    DistFamily.RAYLEIGH: fit_rayleigh,
+    DistFamily.WEIBULL: fit_weibull,
+}
+
+
+def fit_family(family: DistFamily, data: Sequence[float]) -> tuple[float, ...]:
+    """One sample's MLE parameters, ordered as family.param_names."""
+    return _FITTERS[family](data)
 
 
 def build_training_table(
@@ -297,7 +313,7 @@ def build_training_table(
         l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
         for fam in DistFamily:
             try:
-                params = fit_family(fam, peaks)
+                params = fit_runs(fam, peaks)
             except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
                 continue
             means[fam][i] = params.mean(axis=0)

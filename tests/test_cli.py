@@ -391,19 +391,19 @@ class TestTrainsetCommand:
     def test_dropped_fits_reach_the_manifest(self, tmp_path, fast_config_path, monkeypatch):
         # Gumbel and Weibull fail on design point 2 only.
         failing = sample_uniform_inputs(6, seed=3).record(2)
-        real_simulate, real_fit, current = distfit.simulate, distfit.fit_family, []
+        real_simulate, real_fit, current = distfit.simulate, distfit.fit_runs, []
 
         def simulate(record, cfg, seeds):
             current[:] = [record]
             return real_simulate(record, cfg, seeds)
 
-        def fit_family(family, runs):
+        def fit_runs(family, runs):
             if family is not DistFamily.RAYLEIGH and current == [failing]:
                 raise DomainError("scripted failure")
             return real_fit(family, runs)
 
         monkeypatch.setattr(distfit, "simulate", simulate)
-        monkeypatch.setattr(distfit, "fit_family", fit_family)
+        monkeypatch.setattr(distfit, "fit_runs", fit_runs)
         out = tmp_path / "t"
         assert cli.main(["trainset", "--n", "6", "--m", "2", "--seed", "3",
                          "--sim-config", fast_config_path, "--out", str(out)]) == 0

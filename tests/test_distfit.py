@@ -12,6 +12,7 @@ from searesponse.distfit import (
     fit_family,
     fit_gumbel,
     fit_rayleigh,
+    fit_runs,
     fit_weibull,
     load_training_table,
     write_training_table,
@@ -168,7 +169,7 @@ class TestMleOptimality:
     @pytest.mark.parametrize("family", list(DistFamily))
     def test_fit_beats_random_perturbations(self, family, rng):
         data = rng.rayleigh(3.0, 500) + (0.0 if family is DistFamily.GUMBEL else 0.1)
-        fit = fit_family(family, [data])[0]
+        fit = fit_family(family, data)
         loglik = LOGLIKS[family]
         for _ in range(1000):
             perturbed = tuple(
@@ -222,13 +223,13 @@ def reference_fit(family, x):
 
 
 class TestBatchedFits:
-    """fit_family fits M samples together, one Newton iteration over all of
+    """fit_runs fits M samples together, one Newton iteration over all of
     them laid end to end; each row is that sample's own fit."""
 
     def test_ragged_runs_match_one_sample_fits(self, rng):
         runs = [rng.rayleigh(2.0, n) + 0.1 for n in (2, 53, 397)]
         for family in DistFamily:
-            batch = fit_family(family, runs)
+            batch = fit_runs(family, runs)
             assert batch.shape == (3, len(family.param_names))
             for row, data in zip(batch, runs):
                 np.testing.assert_allclose(row, ONE_SAMPLE_FITTERS[family](data), rtol=1e-13)
@@ -246,27 +247,29 @@ class TestBatchedFits:
         crafted = np.append(base, optimize.brentq(gap, 6.0, 7.0, xtol=1e-14))
         other = rng.gumbel(0.0, 1.0, 300)
         monkeypatch.setattr(distfit, "NEWTON_MAX_ITER", 1)
-        first_step = fit_family(DistFamily.GUMBEL, [crafted])
+        first_step = fit_runs(DistFamily.GUMBEL, [crafted])
         with pytest.raises(NumericError):
-            fit_family(DistFamily.GUMBEL, [crafted, other])
+            fit_runs(DistFamily.GUMBEL, [crafted, other])
         monkeypatch.undo()
-        batch = fit_family(DistFamily.GUMBEL, [crafted, other])
+        batch = fit_runs(DistFamily.GUMBEL, [crafted, other])
         assert batch[0].tobytes() == first_step[0].tobytes()
-        assert batch[1].tobytes() == fit_family(DistFamily.GUMBEL, [other])[0].tobytes()
+        assert batch[1].tobytes() == fit_runs(DistFamily.GUMBEL, [other])[0].tobytes()
 
     @pytest.mark.parametrize("runs,error,families", [
         ([[1.0, 2.0], [3.0]], InsufficientDataError, list(DistFamily)),
         ([[1.0, 2.0], [3.0, -0.5, 4.0]], DomainError, [DistFamily.RAYLEIGH, DistFamily.WEIBULL]),
         ([[1.0, 2.0], [3.0, 3.0, 3.0]], DegenerateFitError, [DistFamily.GUMBEL, DistFamily.WEIBULL]),
+        # Two values one ulp apart whose logs are equal.
+        ([[1.0, 2.0], [1e5, np.nextafter(1e5, np.inf)]], DegenerateFitError, [DistFamily.WEIBULL]),
         ([], InsufficientDataError, list(DistFamily)),
     ])
     def test_one_bad_run_fails_the_call(self, runs, error, families):
         for family in DistFamily:
             if family in families:
                 with pytest.raises(error):
-                    fit_family(family, runs)
+                    fit_runs(family, runs)
             else:
-                assert np.isfinite(fit_family(family, runs)).all()
+                assert np.isfinite(fit_runs(family, runs)).all()
 
 
 # (bad run, families it drops): one peak, a non-positive peak, constant
@@ -339,21 +342,21 @@ class TestAggregateFits:
                             lambda record, cfg, seeds: [SimOutput(peaks) for _ in seeds])
         table = self._table(fast_sim_config)
         for family in DistFamily:
-            params = fit_family(family, [peaks])[0]
+            params = fit_family(family, peaks)
             assert table.means[family].tolist() == [list(params)]
             assert table.stds[family].tolist() == [[0.0] * len(params)]
         assert table.l_mean.tolist() == [100.0] and table.l_std.tolist() == [0.0]
 
     def test_hand_computed_mean_and_std(self, monkeypatch, fast_sim_config):
         scripted = np.array([(75000.0, 20000.0), (75742.0, 21000.0)])
-        real = distfit.fit_family
+        real = distfit.fit_runs
 
         def fit(family, runs):
             if family is DistFamily.GUMBEL:
                 return scripted
             return real(family, runs)
 
-        monkeypatch.setattr(distfit, "fit_family", fit)
+        monkeypatch.setattr(distfit, "fit_runs", fit)
         table = self._table(fast_sim_config)
         (mu, beta), = table.means[DistFamily.GUMBEL]
         (mu_std, beta_std), = table.stds[DistFamily.GUMBEL]
@@ -377,7 +380,7 @@ class TestAggregateFits:
             outs = [simulate(design.record(i), fast_sim_config, derive_seed(5, TAG_SIM, i, m))
                     for m in range(m_runs)]
             for family in DistFamily:
-                params = [fit_family(family, [out.peaks])[0] for out in outs]
+                params = [fit_family(family, out.peaks) for out in outs]
                 means, stds = table.means[family][i], table.stds[family][i]
                 assert len(means) == len(stds) == len(params[0])
                 for j in range(len(params[0])):

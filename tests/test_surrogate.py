@@ -431,7 +431,7 @@ class TestDistributionalMatch:
         sim_pool = np.concatenate([simulate(x, fast_sim_config, seed=s).peaks for s in range(60)])
         scores = {}
         for family in DistFamily:
-            scores[family] = LOGLIKS[family](sim_pool, *fit_family(family, [sim_pool])[0])
+            scores[family] = LOGLIKS[family](sim_pool, *fit_family(family, sim_pool))
         best = max(scores, key=scores.get)
         model = train_surrogate(small_table, best, RESTARTS, seed=3)
         moments = moments_at(model, *[point] * 60)

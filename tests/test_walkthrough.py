@@ -1,5 +1,4 @@
-"""The CLI walkthrough script, which the CI workflow also runs as a step
-of its own, run end to end."""
+"""The CLI walkthrough script, run end to end."""
 
 import os
 import subprocess
