@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -284,18 +284,9 @@ def cmd_compare(args: argparse.Namespace) -> Stage:
     a = load_qoi_result(args.candidate)
     b = load_qoi_result(args.reference)
     report = compare_qoi(a, b)
-    payload = {
-        "k": report.k,
-        "a_source": report.a_source,
-        "b_source": report.b_source,
-        "a_yk": report.a_yk.__dict__,
-        "b_yk": report.b_yk.__dict__,
-        "relative_mean_difference": report.relative_mean_difference,
-        "conservative": report.conservative,
-        "band_overlap_fraction": report.band_overlap_fraction,
-        "closest_rank": report.closest_rank,
-        "format_version": FORMAT_VERSIONS["comparison_report"],
-    }
+    payload = asdict(report)
+    del payload["rank_in_band"]
+    payload["format_version"] = FORMAT_VERSIONS["comparison_report"]
 
     def write(out: Path) -> list[Path]:
         written = [out / "report.json", out / "rank_comparison.csv",

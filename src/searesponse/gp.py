@@ -383,6 +383,9 @@ def load_model(path: str | Path) -> GPModel:
         if arrays[0].ndim != 2 or arrays[0].shape[1] != d or {a.shape for a in arrays[3:]} != {(d,)}:
             raise ValueError(f"train_inputs of shape {arrays[0].shape} need one column per "
                              f"lengthscale, input_mean and input_scale entry ({d})")
+        if {a.shape for a in arrays[1:3]} != {(len(arrays[0]),)}:
+            raise ValueError(f"train_targets and noise_variances need one entry per train_inputs "
+                             f"row ({len(arrays[0])}), got shapes {arrays[1].shape}, {arrays[2].shape}")
         if not all(np.isfinite(a).all() for a in [*arrays, target_mean, target_scale]):
             raise ValueError("non-finite values")
         noise_variances, input_scale = arrays[2], arrays[4]

@@ -15,7 +15,6 @@ simulator run and compare_qoi never load the GP layer or scipy.linalg.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import os
@@ -51,7 +50,8 @@ MODES = (MODE_POINT, MODE_SAMPLE, MODE_FROZEN)
 
 
 class TopK:
-    """Bounded collection of the k largest values seen so far (min-heap).
+    """Bounded collection of the k largest values seen so far, kept in one
+    array whose first entry, once it holds k values, is the k-th largest.
 
     Ties among equal values are kept arbitrarily; the retained multiset
     always equals the k largest of everything inserted.
@@ -61,27 +61,26 @@ class TopK:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         self.k = k
-        self._heap: list[float] = []
+        self._top = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._top)
 
     def update(self, batch: Sequence[float]) -> "TopK":
         values = np.asarray(batch, dtype=float).ravel()
-        pos = 0
-        heap = self._heap
-        while len(heap) < self.k and pos < len(values):
-            heapq.heappush(heap, float(values[pos]))
-            pos += 1
-        if pos < len(values):
-            # Anything not above the current floor can never enter; the
-            # pushpop handles stragglers whose floor rose mid-batch.
-            for v in values[pos:][values[pos:] > heap[0]]:
-                heapq.heappushpop(heap, float(v))
+        if len(self._top) == self.k:
+            # Nothing at or below the floor can enter; most hours offer nothing else.
+            values = values[values > self._top[0]]
+        if len(values):
+            values = np.concatenate([self._top, values])
+            if len(values) >= self.k:
+                # This leaves the k-th largest at index 0, even at exactly k.
+                values = np.partition(values, -self.k)[-self.k:]
+            self._top = values
         return self
 
     def values_descending(self) -> np.ndarray:
-        return np.sort(np.asarray(self._heap, dtype=float))[::-1]
+        return np.sort(self._top)[::-1]
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,6 @@ def run_qoi(
     if isinstance(model, SimConfig):
         source = SOURCE_SIMULATOR
         check_weather(weather, model)
-        # Build the config's shared arrays before any thread reads them.
-        model.omega_grid, model.transfer_squared
         workers = min(usable_cpus(), len(weather))
         bounds = [len(weather) * b // workers for b in range(workers + 1)]
         with ThreadPoolExecutor(workers) as pool:

@@ -15,7 +15,6 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -77,9 +76,9 @@ class SimConfig:
     flat to cutout_speed, zero above; the default rated moment
     (rated_force * lever_arm) is a few percent of typical wave-induced
     peaks, so fitted peak distributions vary smoothly across the input box.
-    The grid and |H(omega)|^2 on it are computed once per config and
-    shared read-only by every run; threads that share a config must read
-    both once before they start, as cached_property takes no lock.
+    A config is made with omega_grid, the angular frequencies of the rfft
+    bins 0 .. pi/dt, and transfer_squared, |H(omega)|^2 on that grid: two
+    read-only arrays, not fields, shared by every run and thread.
     """
 
     dt: float = 0.5
@@ -110,6 +109,13 @@ class SimConfig:
             )
         _require_positive("rated_force", self.rated_force)
         _require_positive("lever_arm", self.lever_arm)
+        omega = 2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt)
+        w0sq = self.omega0 * self.omega0
+        h2 = (self.gain * self.gain * w0sq * w0sq
+              / ((w0sq - omega * omega) ** 2 + (2.0 * self.zeta * self.omega0 * omega) ** 2))
+        # Set past the frozen check, and kept out of fields() and asdict().
+        object.__setattr__(self, "omega_grid", _read_only(omega))
+        object.__setattr__(self, "transfer_squared", _read_only(h2))
 
     @property
     def n_samples(self) -> int:
@@ -118,21 +124,6 @@ class SimConfig:
     @property
     def n_fft(self) -> int:
         return 1 << math.ceil(math.log2(self.n_samples))
-
-    @cached_property
-    def omega_grid(self) -> np.ndarray:
-        """Angular frequencies of the rfft bins, 0 .. pi/dt."""
-        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_fft, d=self.dt))
-
-    @cached_property
-    def transfer_squared(self) -> np.ndarray:
-        """|H(omega)|^2 on omega_grid."""
-        omega = self.omega_grid
-        w0sq = self.omega0 * self.omega0
-        return _read_only(
-            self.gain * self.gain * w0sq * w0sq
-            / ((w0sq - omega * omega) ** 2 + (2.0 * self.zeta * self.omega0 * omega) ** 2)
-        )
 
 
 DEFAULT_SIM_CONFIG = SimConfig()

@@ -72,11 +72,9 @@ class InputBox:
                 raise ConfigurationError(f"{name} bounds must be finite, got ({lo}, {hi})")
             if lo >= hi:
                 raise ConfigurationError(f"{name} bounds degenerate: min {lo} >= max {hi}")
-            floor = 0.0 if name == "vw" else None
-            if floor is not None:
-                if lo < floor:
-                    raise ConfigurationError(f"{name} min must be >= {floor}, got {lo}")
-            elif lo <= 0.0:
+            if name == "vw" and lo < 0.0:
+                raise ConfigurationError(f"vw min must be >= 0.0, got {lo}")
+            if name != "vw" and lo <= 0.0:
                 raise ConfigurationError(f"{name} min must be positive, got {lo}")
 
     def bounds(self) -> dict[str, tuple[float, float]]:

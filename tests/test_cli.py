@@ -742,7 +742,8 @@ class TestQoiCommand:
 
 class TestBundleInputs:
     """qoi and eval end with exit 3 on a bundle whose GPs do not take the
-    three weather inputs or whose bundle.json has an older version."""
+    three weather inputs or hold a per-row array that is not 1-D, or whose
+    bundle.json has an older version."""
 
     def _run(self, command, tmp_path, bundle, weather_csv, table_path):
         out = tmp_path / "out"
@@ -787,6 +788,16 @@ class TestBundleInputs:
         bundle = self._copy(tmp_path, bundle_path, "gp_sigma.json", self._two_input_gp)
         assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
         assert "the sigma GP takes 2 inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["train_targets", "noise_variances"])
+    @pytest.mark.parametrize("command", ["qoi", "eval"])
+    def test_per_row_array_not_1d(self, tmp_path, bundle_path, weather_csv, table_path, capsys,
+                                  command, key):
+        bundle = self._copy(tmp_path, bundle_path, "gp_sigma.json",
+                            lambda payload: payload.update({key: [[v] for v in payload[key]]}))
+        assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
+        assert ("gp_sigma.json: malformed model file: train_targets and noise_variances need "
+                "one entry per train_inputs row") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["qoi", "eval"])
     def test_version_1_bundle(self, tmp_path, bundle_path, weather_csv, table_path, capsys,

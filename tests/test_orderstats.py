@@ -32,10 +32,18 @@ from searesponse.weather import Weather, synthesize_weather
 
 class TestTopK:
     def test_hand_checked_insertions(self):
-        acc = TopK(2)
-        acc.update([5.0, 1.0, 9.0, 3.0, 9.0])
-        assert sorted(acc.values_descending()) == [9.0, 9.0]
-        assert acc.values_descending()[-1] == 9.0
+        # The cases run in one test, so the test keeps its id. In the second,
+        # the first batch fills the accumulator to exactly k; the floor it
+        # leaves must be the smallest of those k, or the 5s are turned away.
+        for k, batches, expected in [
+            (2, [[5.0, 1.0, 9.0, 3.0, 9.0]], [9.0, 9.0]),
+            (3, [[5.0, 1.0, 9.0], [2.0, 5.0, 5.0]], [9.0, 5.0, 5.0]),
+        ]:
+            acc = TopK(k)
+            for batch in batches:
+                acc.update(batch)
+            assert acc.values_descending().tolist() == expected
+            assert acc.values_descending()[-1] == expected[-1]
 
     def test_streaming_matches_full_sort(self, rng):
         values = rng.uniform(0.0, 1.0, 1_000_000)
