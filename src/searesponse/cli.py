@@ -198,7 +198,7 @@ def cmd_trainset(args: argparse.Namespace) -> Stage:
 
     return Stage([str(args.sim_config)] if args.sim_config else [], write,
                  {"n_rows": n_rows, "n_train": n_rows - n_test, "n_test": n_test,
-                  "dropped_fits": dropped},
+                  "dropped_fits": dropped, "workers": table.workers},
                  f"wrote {n_rows} training rows to "
                  f"{Path(args.out) / 'training_table.csv'} ({n_rows - n_test} train / {n_test} test)")
 

@@ -8,7 +8,10 @@ one Newton iteration over the M samples laid end to end in one flat
 array. The M per-run parameter estimates at one design point are
 aggregated into means and standard deviations (the Table-style training
 schema), with the standard deviations later serving as per-point noise
-levels for the surrogate GPs.
+levels for the surrogate GPs. The table is built over contiguous blocks of
+design points, one thread per usable CPU, as a simulator Y_k sweep runs
+its hours; `trainset` records the thread count as `workers` in its
+manifest, and the table's bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from searesponse.errors import (
 )
 from searesponse.fileio import parse_float, read_csv, write_csv
 from searesponse.seeding import TAG_SIM, TAG_SPLIT, derive_seed
-from searesponse.simulator import SimConfig, check_weather, simulate
+from searesponse.simulator import SimConfig, check_weather, map_blocks, simulate
 from searesponse.weather import Weather
 
 logger = logging.getLogger(__name__)
@@ -106,7 +109,8 @@ class TrainingTable:
     (hs, tp, vw); per family, the (n, p) means and standard deviations of
     its parameters over the M runs, ordered as its param_names, NaN where
     the family's fit failed; the mean and standard deviation of the M peak
-    counts; and the test-split mask."""
+    counts; the test-split mask; and the number of threads that built it
+    (1 for a table loaded from disk)."""
 
     inputs: np.ndarray
     means: dict[DistFamily, np.ndarray]
@@ -114,6 +118,7 @@ class TrainingTable:
     l_mean: np.ndarray
     l_std: np.ndarray
     test: np.ndarray
+    workers: int = 1
 
     def usable(self, family: DistFamily) -> np.ndarray:
         """The rows where every mean and std of the family's fit is finite."""
@@ -293,10 +298,13 @@ def build_training_table(
     families per run, and aggregate into one row per point. Every point is
     checked against cfg before any is simulated.
 
-    A family that fails on any of the M runs is NaN in that row (the other
-    families keep their data). Rows come back in design order, and the
-    80/20 split is a seeded shuffle, so the table is a pure function of
-    (design, m_runs, cfg, seed).
+    The points run in contiguous blocks, one thread per usable CPU
+    (map_blocks), each block writing only its own rows of arrays made
+    before any thread starts; point i's run m is on the seed derived from
+    (seed, i, m). A family that fails on any of the M runs is NaN in that
+    row (the other families keep their data). Rows come back in design
+    order, and the 80/20 split is a seeded shuffle, so the table is a pure
+    function of (design, m_runs, cfg, seed), whatever the thread count.
     """
     if m_runs < 2:
         raise ConfigurationError(f"m_runs must be >= 2 (std undefined), got {m_runs}")
@@ -305,26 +313,30 @@ def build_training_table(
     means = {fam: np.full((n, len(fam.param_names)), np.nan) for fam in DistFamily}
     stds = {fam: np.full((n, len(fam.param_names)), np.nan) for fam in DistFamily}
     l_mean, l_std = np.empty(n), np.empty(n)
-    for i in range(n):
-        outputs = simulate(design.record(i), cfg,
-                           [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
-        peaks = [out.peaks for out in outputs]
-        counts = np.array([len(p) for p in peaks], dtype=float)
-        l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
-        for fam in DistFamily:
-            try:
-                params = fit_runs(fam, peaks)
-            except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
-                continue
-            means[fam][i] = params.mean(axis=0)
-            stds[fam][i] = params.std(axis=0, ddof=1)
+
+    def fill(start: int, stop: int) -> None:
+        for i in range(start, stop):
+            outputs = simulate(design.record(i), cfg,
+                               [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
+            peaks = [out.peaks for out in outputs]
+            counts = np.array([len(p) for p in peaks], dtype=float)
+            l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
+            for fam in DistFamily:
+                try:
+                    params = fit_runs(fam, peaks)
+                except (InsufficientDataError, DomainError, DegenerateFitError, NumericError):
+                    continue
+                means[fam][i] = params.mean(axis=0)
+                stds[fam][i] = params.std(axis=0, ddof=1)
+
+    workers = len(map_blocks(fill, n))
     test = np.zeros(n, dtype=bool)
     if n:
         rng = np.random.default_rng(derive_seed(seed, TAG_SPLIT))
         test[rng.permutation(n)[int(round(TRAIN_FRACTION * n)):]] = True
-    logger.info("built training table: %d rows (%d train / %d test), M=%d",
-                n, n - test.sum(), test.sum(), m_runs)
-    return TrainingTable(design.inputs, means, stds, l_mean, l_std, test)
+    logger.info("built training table: %d rows (%d train / %d test), M=%d, workers=%d",
+                n, n - test.sum(), test.sum(), m_runs, workers)
+    return TrainingTable(design.inputs, means, stds, l_mean, l_std, test, workers)
 
 
 def write_training_table(path: str | Path, table: TrainingTable) -> None:
@@ -333,7 +345,8 @@ def write_training_table(path: str | Path, table: TrainingTable) -> None:
     n = len(table.test)
     values = np.column_stack([
         table.inputs,
-        *(np.dstack((table.means[fam], table.stds[fam])).reshape(n, -1) for fam in DistFamily),
+        *(np.dstack((table.means[fam], table.stds[fam])).reshape(n, 2 * len(fam.param_names))
+          for fam in DistFamily),
         table.l_mean, table.l_std,
     ])
     write_csv(path, TABLE_COLUMNS,

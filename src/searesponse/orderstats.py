@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -28,7 +27,7 @@ import numpy as np
 from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.fileio import parse_float, read_csv, read_json_object, write_csv
 from searesponse.seeding import TAG_QOI, derive_seed
-from searesponse.simulator import SimConfig, check_weather, simulate
+from searesponse.simulator import SimConfig, check_weather, map_blocks, simulate
 from searesponse.weather import Weather
 
 if TYPE_CHECKING:
@@ -120,15 +119,6 @@ class QoiResult:
     workers: int = 1
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on: a simulator sweep's
-    thread count, at most one thread per hour."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _sweep_hours(
     cfg: QoiConfig, weather: Weather, model: SimConfig, start: int, stop: int,
 ) -> tuple[list[TopK], list[int]]:
@@ -175,12 +165,8 @@ def run_qoi(
     if isinstance(model, SimConfig):
         source = SOURCE_SIMULATOR
         check_weather(weather, model)
-        workers = min(usable_cpus(), len(weather))
-        bounds = [len(weather) * b // workers for b in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(_sweep_hours, cfg, weather, model, start, stop)
-                       for start, stop in zip(bounds, bounds[1:])]
-            blocks = [future.result() for future in futures]
+        blocks = map_blocks(partial(_sweep_hours, cfg, weather, model), len(weather))
+        workers = len(blocks)
         accs, totals = blocks[0]
         for block_accs, block_totals in blocks[1:]:
             for m, acc in enumerate(block_accs):

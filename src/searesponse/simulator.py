@@ -6,7 +6,8 @@ time-domain realization -> constant wind-moment offset -> mean-crossing
 peak extraction. The number of peaks L is itself random, varying with the
 realization seed. `simulate` takes one seed or many: it builds the
 hour's spectrum once and realizes every seed from it in one batched
-inverse transform.
+inverse transform. `map_blocks` runs a sweep over hours or design points
+in contiguous blocks, one thread per usable CPU.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,6 +30,8 @@ from searesponse.weather import Weather, WeatherRecord
 logger = logging.getLogger(__name__)
 
 PEAK_ENHANCEMENT = 3.3
+
+T = TypeVar("T")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -303,3 +308,29 @@ def simulate(
         series = row + offset
         outputs.append(extract_peaks(series, threshold=float(series.mean())))
     return outputs[0] if single else outputs
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: a sweep's thread count,
+    at most one thread per item."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_blocks(fn: Callable[[int, int], T], n: int) -> list[T]:
+    """fn(start, stop) over min(usable CPUs, n) contiguous blocks of
+    range(n), at least one, each on its own thread; the results come back
+    in block order.
+
+    The first block runs on the calling thread, so one CPU starts no
+    thread. When blocks raise, the error of the first of them in block
+    order propagates, once every block has finished: each block stops at
+    its first error, so that is the error a one-thread sweep would raise.
+    """
+    workers = max(1, min(usable_cpus(), n))
+    bounds = [n * b // workers for b in range(workers + 1)]
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(fn, start, stop) for start, stop in zip(bounds[1:], bounds[2:])]
+        return [fn(bounds[0], bounds[1]), *(future.result() for future in futures)]

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,14 @@ def small_table(fast_sim_config):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(8712)
+
+
+@pytest.fixture()
+def frequent_thread_switches():
+    """Switch threads every microsecond, so that blocks interleave finely."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)

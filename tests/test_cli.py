@@ -13,10 +13,9 @@ import scipy
 
 from searesponse import cli, distfit, gp, simulator
 from searesponse.distfit import DistFamily, load_training_table, write_training_table
-from searesponse.errors import DomainError, NumericError
+from searesponse.errors import ConfigurationError, DomainError, NumericError
 from searesponse.gp import predict_batch
-from searesponse.orderstats import usable_cpus
-from searesponse.simulator import write_sim_config
+from searesponse.simulator import usable_cpus, write_sim_config
 from searesponse.surrogate import load_surrogate
 from searesponse.weather import (
     Weather,
@@ -387,18 +386,44 @@ class TestTrainsetCommand:
         assert manifest["n_rows"] == 6
         assert manifest["n_train"] + manifest["n_test"] == 6 and manifest["n_test"] >= 1
         assert manifest["dropped_fits"] == {"gumbel": 0, "rayleigh": 0, "weibull": 0}
+        assert manifest["workers"] == min(usable_cpus(), 6)
 
-    def test_dropped_fits_reach_the_manifest(self, tmp_path, fast_config_path, monkeypatch):
-        # Gumbel and Weibull fail on design point 2 only.
-        failing = sample_uniform_inputs(6, seed=3).record(2)
-        real_simulate, real_fit, current = distfit.simulate, distfit.fit_runs, []
+    @pytest.mark.parametrize("error,code", [(NumericError, 4), (ConfigurationError, 2)])
+    def test_error_in_a_later_block_keeps_its_exit_code(self, tmp_path, fast_config_path,
+                                                        monkeypatch, capsys, error, code):
+        # On 3 CPUs the 6 points run in blocks 0-1, 2-3 and 4-5.
+        failing = sample_uniform_inputs(6, seed=3).record(3)
+        real_simulate = distfit.simulate
 
         def simulate(record, cfg, seeds):
-            current[:] = [record]
+            if record == failing:
+                raise error("scripted failure")
             return real_simulate(record, cfg, seeds)
 
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(distfit, "simulate", simulate)
+        out = tmp_path / "t"
+        assert cli.main(["trainset", "--n", "6", "--m", "2", "--seed", "3",
+                         "--sim-config", fast_config_path, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "scripted failure" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_dropped_fits_reach_the_manifest(self, tmp_path, fast_config_path, monkeypatch):
+        # Gumbel and Weibull fail on design point 2 only, keyed on the peak
+        # arrays its own simulate call returned, whichever thread runs it.
+        failing = sample_uniform_inputs(6, seed=3).record(2)
+        real_simulate, real_fit, failing_peaks = distfit.simulate, distfit.fit_runs, []
+
+        def simulate(record, cfg, seeds):
+            outputs = real_simulate(record, cfg, seeds)
+            if record == failing:
+                failing_peaks.extend(out.peaks for out in outputs)
+            return outputs
+
         def fit_runs(family, runs):
-            if family is not DistFamily.RAYLEIGH and current == [failing]:
+            if family is not DistFamily.RAYLEIGH and any(
+                    run is peaks for run in runs for peaks in failing_peaks):
                 raise DomainError("scripted failure")
             return real_fit(family, runs)
 

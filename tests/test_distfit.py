@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from searesponse import distfit
+from searesponse import distfit, simulator
 from searesponse.distfit import (
     DistFamily,
     TrainingTable,
@@ -404,6 +404,8 @@ class TestBuildTrainingTable:
 
         monkeypatch.setattr(distfit, "simulate", record_call)
         build_training_table(design, 4, fast_sim_config, seed=5)
+        # Blocks of points run on their own threads, so calls arrive in any order.
+        calls.sort(key=lambda call: call[0].index)
         assert calls == [(design.record(i), [derive_seed(5, TAG_SIM, i, m) for m in range(4)])
                          for i in range(3)]
 
@@ -443,6 +445,48 @@ class TestBuildTrainingTable:
         design = sample_uniform_inputs(3, seed=2)
         with pytest.raises(ConfigurationError):
             build_training_table(design, 1, fast_sim_config, seed=9)
+
+
+class TestWorkerInvariance:
+    """A training table's bytes do not depend on how many threads build it."""
+
+    @staticmethod
+    def _csv(tmp_path, monkeypatch, cpus, design, cfg, m_runs=3):
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
+        table = build_training_table(design, m_runs, cfg, seed=5)
+        path = tmp_path / f"{cpus}.csv"
+        write_training_table(path, table)
+        return table, path.read_bytes()
+
+    def test_csv_identical_for_1_2_3_workers(self, tmp_path, monkeypatch, fast_sim_config,
+                                             frequent_thread_switches):
+        design = sample_uniform_inputs(7, seed=21)
+        real = distfit.simulate
+        bad, _ = FAILING_RUNS["non_positive"]
+
+        def simulate(record, cfg, seeds):
+            outputs = real(record, cfg, seeds)
+            if record == design.record(4):
+                outputs[1] = SimOutput(bad)
+            return outputs
+
+        monkeypatch.setattr(distfit, "simulate", simulate)
+        files = {}
+        for cpus in (1, 2, 3):
+            table, files[cpus] = self._csv(tmp_path, monkeypatch, cpus, design, fast_sim_config)
+            assert table.workers == cpus
+            assert (~table.usable(DistFamily.WEIBULL)).tolist() == [i == 4 for i in range(7)]
+        assert files[2] == files[1]
+        assert files[3] == files[1]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_points_than_cpus(self, tmp_path, monkeypatch, fast_sim_config, n):
+        design = sample_uniform_inputs(n, seed=21) if n else Weather(np.arange(0), np.empty((0, 3)))
+        one = self._csv(tmp_path, monkeypatch, 1, design, fast_sim_config)[1]
+        table, three = self._csv(tmp_path, monkeypatch, 3, design, fast_sim_config)
+        assert table.workers == 1
+        assert len(table.test) == n
+        assert three == one
 
 
 class TestTableCsv:

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from searesponse.orderstats import (
     run_qoi,
     save_qoi_result,
 )
-from searesponse import orderstats
+from searesponse import simulator
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import simulate
 from searesponse.surrogate import (
@@ -259,23 +257,12 @@ class TestCompareQoi:
         assert report.band_overlap_fraction == pytest.approx(0.75)
 
 
-@pytest.fixture()
-def frequent_thread_switches():
-    """Switch threads every microsecond, so that blocks interleave finely."""
-    before = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(before)
-
-
 class TestWorkerInvariance:
     """A simulator sweep's files do not depend on how many threads run it."""
 
     @staticmethod
     def _run(monkeypatch, cpus, weather, cfg, model):
-        monkeypatch.setattr(orderstats, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
         return run_qoi(cfg, weather, model)
 
     @pytest.mark.parametrize("hours,k,m", [(200, 10, 3), (876, 100, 5)])

@@ -1,11 +1,13 @@
 import json
 import math
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from searesponse.errors import ConfigurationError, SchemaError
+from searesponse import simulator
+from searesponse.errors import ConfigurationError, NumericError, SchemaError
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
@@ -15,6 +17,7 @@ from searesponse.simulator import (
     check_weather,
     extract_peaks,
     load_sim_config,
+    map_blocks,
     realize_time_series,
     simulate,
     wave_spectrum,
@@ -260,6 +263,33 @@ class TestSimulate:
         assert isinstance(outputs, list) and len(outputs) == len(seeds)
         for seed, out in zip(seeds, outputs):
             np.testing.assert_array_equal(out.peaks, simulate(record, fast_sim_config, seed).peaks)
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("cpus,n,blocks", [
+        (3, 7, [(0, 2), (2, 4), (4, 7)]),
+        (3, 2, [(0, 1), (1, 2)]),
+        (3, 0, [(0, 0)]),
+        (1, 5, [(0, 5)]),
+    ])
+    def test_contiguous_blocks_in_order(self, monkeypatch, cpus, n, blocks):
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
+        assert map_blocks(lambda start, stop: (start, stop), n) == blocks
+
+    def test_first_block_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+        threads = map_blocks(lambda start, stop: threading.get_ident(), 4)
+        assert threads[0] == threading.get_ident() != threads[1]
+
+    def test_first_failing_block_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 3)
+
+        def fail_after_first(start, stop):
+            if start:
+                raise NumericError(f"block at {start}")
+
+        with pytest.raises(NumericError, match="block at 2"):
+            map_blocks(fail_after_first, 6)
 
 
 class TestCheckWeather:

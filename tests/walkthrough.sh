@@ -45,6 +45,10 @@ $cli trainset --n 40 --m 3 --seed 11 --out $runs/table --force
 for f in training_table.csv sim_config.json; do
   cmp $runs/table_first/$f $runs/table/$f
 done
+# One usable CPU builds the table on one worker thread: the same table.
+taskset -c 0 $cli trainset --n 40 --m 3 --seed 11 --out $runs/table_one_cpu
+grep -q '"workers": 1' $runs/table_one_cpu/manifest.json
+cmp $runs/table_first/training_table.csv $runs/table_one_cpu/training_table.csv
 # A row whose Rayleigh block is half filled (rayleigh_sigma_std, the
 # ninth cell, blanked): train exits 3 and writes no output directory.
 sed -E '2s/^(([^,]*,){8})[^,]*/\1/' $runs/table/training_table.csv > $runs/half_filled.csv
