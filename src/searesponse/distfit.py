@@ -316,7 +316,7 @@ def build_training_table(
 
     def fill(start: int, stop: int) -> None:
         for i in range(start, stop):
-            outputs = simulate(design.record(i), cfg,
+            outputs = simulate(design.inputs[i].tolist(), cfg,
                                [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
             peaks = [out.peaks for out in outputs]
             counts = np.array([len(p) for p in peaks], dtype=float)

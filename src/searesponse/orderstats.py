@@ -129,7 +129,7 @@ def _sweep_hours(
     totals = [0] * cfg.realizations
     for i in range(start, stop):
         seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-        for m, out in enumerate(simulate(weather.record(i), model, seeds)):
+        for m, out in enumerate(simulate(weather.inputs[i].tolist(), model, seeds)):
             totals[m] += out.count
             accs[m].update(out.peaks)
     return accs, totals

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 
 from searesponse.errors import ConfigurationError, SchemaError
 from searesponse.fileio import read_json_object
-from searesponse.weather import Weather, WeatherRecord
+from searesponse.weather import Weather
 
 logger = logging.getLogger(__name__)
 
@@ -143,10 +144,12 @@ def load_sim_config(path: str | Path) -> SimConfig:
     extra = [k for k in raw if k not in keys]
     if missing or extra:
         raise SchemaError(f"{path}: missing keys {missing}, unexpected keys {extra}")
-    try:
-        values = {k: float(raw[k]) for k in keys}
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: non-numeric value: {exc}")
+    # JSON numbers only: float() would also take true, false and "3.2e4".
+    # An integer past float range reads as inf, where float() would raise.
+    non_numeric = [k for k in keys if type(raw[k]) not in (int, float)]
+    if non_numeric:
+        raise SchemaError(f"{path}: non-numeric values for {non_numeric}")
+    values = {k: float(raw[k]) if abs(raw[k]) <= sys.float_info.max else math.inf for k in keys}
     non_finite = [k for k, v in values.items() if not math.isfinite(v)]
     if non_finite:
         raise SchemaError(f"{path}: non-finite values for {non_finite}")
@@ -181,20 +184,13 @@ def _check_wind(vw: float) -> None:
 def check_weather(weather: Weather, cfg: SimConfig, label: str = "hour") -> None:
     """Raise, before any hour runs, the ConfigurationError that `simulate`
     would raise at the first hour it cannot run, prefixed with label and
-    that hour's position; one vectorized pass over the hours finds it."""
+    that hour's position: `simulate`'s own checks, once per hour."""
     omega_top = cfg.omega_grid[-1]
-    hs, tp, vw = weather.inputs.T
-    # The checks of _check_sea_state and _check_wind, which NaN fails too.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        good = ((hs >= 0.0) & (hs < math.inf) & (tp > 0.0) & (tp < math.inf)
-                & (2.0 * np.pi / tp <= omega_top) & (vw >= 0.0) & (vw < math.inf))
-    bad = np.flatnonzero(~good)
-    if len(bad):
-        i = int(bad[0])
-        record = weather.record(i)
+    for i, row in enumerate(weather.inputs):
+        hs, tp, vw = row.tolist()
         try:
-            _check_sea_state(record.hs, record.tp, omega_top)
-            _check_wind(record.vw)
+            _check_sea_state(hs, tp, omega_top)
+            _check_wind(vw)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{label} {i}: {exc}") from None
 
@@ -287,10 +283,12 @@ def extract_peaks(series: np.ndarray, threshold: float) -> SimOutput:
 
 
 def simulate(
-    record: WeatherRecord, cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int | Sequence[int] = 0,
+    hour: Sequence[float], cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int | Sequence[int] = 0,
 ) -> SimOutput | list[SimOutput]:
     """Stochastic simulator runs of one hour: weather in, peak responses out.
 
+    hour's first three entries are (hs, tp, vw), as in a row of
+    Weather.inputs given as Python floats (`.tolist()`) or a WeatherRecord.
     One int seed gives one SimOutput; a sequence of seeds gives one per
     seed, in order, each equal to the run of its seed alone. The wave and
     response spectra are built once and every seed's series comes from one
@@ -300,9 +298,10 @@ def simulate(
     crossing structure follows the wave-induced part alone.
     """
     single = np.isscalar(seed)
-    wave = wave_spectrum(record.hs, record.tp, cfg.omega_grid)
+    hs, tp, vw = hour[:3]
+    wave = wave_spectrum(hs, tp, cfg.omega_grid)
     density = cfg.transfer_squared * wave.density
-    offset = wind_moment(record.vw, cfg)
+    offset = wind_moment(vw, cfg)
     outputs = []
     for row in realize_time_series(density, cfg, [seed] if single else seed):
         series = row + offset

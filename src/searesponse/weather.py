@@ -3,8 +3,9 @@ and uniform training designs over the input box.
 
 Each hour is one sea state: significant wave height ``hs`` [m], peak wave
 period ``tp`` [s], and mean wind speed ``vw`` [m/s]. A sequence of hours
-is one Weather value of columns; a WeatherRecord is one hour, the argument
-of `simulate`.
+is one Weather value of columns, and `simulate` takes one of its rows. A
+WeatherRecord is one hour as a named tuple; no code here builds one, and
+it stays only because the benchmark's tests pass one to `simulate`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ AR1_COEFF = 0.95
 
 
 class WeatherRecord(NamedTuple):
-    """One hour of sea state, as `simulate` takes it."""
+    """One hour of sea state, kept only for the benchmark's tests, which pass one to `simulate`."""
 
     hs: float
     tp: float
@@ -51,11 +52,6 @@ class Weather:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def record(self, i: int) -> WeatherRecord:
-        """Hour i as a WeatherRecord."""
-        hs, tp, vw = self.inputs[i].tolist()
-        return WeatherRecord(hs, tp, vw, int(self.index[i]))
 
 
 @dataclass(frozen=True)

@@ -392,13 +392,13 @@ class TestTrainsetCommand:
     def test_error_in_a_later_block_keeps_its_exit_code(self, tmp_path, fast_config_path,
                                                         monkeypatch, capsys, error, code):
         # On 3 CPUs the 6 points run in blocks 0-1, 2-3 and 4-5.
-        failing = sample_uniform_inputs(6, seed=3).record(3)
+        failing = sample_uniform_inputs(6, seed=3).inputs[3].tolist()
         real_simulate = distfit.simulate
 
-        def simulate(record, cfg, seeds):
-            if record == failing:
+        def simulate(hour, cfg, seeds):
+            if hour == failing:
                 raise error("scripted failure")
-            return real_simulate(record, cfg, seeds)
+            return real_simulate(hour, cfg, seeds)
 
         monkeypatch.setattr(simulator, "usable_cpus", lambda: 3)
         monkeypatch.setattr(distfit, "simulate", simulate)
@@ -412,12 +412,12 @@ class TestTrainsetCommand:
     def test_dropped_fits_reach_the_manifest(self, tmp_path, fast_config_path, monkeypatch):
         # Gumbel and Weibull fail on design point 2 only, keyed on the peak
         # arrays its own simulate call returned, whichever thread runs it.
-        failing = sample_uniform_inputs(6, seed=3).record(2)
+        failing = sample_uniform_inputs(6, seed=3).inputs[2].tolist()
         real_simulate, real_fit, failing_peaks = distfit.simulate, distfit.fit_runs, []
 
-        def simulate(record, cfg, seeds):
-            outputs = real_simulate(record, cfg, seeds)
-            if record == failing:
+        def simulate(hour, cfg, seeds):
+            outputs = real_simulate(hour, cfg, seeds)
+            if hour == failing:
                 failing_peaks.extend(out.peaks for out in outputs)
             return outputs
 
@@ -752,6 +752,19 @@ class TestQoiCommand:
                          "--out", str(tmp_path / "q")])
         assert code == 3
         assert f"non-finite values for ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "3.2e4"])
+    def test_non_number_sim_config_is_data_error(self, tmp_path, fast_config_path, weather_csv,
+                                                 capsys, value):
+        raw = json.loads(Path(fast_config_path).read_text())
+        raw["gain"] = value
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
+                         "--m", "1", "--seed", "1", "--sim-config", str(path),
+                         "--out", str(tmp_path / "q")])
+        assert code == 3
+        assert "non-numeric values for ['gain']" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path, fast_config_path, weather_csv):
         outs = []

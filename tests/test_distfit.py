@@ -290,9 +290,9 @@ def test_failing_run_drops_its_family_at_its_point_only(kind, monkeypatch, fast_
     clean = build_training_table(design, 3, fast_sim_config, seed=5)
     real = distfit.simulate
 
-    def simulate(record, cfg, seeds):
-        outputs = real(record, cfg, seeds)
-        if record == design.record(1):
+    def simulate(hour, cfg, seeds):
+        outputs = real(hour, cfg, seeds)
+        if hour == design.inputs[1].tolist():
             outputs[2] = SimOutput(bad)
         return outputs
 
@@ -377,7 +377,8 @@ class TestAggregateFits:
             return mean, math.sqrt(var)
 
         for i in range(len(design)):
-            outs = [simulate(design.record(i), fast_sim_config, derive_seed(5, TAG_SIM, i, m))
+            outs = [simulate(design.inputs[i].tolist(), fast_sim_config,
+                             derive_seed(5, TAG_SIM, i, m))
                     for m in range(m_runs)]
             for family in DistFamily:
                 params = [fit_family(family, out.peaks) for out in outs]
@@ -398,15 +399,16 @@ class TestBuildTrainingTable:
         calls = []
         real = distfit.simulate
 
-        def record_call(record, cfg, seeds):
-            calls.append((record, list(seeds)))
-            return real(record, cfg, seeds)
+        def record_call(hour, cfg, seeds):
+            calls.append((hour, list(seeds)))
+            return real(hour, cfg, seeds)
 
         monkeypatch.setattr(distfit, "simulate", record_call)
         build_training_table(design, 4, fast_sim_config, seed=5)
         # Blocks of points run on their own threads, so calls arrive in any order.
-        calls.sort(key=lambda call: call[0].index)
-        assert calls == [(design.record(i), [derive_seed(5, TAG_SIM, i, m) for m in range(4)])
+        rows = design.inputs.tolist()
+        calls.sort(key=lambda call: rows.index(call[0]))
+        assert calls == [(rows[i], [derive_seed(5, TAG_SIM, i, m) for m in range(4)])
                          for i in range(3)]
 
     def test_empty_design(self, fast_sim_config):
@@ -464,9 +466,9 @@ class TestWorkerInvariance:
         real = distfit.simulate
         bad, _ = FAILING_RUNS["non_positive"]
 
-        def simulate(record, cfg, seeds):
-            outputs = real(record, cfg, seeds)
-            if record == design.record(4):
+        def simulate(hour, cfg, seeds):
+            outputs = real(hour, cfg, seeds)
+            if hour == design.inputs[4].tolist():
                 outputs[1] = SimOutput(bad)
             return outputs
 

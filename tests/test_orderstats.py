@@ -104,7 +104,7 @@ class TestRunQoi:
         result = run_qoi(cfg, short_weather, fast_sim_config)
         for m in range(m_total):
             pool = np.concatenate([
-                simulate(short_weather.record(i), fast_sim_config,
+                simulate(short_weather.inputs[i].tolist(), fast_sim_config,
                          derive_seed(17, TAG_QOI, m, i)).peaks
                 for i in range(len(short_weather))
             ])
@@ -291,7 +291,7 @@ class TestWorkerInvariance:
     def test_insufficient_peaks_names_first_short_realization(self, monkeypatch,
                                                               fast_sim_config):
         weather = synthesize_weather(6, seed=42)
-        totals = [sum(simulate(weather.record(i), fast_sim_config,
+        totals = [sum(simulate(weather.inputs[i].tolist(), fast_sim_config,
                                derive_seed(14, TAG_QOI, m, i)).count
                       for i in range(len(weather))) for m in range(4)]
         # k = realization 0's total: realizations below it are short, and

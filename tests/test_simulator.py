@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 from dataclasses import fields
 
@@ -12,8 +13,6 @@ from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
     SimConfig,
-    _check_sea_state,
-    _check_wind,
     check_weather,
     extract_peaks,
     load_sim_config,
@@ -24,7 +23,7 @@ from searesponse.simulator import (
     wind_moment,
     write_sim_config,
 )
-from searesponse.weather import Weather, WeatherRecord
+from searesponse.weather import Weather, WeatherRecord, sample_uniform_inputs
 
 
 class TestWaveSpectrum:
@@ -264,6 +263,16 @@ class TestSimulate:
         for seed, out in zip(seeds, outputs):
             np.testing.assert_array_equal(out.peaks, simulate(record, fast_sim_config, seed).peaks)
 
+    def test_a_record_and_an_inputs_row_give_the_same_peaks(self, fast_sim_config):
+        # The benchmark's tests pass a WeatherRecord; the sweeps pass a row
+        # of Weather.inputs as Python floats.
+        weather = sample_uniform_inputs(4, seed=12)
+        hs, tp, vw = weather.inputs[2].tolist()
+        seeds = [derive_seed(9, TAG_QOI, m, 2) for m in range(3)]
+        by_record = simulate(WeatherRecord(hs, tp, vw, index=0), fast_sim_config, seeds)
+        by_row = simulate(weather.inputs[2].tolist(), fast_sim_config, seeds)
+        assert [out.peaks.tobytes() for out in by_row] == [out.peaks.tobytes() for out in by_record]
+
 
 class TestMapBlocks:
     @pytest.mark.parametrize("cpus,n,blocks", [
@@ -293,6 +302,8 @@ class TestMapBlocks:
 
 
 class TestCheckWeather:
+    # On the fast config the grid tops out at pi/dt = 2 pi rad/s, so tp = 1.0
+    # puts the peak frequency exactly on it.
     @pytest.mark.parametrize("field,value,message", [
         ("hs", -0.1, "hour 2: hs must be non-negative"),
         ("tp", 0.0, "hour 2: tp must be positive"),
@@ -302,44 +313,44 @@ class TestCheckWeather:
         ("tp", float("nan"), "hour 2: tp must be positive and finite, got nan"),
         ("vw", float("nan"), "hour 2: vw must be non-negative and finite, got nan"),
         ("vw", float("inf"), "hour 2: vw must be non-negative and finite, got inf"),
+        ("hs", math.inf, "hour 2: hs must be non-negative and finite, got inf"),
+        ("hs", -math.inf, "hour 2: hs must be non-negative and finite, got -inf"),
+        ("tp", math.inf, "hour 2: tp must be positive and finite, got inf"),
+        ("tp", -math.inf, "hour 2: tp must be positive and finite, got -inf"),
+        ("tp", -0.0, "hour 2: tp must be positive and finite, got -0.0"),
+        ("tp", 5e-324, "hour 2: peak frequency inf rad/s above top of grid 6.2832 rad/s "
+                       "(tp=5e-324)"),
+        ("tp", math.nextafter(1.0, 0.0), "hour 2: peak frequency 6.2832 rad/s above top of grid "
+                                         "6.2832 rad/s (tp=0.9999999999999999)"),
+        ("vw", -math.inf, "hour 2: vw must be non-negative and finite, got -inf"),
     ])
     def test_first_bad_hour_is_named(self, fast_sim_config, field, value, message):
         inputs = np.tile([2.0, 9.0, 5.0], (4, 1))
         inputs[2, ("hs", "tp", "vw").index(field)] = value
         inputs[3, 0] = -1.0
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             check_weather(Weather(np.arange(4), inputs), fast_sim_config)
 
-    def test_matches_the_hour_loop(self, fast_sim_config):
-        # The vectorized pass names the hour, and gives the message, that
-        # the per-hour checks of simulate give first, near the grid's top too.
-        top = fast_sim_config.omega_grid[-1]
-        tp_edge = 2.0 * np.pi / top
-        specials = [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0, 5e-324, 0.9,
-                    tp_edge, np.nextafter(tp_edge, 0.0), np.nextafter(tp_edge, np.inf)]
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            inputs = np.tile([2.0, 9.0, 5.0], (12, 1))
-            hit = rng.random(inputs.shape) < 0.05
-            inputs[hit] = rng.choice(specials, size=hit.sum())
-            expected = None
-            for i, (hs, tp, vw) in enumerate(inputs.tolist()):
-                try:
-                    _check_sea_state(hs, tp, top)
-                    _check_wind(vw)
-                except ConfigurationError as exc:
-                    expected = f"design point {i}: {exc}"
-                    break
-            try:
-                check_weather(Weather(np.arange(12), inputs), fast_sim_config,
-                              label="design point")
-                got = None
-            except ConfigurationError as exc:
-                got = str(exc)
-            assert got == expected
+    @pytest.mark.parametrize("hour,message", [
+        ([-1.0, 0.0, 5.0], "hs must be non-negative and finite, got -1.0"),
+        ([math.nan, math.nan, math.nan], "hs must be non-negative and finite, got nan"),
+        ([-1.0, 0.9, -1.0], "hs must be non-negative and finite, got -1.0"),
+        ([2.0, math.inf, math.nan], "tp must be positive and finite, got inf"),
+        ([2.0, 0.0, -1.0], "tp must be positive and finite, got 0.0"),
+        ([2.0, 0.9, -1.0], "peak frequency 6.9813 rad/s above top of grid 6.2832 rad/s (tp=0.9)"),
+    ])
+    def test_first_bad_field_is_named(self, fast_sim_config, hour, message):
+        # In simulate's order: hs, tp, the grid's top, then vw.
+        inputs = np.array([[2.0, 9.0, 5.0], hour])
+        with pytest.raises(ConfigurationError) as err:
+            check_weather(Weather(np.arange(2), inputs), fast_sim_config, label="design point")
+        assert str(err.value) == f"design point 1: {message}"
 
     def test_values_on_the_bounds_pass(self, fast_sim_config):
-        check_weather(Weather(np.arange(1), np.array([[0.0, 1.0, 0.0]])), fast_sim_config)
+        assert 2.0 * np.pi / fast_sim_config.omega_grid[-1] == 1.0
+        for hour in ([0.0, 1.0, 0.0], [-0.0, 9.0, 5.0], [5e-324, 9.0, 5.0], [2.0, 9.0, -0.0],
+                     [2.0, 9.0, 5e-324], [2.0, 1.0, 5.0], [2.0, math.nextafter(1.0, math.inf), 5.0]):
+            check_weather(Weather(np.arange(1), np.array([hour])), fast_sim_config)
 
 
 class TestSimConfig:
@@ -426,6 +437,28 @@ class TestSimConfigFile:
         path.write_text(json.dumps({**json.loads(path.read_text()), "transfer": {"omega0": 0.65}}))
         with pytest.raises(SchemaError, match=r"unexpected keys \['transfer'\]"):
             load_sim_config(path)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_non_number_rejected(self, tmp_path, value):
+        # float() would read true as 1.0 and "0.5" as 0.5.
+        path = tmp_path / "sim.json"
+        write_sim_config(path, DEFAULT_SIM_CONFIG)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dt": value}))
+        with pytest.raises(SchemaError, match=r"non-numeric values for \['dt'\]"):
+            load_sim_config(path)
+
+    def test_integer_past_float_range_is_non_finite(self, tmp_path):
+        path = tmp_path / "sim.json"
+        write_sim_config(path, DEFAULT_SIM_CONFIG)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "gain": 10**400}))
+        with pytest.raises(SchemaError, match=r"non-finite values for \['gain'\]"):
+            load_sim_config(path)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        path = tmp_path / "sim.json"
+        write_sim_config(path, DEFAULT_SIM_CONFIG)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "duration": 3600}))
+        assert load_sim_config(path) == DEFAULT_SIM_CONFIG
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "sim.json"

@@ -54,8 +54,8 @@ class TestLoadWeather:
         path = _write(tmp_path, "index,hs,tp,vw\n0,3.2,11.3,1.2\n1,7.4,9.6,16.5\n")
         weather = load_weather(path)
         assert len(weather) == 2
-        assert weather.record(0) == WeatherRecord(hs=3.2, tp=11.3, vw=1.2, index=0)
-        assert weather.record(1) == WeatherRecord(hs=7.4, tp=9.6, vw=16.5, index=1)
+        assert weather.index.tolist() == [0, 1]
+        assert weather.inputs.tolist() == [[3.2, 11.3, 1.2], [7.4, 9.6, 16.5]]
 
     def test_negative_hs_reports_file_line(self, tmp_path):
         path = _write(tmp_path, "index,hs,tp,vw\n0,3.2,11.3,1.2\n1,7.4,9.6,16.5\n2,-1.0,9.0,5.0\n")
