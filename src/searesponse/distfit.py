@@ -316,9 +316,8 @@ def build_training_table(
 
     def fill(start: int, stop: int) -> None:
         for i in range(start, stop):
-            outputs = simulate(design.inputs[i].tolist(), cfg,
-                               [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
-            peaks = [out.peaks for out in outputs]
+            peaks = simulate(design.inputs[i].tolist(), cfg,
+                             [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
             counts = np.array([len(p) for p in peaks], dtype=float)
             l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
             for fam in DistFamily:

@@ -129,9 +129,9 @@ def _sweep_hours(
     totals = [0] * cfg.realizations
     for i in range(start, stop):
         seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-        for m, out in enumerate(simulate(weather.inputs[i].tolist(), model, seeds)):
-            totals[m] += out.count
-            accs[m].update(out.peaks)
+        for m, peaks in enumerate(simulate(weather.inputs[i].tolist(), model, seeds)):
+            totals[m] += len(peaks)
+            accs[m].update(peaks)
     return accs, totals
 
 
@@ -314,19 +314,20 @@ def load_qoi_result(directory: str | Path) -> QoiResult:
         k, realizations = int(summary["k"]), int(summary["realizations"])
         source, base_seed = summary["source"], int(summary["base_seed"])
         total_count = int(summary["total_count"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e309): OverflowError
         raise SchemaError(f"{summary_path}: malformed summary: {exc}")
     if k < 1 or realizations < 1:
         raise SchemaError(f"{summary_path}: k and realizations must be >= 1")
     yk = _read_floats(directory / "yk_samples.csv", YK_SAMPLES_COLUMNS)
     ranks = _read_floats(directory / "rank_summary.csv", RANK_SUMMARY_COLUMNS)
-    for name, rows, numbers in (("yk_samples.csv", yk, range(realizations)),
-                                ("rank_summary.csv", ranks, range(1, k + 1))):
-        if len(rows) != len(numbers):
-            raise SchemaError(f"{directory / name}: expected {len(numbers)} rows, got {len(rows)}")
-        if not np.array_equal(rows[:, 0], numbers):
+    # Counts stay Python ints: len(range(count)) would overflow C ssize_t.
+    for name, rows, first, count in (("yk_samples.csv", yk, 0, realizations),
+                                     ("rank_summary.csv", ranks, 1, k)):
+        if len(rows) != count:
+            raise SchemaError(f"{directory / name}: expected {count} rows, got {len(rows)}")
+        if not np.array_equal(rows[:, 0], np.arange(first, first + count)):
             raise SchemaError(f"{directory / name}: first column must count "
-                              f"{numbers[0]}..{numbers[-1]} in order")
+                              f"{first}..{first + count - 1} in order")
     return QoiResult(
         k=k, source=source, base_seed=base_seed,
         yk_samples=yk[:, 1],

@@ -4,10 +4,11 @@ Maps one hour of weather to an array of peak structural responses:
 parametric wave spectrum -> transfer-function filtering -> random-phase
 time-domain realization -> constant wind-moment offset -> mean-crossing
 peak extraction. The number of peaks L is itself random, varying with the
-realization seed. `simulate` takes one seed or many: it builds the
-hour's spectrum once and realizes every seed from it in one batched
-inverse transform. `map_blocks` runs a sweep over hours or design points
-in contiguous blocks, one thread per usable CPU.
+realization seed. `extract_peaks` returns the peaks as a float64 array;
+`simulate` builds an hour's spectrum once and realizes every seed from it
+in one batched inverse transform, one peak array per seed of a list (a
+SimOutput for one int seed). `map_blocks` runs a sweep over hours or
+design points in contiguous blocks, one thread per usable CPU.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from searesponse.weather import Weather
 logger = logging.getLogger(__name__)
 
 PEAK_ENHANCEMENT = 3.3
+
+# The largest transform a SimConfig takes: 512 times the default hour's 8192
+# samples, with two 32 MiB arrays on its grid.
+MAX_N_FFT = 1 << 22
 
 T = TypeVar("T")
 
@@ -56,12 +61,9 @@ class WaveSpectrum(NamedTuple):
 
 @dataclass
 class SimOutput:
-    """Array of peak responses from one simulated hour."""
+    """Peaks of one simulated hour: `simulate`'s result for one int seed."""
 
     peaks: np.ndarray
-
-    def __post_init__(self):
-        self.peaks = np.asarray(self.peaks, dtype=float)
 
     @property
     def count(self) -> int:
@@ -74,7 +76,8 @@ class SimConfig:
     are the keys of sim_config.json, in file order.
 
     duration/dt fixes the sample count (>= 1024, zero-padded to the next
-    power of two for the transform); the omega grid is matched to the
+    power of two for the transform, n_fft <= MAX_N_FFT = 2**22, checked
+    before any array is made); the omega grid is matched to the
     transform bins so the Nyquist frequency pi/dt caps the grid exactly.
     The response is a single-degree-of-freedom resonator: natural angular
     frequency omega0 [rad/s], damping ratio 0 < zeta < 1, gain [N*m per
@@ -105,6 +108,9 @@ class SimConfig:
             raise ConfigurationError(
                 f"duration/dt must give at least 1024 samples, got {self.n_samples}"
             )
+        if self.n_fft > MAX_N_FFT:
+            raise ConfigurationError(f"duration/dt gives a transform of {self.n_fft} samples, "
+                                     f"above the cap of {MAX_N_FFT}")
         _require_positive("omega0", self.omega0)
         if not 0.0 < self.zeta < 1.0:
             raise ConfigurationError(f"zeta must be in (0, 1), got {self.zeta}")
@@ -205,14 +211,13 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
     omega = np.asarray(omega, dtype=float)
     wp = _check_sea_state(hs, tp, omega[-1])
     density = np.zeros_like(omega)
-    if hs > 0.0:
-        w = omega[omega > 0.0]
-        sigma = np.where(w > wp, 0.09, 0.07)
-        peak_arg = np.exp(-0.5 * ((w - wp) / (sigma * wp)) ** 2)
-        shape = w**-5.0 * np.exp(-1.25 * (wp / w) ** 4) * PEAK_ENHANCEMENT**peak_arg
-        density[omega > 0.0] = shape
-        m0 = np.trapezoid(density, omega)
-        density *= (hs * hs / 16.0) / m0
+    w = omega[omega > 0.0]
+    sigma = np.where(w > wp, 0.09, 0.07)
+    peak_arg = np.exp(-0.5 * ((w - wp) / (sigma * wp)) ** 2)
+    shape = w**-5.0 * np.exp(-1.25 * (wp / w) ** 4) * PEAK_ENHANCEMENT**peak_arg
+    density[omega > 0.0] = shape
+    m0 = np.trapezoid(density, omega)
+    density *= (hs * hs / 16.0) / m0
     return WaveSpectrum(omega=omega, density=density)
 
 
@@ -260,8 +265,9 @@ def wind_moment(vw: float, cfg: SimConfig) -> float:
     return force * cfg.lever_arm
 
 
-def extract_peaks(series: np.ndarray, threshold: float) -> SimOutput:
-    """Per-cycle maxima between successive threshold up-crossings.
+def extract_peaks(series: np.ndarray, threshold: float) -> np.ndarray:
+    """Per-cycle maxima between successive threshold up-crossings, as a
+    float64 array in time order.
 
     An up-crossing sits at index i when series[i] <= threshold < series[i+1].
     Each pair of consecutive up-crossings contributes the maximum strictly
@@ -272,41 +278,39 @@ def extract_peaks(series: np.ndarray, threshold: float) -> SimOutput:
     if len(series) < 2:
         raise ConfigurationError("series must have at least 2 samples")
     up = np.nonzero((series[:-1] <= threshold) & (series[1:] > threshold))[0]
-    if len(up) == 0:
-        return SimOutput(peaks=np.empty(0))
     # Segment [up[j]+1 : up[j+1]+1) contains the crossing sample up[j+1]
     # (below threshold, never the max), so its maximum equals the maximum
     # strictly between the two crossings; reduceat's final segment runs to
-    # the end of the series.
-    peaks = np.maximum.reduceat(series, up + 1)
-    return SimOutput(peaks=peaks)
+    # the end of the series, and no index at all gives an empty array.
+    return np.maximum.reduceat(series, up + 1)
 
 
 def simulate(
     hour: Sequence[float], cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int | Sequence[int] = 0,
-) -> SimOutput | list[SimOutput]:
+) -> SimOutput | list[np.ndarray]:
     """Stochastic simulator runs of one hour: weather in, peak responses out.
 
     hour's first three entries are (hs, tp, vw), as in a row of
     Weather.inputs given as Python floats (`.tolist()`) or a WeatherRecord.
-    One int seed gives one SimOutput; a sequence of seeds gives one per
-    seed, in order, each equal to the run of its seed alone. The wave and
-    response spectra are built once and every seed's series comes from one
-    batched inverse transform. The wind moment enters as a constant offset
-    over the hour and the up-crossing threshold is the arithmetic mean of
-    each realized series, so peak values are absolute moments while the
-    crossing structure follows the wave-induced part alone.
+    A sequence of seeds gives one float64 peak array per seed, in order,
+    each equal to the run of its seed alone; one int seed gives a SimOutput
+    holding its array. The wave and response spectra are built once and
+    every seed's series comes from one batched inverse transform. The wind
+    moment enters as a constant offset over the hour and the up-crossing
+    threshold is the arithmetic mean of each realized series, so peak
+    values are absolute moments while the crossing structure follows the
+    wave-induced part alone.
     """
     single = np.isscalar(seed)
     hs, tp, vw = hour[:3]
     wave = wave_spectrum(hs, tp, cfg.omega_grid)
     density = cfg.transfer_squared * wave.density
     offset = wind_moment(vw, cfg)
-    outputs = []
+    peaks = []
     for row in realize_time_series(density, cfg, [seed] if single else seed):
         series = row + offset
-        outputs.append(extract_peaks(series, threshold=float(series.mean())))
-    return outputs[0] if single else outputs
+        peaks.append(extract_peaks(series, threshold=float(series.mean())))
+    return SimOutput(peaks[0]) if single else peaks
 
 
 def usable_cpus() -> int:

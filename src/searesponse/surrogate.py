@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from searesponse.distfit import DistFamily, Hazard, TrainingTable
-from searesponse.errors import ConfigurationError, InsufficientDataError, SchemaError
+from searesponse.errors import ConfigurationError, InsufficientDataError, NumericError, SchemaError
 from searesponse.fileio import FORMAT_VERSIONS, read_json_object
 from searesponse.gp import (
     GPModel,
@@ -141,9 +141,15 @@ def predict_moments_batch(model: SurrogateModel, inputs: np.ndarray,
                           include_noise: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Predictive (mean, std) of every target over an (n, 3) input array:
     two (n, p+1) arrays whose column j is target_names(family)[j], from one
-    predict_batch call per GP."""
-    moments = [predict_batch(gp_model, inputs, include_noise=include_noise)
-               for gp_model in model.models.values()]
+    predict_batch call per GP. A non-finite prediction raises NumericError
+    naming its target: a file can hold values that load (a lengthscale or
+    input scale of 5e-324) and still predict NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by target
+        moments = [predict_batch(gp_model, inputs, include_noise=include_noise)
+                   for gp_model in model.models.values()]
+    for name, (mean, std) in zip(model.models, moments):
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericError(f"the {name} GP predicts a non-finite mean or std")
     return (np.column_stack([mean for mean, _ in moments]),
             np.column_stack([std for _, std in moments]))
 
@@ -154,7 +160,8 @@ def hours_outside_training_box(model: SurrogateModel, inputs: np.ndarray) -> int
     of a bundle has the same training inputs; the rows are standardized as
     predict_batch standardizes them, so a row on the box's edge is inside."""
     gp_model = next(iter(model.models.values()))
-    points = (inputs - gp_model.input_mean) / gp_model.input_scale
+    with np.errstate(over="ignore"):  # an infinite row lies outside
+        points = (inputs - gp_model.input_mean) / gp_model.input_scale
     train = gp_model.train_inputs
     outside = (points < train.min(axis=0)) | (points > train.max(axis=0))
     return int(outside.any(axis=1).sum())
@@ -300,7 +307,8 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
     try:
         family = DistFamily(manifest["family"])
         files = manifest["files"]
-        return SurrogateModel(family, {name: load_model(directory / files[name])
-                                       for name in target_names(family)})
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN predictions are reported
+            return SurrogateModel(family, {name: load_model(directory / files[name])
+                                           for name in target_names(family)})
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SchemaError(f"{directory}: malformed bundle: {exc}")

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -418,7 +419,7 @@ class TestTrainsetCommand:
         def simulate(hour, cfg, seeds):
             outputs = real_simulate(hour, cfg, seeds)
             if hour == failing:
-                failing_peaks.extend(out.peaks for out in outputs)
+                failing_peaks.extend(outputs)
             return outputs
 
         def fit_runs(family, runs):
@@ -753,6 +754,20 @@ class TestQoiCommand:
         assert code == 3
         assert f"non-finite values for ['{key}']" in capsys.readouterr().err
 
+    def test_huge_duration_stops_at_the_transform_cap(self, tmp_path, fast_config_path,
+                                                      weather_csv, capsys):
+        raw = Path(fast_config_path).read_text()
+        path = tmp_path / "sim.json"
+        path.write_text(re.sub(r'"duration": [0-9.]+', '"duration": 99999999999999999999999', raw))
+        out = tmp_path / "q"
+        code = cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
+                         "--m", "1", "--seed", "1", "--sim-config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: duration/dt gives a transform of 302231454903657293676544 samples, "
+            "above the cap of 4194304\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [True, "3.2e4"])
     def test_non_number_sim_config_is_data_error(self, tmp_path, fast_config_path, weather_csv,
                                                  capsys, value):
@@ -781,7 +796,8 @@ class TestQoiCommand:
 class TestBundleInputs:
     """qoi and eval end with exit 3 on a bundle whose GPs do not take the
     three weather inputs or hold a per-row array that is not 1-D, or whose
-    bundle.json has an older version."""
+    bundle.json has an older version, and with exit 4 on one that loads but
+    predicts a non-finite value."""
 
     def _run(self, command, tmp_path, bundle, weather_csv, table_path):
         out = tmp_path / "out"
@@ -836,6 +852,22 @@ class TestBundleInputs:
         assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
         assert ("gp_sigma.json: malformed model file: train_targets and noise_variances need "
                 "one entry per train_inputs row") in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the error alone
+    @pytest.mark.parametrize("key", ["lengthscales", "input_scale"])
+    @pytest.mark.parametrize("command", ["qoi", "eval"])
+    def test_smallest_positive_scale_is_numeric_error(self, tmp_path, bundle_path, weather_csv,
+                                                      table_path, capsys, command, key):
+        # 5e-324 is positive and finite, so the file loads; the GP predicts NaN.
+        def edit(payload):
+            node = payload["kernel" if key == "lengthscales" else "standardization"]
+            node[key][0] = 5e-324
+
+        bundle = self._copy(tmp_path, bundle_path, "gp_sigma.json", edit)
+        assert "5e-324" in (bundle / "gp_sigma.json").read_text()
+        assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 4
+        assert capsys.readouterr().err == (
+            "numeric error: the sigma GP predicts a non-finite mean or std\n")
 
     @pytest.mark.parametrize("command", ["qoi", "eval"])
     def test_version_1_bundle(self, tmp_path, bundle_path, weather_csv, table_path, capsys,
@@ -955,6 +987,21 @@ class TestCompareInputs:
         assert self._compare(tmp_path, run) == 3
         assert capsys.readouterr().err == (
             f"data error: {run / 'yk_samples.csv'}: line 2: non-finite value 'nan' in column yk\n")
+
+    @pytest.mark.parametrize("key,text", [
+        ("total_count", "1e309"), ("k", "1e309"), ("realizations", "1e309"),
+        ("base_seed", "1e309"), ("realizations", "99999999999999999999999"),
+        ("k", "99999999999999999999999"),
+    ])
+    def test_summary_count_past_float_or_ssize_range(self, tmp_path, run, capsys, key, text):
+        path = run / "summary.json"
+        path.write_text(re.sub(rf'"{key}": [0-9]+', f'"{key}": {text}', path.read_text()))
+        assert f'"{key}": {text},' in path.read_text()
+        assert self._compare(tmp_path, run) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {run}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_zero_reference_mean(self, tmp_path, run):
         (run / "yk_samples.csv").write_text("realization,yk\n0,0.0\n1,0.0\n")

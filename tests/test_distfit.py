@@ -26,7 +26,7 @@ from searesponse.errors import (
     ParseError,
 )
 from searesponse.seeding import TAG_SIM, derive_seed
-from searesponse.simulator import SimOutput, simulate
+from searesponse.simulator import simulate
 from searesponse.weather import Weather, sample_uniform_inputs
 
 from loglik import LOGLIKS, gumbel_loglik, rayleigh_loglik, weibull_loglik
@@ -293,7 +293,7 @@ def test_failing_run_drops_its_family_at_its_point_only(kind, monkeypatch, fast_
     def simulate(hour, cfg, seeds):
         outputs = real(hour, cfg, seeds)
         if hour == design.inputs[1].tolist():
-            outputs[2] = SimOutput(bad)
+            outputs[2] = bad
         return outputs
 
     monkeypatch.setattr(distfit, "simulate", simulate)
@@ -339,7 +339,7 @@ class TestAggregateFits:
     def test_identical_fits_zero_std(self, monkeypatch, fast_sim_config, rng):
         peaks = rng.rayleigh(2.5, 100) + 0.1
         monkeypatch.setattr(distfit, "simulate",
-                            lambda record, cfg, seeds: [SimOutput(peaks) for _ in seeds])
+                            lambda record, cfg, seeds: [peaks for _ in seeds])
         table = self._table(fast_sim_config)
         for family in DistFamily:
             params = fit_family(family, peaks)
@@ -469,7 +469,7 @@ class TestWorkerInvariance:
         def simulate(hour, cfg, seeds):
             outputs = real(hour, cfg, seeds)
             if hour == design.inputs[4].tolist():
-                outputs[1] = SimOutput(bad)
+                outputs[1] = bad
             return outputs
 
         monkeypatch.setattr(distfit, "simulate", simulate)

@@ -12,6 +12,7 @@ from searesponse.errors import ConfigurationError, NumericError, SchemaError
 from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
+    MAX_N_FFT,
     SimConfig,
     check_weather,
     extract_peaks,
@@ -28,8 +29,11 @@ from searesponse.weather import Weather, WeatherRecord, sample_uniform_inputs
 
 class TestWaveSpectrum:
     def test_zero_hs_gives_zero_density(self, fast_sim_config):
-        spec = wave_spectrum(0.0, 10.0, fast_sim_config.omega_grid)
-        assert np.all(spec.density == 0.0)
+        # hs * hs is +0.0 for each of them: a positive zero in every bin.
+        for hs in (0.0, -0.0, 5e-324):
+            spec = wave_spectrum(hs, 10.0, fast_sim_config.omega_grid)
+            assert np.all(spec.density == 0.0)
+            assert not np.signbit(spec.density).any()
 
     @pytest.mark.parametrize("hs,tp", [(3.2, 11.3), (7.4, 9.6)])
     def test_zeroth_moment_normalization(self, fast_sim_config, hs, tp):
@@ -190,30 +194,30 @@ def _reference_peak_scan(series, threshold):
 
 class TestExtractPeaks:
     def test_constant_series_has_no_peaks(self):
-        out = extract_peaks(np.full(100, 3.0), 3.0)
-        assert out.count == 0
+        peaks = extract_peaks(np.full(100, 3.0), 3.0)
+        assert peaks.dtype == np.float64 and peaks.shape == (0,)
 
     def test_sine_wave_ten_periods(self):
         # 100 samples/period puts a sample exactly on every crest.
         t = np.arange(1000)
         series = np.sin(2.0 * np.pi * t / 100.0)
-        out = extract_peaks(series, 0.0)
-        assert out.count == 10
-        np.testing.assert_allclose(out.peaks, 1.0, rtol=0, atol=0)
+        peaks = extract_peaks(series, 0.0)
+        assert len(peaks) == 10
+        np.testing.assert_allclose(peaks, 1.0, rtol=0, atol=0)
 
     def test_matches_reference_scan_on_random_series(self, rng):
         for _ in range(1000):
             n = int(rng.integers(2, 400))
             series = rng.normal(0.0, 1.0, n)
             threshold = float(series.mean())
-            out = extract_peaks(series, threshold)
+            peaks = extract_peaks(series, threshold)
             expected = _reference_peak_scan(series, threshold)
-            np.testing.assert_array_equal(out.peaks, expected)
-            assert np.all(out.peaks > threshold) or out.count == 0
+            np.testing.assert_array_equal(peaks, expected)
+            assert np.all(peaks > threshold) or len(peaks) == 0
 
     def test_all_above_threshold_gives_no_crossings(self):
-        out = extract_peaks(np.array([5.0, 6.0, 5.5, 7.0]), 1.0)
-        assert out.count == 0
+        peaks = extract_peaks(np.array([5.0, 6.0, 5.5, 7.0]), 1.0)
+        assert peaks.dtype == np.float64 and peaks.shape == (0,)
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -258,10 +262,11 @@ class TestSimulate:
     def test_hour_rows_equal_one_seed_runs(self, fast_sim_config):
         record = WeatherRecord(hs=3.0, tp=10.0, vw=7.0, index=0)
         seeds = [derive_seed(9, TAG_QOI, m, 0) for m in range(4)]
-        outputs = simulate(record, fast_sim_config, seeds)
-        assert isinstance(outputs, list) and len(outputs) == len(seeds)
-        for seed, out in zip(seeds, outputs):
-            np.testing.assert_array_equal(out.peaks, simulate(record, fast_sim_config, seed).peaks)
+        runs = simulate(record, fast_sim_config, seeds)
+        assert isinstance(runs, list) and len(runs) == len(seeds)
+        for seed, peaks in zip(seeds, runs):
+            assert isinstance(peaks, np.ndarray) and peaks.dtype == np.float64
+            np.testing.assert_array_equal(peaks, simulate(record, fast_sim_config, seed).peaks)
 
     def test_a_record_and_an_inputs_row_give_the_same_peaks(self, fast_sim_config):
         # The benchmark's tests pass a WeatherRecord; the sweeps pass a row
@@ -271,7 +276,7 @@ class TestSimulate:
         seeds = [derive_seed(9, TAG_QOI, m, 2) for m in range(3)]
         by_record = simulate(WeatherRecord(hs, tp, vw, index=0), fast_sim_config, seeds)
         by_row = simulate(weather.inputs[2].tolist(), fast_sim_config, seeds)
-        assert [out.peaks.tobytes() for out in by_row] == [out.peaks.tobytes() for out in by_record]
+        assert [peaks.tobytes() for peaks in by_row] == [peaks.tobytes() for peaks in by_record]
 
 
 class TestMapBlocks:
@@ -375,6 +380,21 @@ class TestSimConfig:
     def test_non_finite_model_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make()
+
+    def test_transform_cap_is_checked_before_any_array(self, monkeypatch):
+        # At the cap the checks pass and the grid would be built next; one
+        # sample more pads to twice the cap and stops before it. Neither
+        # config makes an array: the grid's rfftfreq is replaced by a raise.
+        def no_grid(*args, **kwargs):
+            raise RuntimeError("grid built")
+
+        monkeypatch.setattr(np.fft, "rfftfreq", no_grid)
+        assert MAX_N_FFT == 2**22 == 512 * DEFAULT_SIM_CONFIG.n_fft
+        with pytest.raises(RuntimeError, match="grid built"):
+            SimConfig(duration=MAX_N_FFT * 0.5, dt=0.5)
+        with pytest.raises(ConfigurationError,
+                           match="gives a transform of 8388608 samples, above the cap of 4194304"):
+            SimConfig(duration=(MAX_N_FFT + 1) * 0.5, dt=0.5)
 
     def test_too_short_duration_rejected(self):
         with pytest.raises(ConfigurationError, match="at least 1024 samples"):

@@ -162,6 +162,20 @@ done
 # The flag reaches the draw: sample and frozen runs differ.
 if cmp -s $runs/qoi_gumbel_sample/yk_samples.csv \
     $runs/qoi_gumbel_frozen/yk_samples.csv; then exit 1; fi
+# A gp_mu.json whose first lengthscale is 5e-324 loads (it is positive
+# and finite) but predicts NaN: exit 4 with one line on stderr, and no
+# output directory.
+cp -r $runs/gumbel $runs/gumbel_tiny_lengthscale
+sed -E 's/"lengthscales": \[[^,]*/"lengthscales": [5e-324/' $runs/gumbel/gp_mu.json \
+    > $runs/gumbel_tiny_lengthscale/gp_mu.json
+grep -q '"lengthscales": \[5e-324,' $runs/gumbel_tiny_lengthscale/gp_mu.json
+code=0
+$cli qoi --source surrogate --bundle $runs/gumbel_tiny_lengthscale \
+    --weather $runs/weather/weather.csv --k 10 --m 3 --seed 17 \
+    --out $runs/qoi_tiny_lengthscale 2> $runs/tiny_lengthscale.err || code=$?
+test $code -eq 4
+test $(wc -l < $runs/tiny_lengthscale.err) -eq 1
+test ! -e $runs/qoi_tiny_lengthscale
 # 1100 hours span three 512-row prediction blocks: a --force rerun
 # writes the same files, and the manifest names qoi_result version 4.
 $cli weather synth --hours 1100 --seed 8 --out $runs/weather_1100
@@ -187,3 +201,15 @@ $cli compare $runs/qoi_gumbel $runs/qoi_sim --out $runs/cmp --force
 for f in report.json rank_comparison.csv yk_samples_combined.csv; do
   cmp $runs/cmp_first/$f $runs/cmp/$f
 done
+# A summary.json whose total_count is 1e309 (read as inf): exit 3 with
+# one line on stderr, and no output directory.
+cp -r $runs/qoi_sim $runs/qoi_sim_inf_count
+sed 's/"total_count": [0-9]*/"total_count": 1e309/' $runs/qoi_sim/summary.json \
+    > $runs/qoi_sim_inf_count/summary.json
+grep -q '"total_count": 1e309,' $runs/qoi_sim_inf_count/summary.json
+code=0
+$cli compare $runs/qoi_gumbel $runs/qoi_sim_inf_count --out $runs/cmp_inf_count \
+    2> $runs/inf_count.err || code=$?
+test $code -eq 3
+test $(wc -l < $runs/inf_count.err) -eq 1
+test ! -e $runs/cmp_inf_count
