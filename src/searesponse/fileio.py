@@ -30,10 +30,10 @@ from searesponse.errors import ParseError, SchemaError
 FORMAT_VERSIONS = {
     "weather_csv": 1,
     "sim_config": 1,
-    "training_table": 2,
+    "training_table": 3,
     "gp_model": 1,
     "surrogate_bundle": 2,
-    "qoi_result": 4,
+    "qoi_result": 5,
     "comparison_report": 1,
 }
 

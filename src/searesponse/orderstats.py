@@ -310,12 +310,12 @@ def load_qoi_result(directory: str | Path) -> QoiResult:
     if not summary_path.exists():
         raise SchemaError(f"{directory}: missing summary.json")
     summary = read_json_object(summary_path)
-    try:
-        k, realizations = int(summary["k"]), int(summary["realizations"])
-        source, base_seed = summary["source"], int(summary["base_seed"])
-        total_count = int(summary["total_count"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e309): OverflowError
-        raise SchemaError(f"{summary_path}: malformed summary: {exc}")
+    kinds = {"source": str, "k": int, "realizations": int, "base_seed": int, "total_count": int}
+    # Exact JSON types: int() would also take 2.9, true, "3" and 1e309.
+    bad = [key for key, kind in kinds.items() if type(summary.get(key)) is not kind]
+    if bad:
+        raise SchemaError(f"{summary_path}: malformed summary: missing or mistyped {bad}")
+    source, k, realizations, base_seed, total_count = (summary[key] for key in kinds)
     if k < 1 or realizations < 1:
         raise SchemaError(f"{summary_path}: k and realizations must be >= 1")
     yk = _read_floats(directory / "yk_samples.csv", YK_SAMPLES_COLUMNS)

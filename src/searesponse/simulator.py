@@ -206,7 +206,9 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
 
     Uses the JONSWAP functional form with peak enhancement 3.3, then
     rescales so the zeroth spectral moment equals hs^2/16 exactly on the
-    discrete grid (trapezoid rule). hs = 0 yields a zero density.
+    discrete grid (trapezoid rule). hs = 0 yields a zero density. A grid on
+    which that moment of the shape is not positive and finite raises
+    ConfigurationError.
     """
     omega = np.asarray(omega, dtype=float)
     wp = _check_sea_state(hs, tp, omega[-1])
@@ -217,6 +219,9 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
     shape = w**-5.0 * np.exp(-1.25 * (wp / w) ** 4) * PEAK_ENHANCEMENT**peak_arg
     density[omega > 0.0] = shape
     m0 = np.trapezoid(density, omega)
+    if not (math.isfinite(m0) and m0 > 0.0):  # a grid too coarse or fine for the sea state
+        raise ConfigurationError(f"spectrum of hs={hs}, tp={tp} has zeroth moment {m0} on the grid "
+                                 f"{omega[0]:.4g}..{omega[-1]:.4g} rad/s")
     density *= (hs * hs / 16.0) / m0
     return WaveSpectrum(omega=omega, density=density)
 
@@ -227,10 +232,11 @@ def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int
     density is a one-sided spectral density on cfg.omega_grid, the config's
     rfft bins, so only its length is checked. Each frequency bin gets
     deterministic amplitude sqrt(2 S(w_k) dw) and an independent uniform
-    random phase; each series is the inverse transform, truncated to
-    cfg.n_samples. The series variance equals the trapezoid integral of the
-    density in expectation. There is one row per seed, each equal to the
-    series of its seed alone, from one batched inverse transform.
+    random phase, whose phasor is taken in float32; each series is the
+    inverse transform, truncated to cfg.n_samples. The series variance
+    equals the trapezoid integral of the density in expectation. There is
+    one row per seed, each equal to the series of its seed alone, from one
+    batched inverse transform.
     """
     n_samples, n_fft = cfg.n_samples, cfg.n_fft
     if len(density) != n_fft // 2 + 1:
@@ -238,15 +244,15 @@ def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int
             f"density has {len(density)} bins, the config's rfft layout has {n_fft // 2 + 1}"
         )
     domega = 2.0 * np.pi / (n_fft * cfg.dt)
-    # uniform(0, 2 pi) draws 0 + 2 pi u, and exp(1j phase) is cos + 1j sin:
-    # the same bits, written in place.
+    # Each float64 phase 2 pi u is rounded to float32 once, and its float32
+    # cos and sin (within 2.5e-7 of float64's) widen into the spectrum.
     phases = np.empty((len(seeds), len(density)))
     for row, s in zip(phases, seeds):
         np.random.default_rng(s).random(out=row)
-    phases *= 2.0 * np.pi
+    phases = (phases * (2.0 * np.pi)).astype(np.float32)
     spectrum = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=spectrum.real)
-    np.sin(phases, out=spectrum.imag)
+    np.cos(phases, out=spectrum.real, dtype=np.float32)
+    np.sin(phases, out=spectrum.imag, dtype=np.float32)
     spectrum *= (n_fft / 2.0) * np.sqrt(2.0 * density * domega)
     spectrum[:, 0] = 0.0   # zero mean
     spectrum[:, -1] = 0.0  # drop the (phase-less) Nyquist bin

@@ -768,6 +768,25 @@ class TestQoiCommand:
             "above the cap of 4194304\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_that_underflows_the_spectrum_is_configuration_error(
+            self, tmp_path, fast_config_path, weather_csv, capsys):
+        # 1024 samples 1e-70 s apart: every bin's w**-5 underflows, so the
+        # spectrum's zeroth moment is 0 before it is normalized.
+        raw = json.loads(Path(fast_config_path).read_text())
+        raw.update(dt=1e-70, duration=1.024e-67)
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "q"
+        code = cli.main(["qoi", "--source", "simulator", "--weather", weather_csv, "--k", "2",
+                         "--m", "1", "--seed", "1", "--sim-config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(r"error: spectrum of hs=\S+, tp=\S+ has zeroth moment 0\.0 on the grid "
+                            r"0\.\.3\.142e\+70 rad/s\n", err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [True, "3.2e4"])
     def test_non_number_sim_config_is_data_error(self, tmp_path, fast_config_path, weather_csv,
                                                  capsys, value):
@@ -1001,6 +1020,19 @@ class TestCompareInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {run}") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("key", ["k", "realizations", "base_seed", "total_count"])
+    @pytest.mark.parametrize("text", ["2.9", "true", '"3"'])
+    def test_summary_count_not_a_json_integer(self, tmp_path, run, capsys, key, text):
+        # int() would read 2.9 as 2, true as 1 and "3" as 3, and compare
+        # would go on.
+        path = run / "summary.json"
+        path.write_text(re.sub(rf'"{key}": [0-9]+', f'"{key}": {text}', path.read_text()))
+        assert f'"{key}": {text},' in path.read_text()
+        assert self._compare(tmp_path, run) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: malformed summary: missing or mistyped ['{key}']\n")
         assert not (tmp_path / "cmp").exists()
 
     def test_zero_reference_mean(self, tmp_path, run):

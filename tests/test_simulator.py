@@ -1,11 +1,17 @@
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from searesponse import simulator
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
@@ -25,6 +31,16 @@ from searesponse.simulator import (
     write_sim_config,
 )
 from searesponse.weather import Weather, WeatherRecord, sample_uniform_inputs
+
+
+def float32_phasors(seed: int, n: int) -> np.ndarray:
+    """cos + 1j sin of the float32-rounded phases of uniform(0, 2 pi), each
+    taken in float32 and widened: the simulator's phasors for one seed."""
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n).astype(np.float32)
+    phasors = np.empty(n, dtype=complex)
+    phasors.real = np.cos(phases)
+    phasors.imag = np.sin(phases)
+    return phasors
 
 
 class TestWaveSpectrum:
@@ -122,8 +138,8 @@ class TestRealizeTimeSeries:
         n_fft = 1 << math.ceil(math.log2(n_samples))
         domega = 2.0 * np.pi / (n_fft * cfg.dt)
         for seed, row in zip(seeds, rows):
-            phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(density))
-            spectrum = (n_fft / 2.0) * np.sqrt(2.0 * density * domega) * np.exp(1j * phases)
+            amplitude = (n_fft / 2.0) * np.sqrt(2.0 * density * domega)
+            spectrum = amplitude * float32_phasors(seed, len(density))
             spectrum[0] = 0.0
             spectrum[-1] = 0.0
             expected = np.fft.irfft(spectrum, n=n_fft)[:n_samples]
@@ -132,9 +148,33 @@ class TestRealizeTimeSeries:
 
     @pytest.mark.parametrize("seeds", [[0], [7, 8, 9], list(range(100, 130))])
     def test_phasor_bytes_equal_the_complex_exponential(self, monkeypatch, seeds):
-        # The spectrum is cos + 1j sin of 2 pi u, written in place; its bytes
-        # must be those of exp(1j * uniform(0, 2 pi)), or this host's math
-        # dispatch has moved the simulator's output.
+        # The spectrum's phasors are float32 cos + 1j sin of float32(2 pi u),
+        # written in place; its bytes must be those of the same float32 ufuncs
+        # called on their own, or this host's math dispatch has moved the
+        # simulator's output.
+        spectra, amplitude = self._spectra(monkeypatch, seeds)
+        expected = np.stack([amplitude * float32_phasors(s, len(amplitude)) for s in seeds])
+        expected[:, 0] = 0.0
+        expected[:, -1] = 0.0
+        assert len(spectra) == 1 and spectra[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seeds", [[0], list(range(100, 130))])
+    def test_phasors_within_float32_rounding_of_float64(self, monkeypatch, seeds):
+        # Rounding the phase to float32 moves it by at most 2.4e-7, and the
+        # float32 cos and sin add about 6e-8 each.
+        spectra, amplitude = self._spectra(monkeypatch, seeds)
+        exact = np.stack([
+            amplitude * np.exp(1j * np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(amplitude)))
+            for s in seeds])
+        exact[:, 0] = 0.0
+        exact[:, -1] = 0.0
+        assert np.all(np.abs(spectra[0] - exact) <= 5e-7 * amplitude)
+        assert not np.array_equal(spectra[0], exact)
+
+    @staticmethod
+    def _spectra(monkeypatch, seeds):
+        """The spectra realize_time_series hands to irfft, and the
+        amplitude of each bin."""
         cfg = DEFAULT_SIM_CONFIG
         density = cfg.transfer_squared * wave_spectrum(3.0, 10.0, cfg.omega_grid).density
         spectra, irfft = [], np.fft.irfft
@@ -142,13 +182,35 @@ class TestRealizeTimeSeries:
                             lambda spectrum, **kw: spectra.append(spectrum.copy()) or irfft(spectrum, **kw))
         realize_time_series(density, cfg, seeds)
         domega = 2.0 * np.pi / (cfg.n_fft * cfg.dt)
-        amplitude = (cfg.n_fft / 2.0) * np.sqrt(2.0 * density * domega)
-        expected = np.stack([
-            amplitude * np.exp(1j * np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, len(density)))
-            for s in seeds])
-        expected[:, 0] = 0.0
-        expected[:, -1] = 0.0
-        assert len(spectra) == 1 and spectra[0].tobytes() == expected.tobytes()
+        return spectra, (cfg.n_fft / 2.0) * np.sqrt(2.0 * density * domega)
+
+
+# The simulator's series for three seeds of the default config, as a SHA-256
+# hex digest, with numpy's X86_V4 dispatch state. The density is the transfer
+# function alone: wave_spectrum's float64 exp and power dispatch to AVX-512
+# kernels of their own, so its bytes differ between the two paths.
+SERIES_HASH = """
+import hashlib
+from numpy._core._multiarray_umath import __cpu_features__
+from searesponse.simulator import DEFAULT_SIM_CONFIG as cfg, realize_time_series
+series = realize_time_series(cfg.transfer_squared, cfg, [1, 2, 3])
+print(hashlib.sha256(series.tobytes()).hexdigest(), __cpu_features__["X86_V4"])
+"""
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="no X86_V4 dispatch to disable")
+def test_series_equal_on_the_avx2_dispatch():
+    # float32 cos and sin go through numpy's own SIMD kernels: the AVX2/FMA
+    # path must give the AVX-512 path's bytes.
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": str(Path(simulator.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", SERIES_HASH], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
+    digest, v4 = result.stdout.split()
+    assert v4 == "False"
+    cfg = DEFAULT_SIM_CONFIG
+    series = realize_time_series(cfg.transfer_squared, cfg, [1, 2, 3])
+    assert digest == hashlib.sha256(series.tobytes()).hexdigest()
 
 
 class TestWindMoment:

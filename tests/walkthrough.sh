@@ -177,7 +177,7 @@ test $code -eq 4
 test $(wc -l < $runs/tiny_lengthscale.err) -eq 1
 test ! -e $runs/qoi_tiny_lengthscale
 # 1100 hours span three 512-row prediction blocks: a --force rerun
-# writes the same files, and the manifest names qoi_result version 4.
+# writes the same files, and the manifest names qoi_result version 5.
 $cli weather synth --hours 1100 --seed 8 --out $runs/weather_1100
 out=$runs/qoi_gumbel_1100
 for pass in first second; do
@@ -188,7 +188,7 @@ done
 for f in yk_samples.csv rank_summary.csv summary.json; do
   cmp ${out}_first/$f $out/$f
 done
-grep -q '"qoi_result": 4' $out/manifest.json
+grep -q '"qoi_result": 5' $out/manifest.json
 # Without --mode, qoi draws in sample mode: the same files.
 $cli qoi --source surrogate --bundle $runs/gumbel \
     --weather $runs/weather/weather.csv --k 10 --m 3 --seed 17 --out $runs/qoi_gumbel
