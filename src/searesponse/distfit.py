@@ -35,7 +35,7 @@ from searesponse.errors import (
 )
 from searesponse.fileio import parse_float, read_csv, write_csv
 from searesponse.seeding import TAG_SIM, TAG_SPLIT, derive_seed
-from searesponse.simulator import SimConfig, check_weather, map_blocks, simulate
+from searesponse.simulator import HourWork, SimConfig, check_weather, map_blocks, simulate
 from searesponse.weather import Weather
 
 logger = logging.getLogger(__name__)
@@ -300,11 +300,12 @@ def build_training_table(
 
     The points run in contiguous blocks, one thread per usable CPU
     (map_blocks), each block writing only its own rows of arrays made
-    before any thread starts; point i's run m is on the seed derived from
-    (seed, i, m). A family that fails on any of the M runs is NaN in that
-    row (the other families keep their data). Rows come back in design
-    order, and the 80/20 split is a seeded shuffle, so the table is a pure
-    function of (design, m_runs, cfg, seed), whatever the thread count.
+    before any thread starts and simulating through its own HourWork;
+    point i's run m is on the seed derived from (seed, i, m). A family
+    that fails on any of the M runs is NaN in that row (the other
+    families keep their data). Rows come back in design order, and the
+    80/20 split is a seeded shuffle, so the table is a pure function of
+    (design, m_runs, cfg, seed), whatever the thread count.
     """
     if m_runs < 2:
         raise ConfigurationError(f"m_runs must be >= 2 (std undefined), got {m_runs}")
@@ -315,9 +316,10 @@ def build_training_table(
     l_mean, l_std = np.empty(n), np.empty(n)
 
     def fill(start: int, stop: int) -> None:
+        work = HourWork(cfg, m_runs)
         for i in range(start, stop):
             peaks = simulate(design.inputs[i].tolist(), cfg,
-                             [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)])
+                             [derive_seed(seed, TAG_SIM, i, m) for m in range(m_runs)], work)
             counts = np.array([len(p) for p in peaks], dtype=float)
             l_mean[i], l_std[i] = counts.mean(), counts.std(ddof=1)
             for fam in DistFamily:

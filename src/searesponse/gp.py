@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, lapack
 from scipy.spatial.distance import cdist
 
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
@@ -97,21 +97,32 @@ def matern52_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.nd
     return r
 
 
-def _factorize(k_matrix: np.ndarray, noise_variances: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky of K + diag(noise) + jitter*I with escalating jitter."""
-    system = k_matrix + np.diag(noise_variances)
-    jitter = JITTER_INITIAL * float(np.mean(np.diag(k_matrix)))
-    diag = np.diag_indices_from(system)
-    base_diag = system[diag].copy()
+def _factorize(gram: np.ndarray, noise_variances: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky of K + diag(noise) + jitter*I with escalating jitter, K the
+    gram given. The system is built in the gram's own storage: its diagonal
+    is overwritten with the last one tried, the rest is left as it is."""
+    jitter = JITTER_INITIAL * float(np.mean(np.diag(gram)))
+    diag = np.einsum("ii->i", gram)  # a writeable view of the diagonal
+    base_diag = diag + noise_variances
     for _ in range(1 + JITTER_MAX_ESCALATIONS):
-        system[diag] = base_diag + jitter
+        np.add(base_diag, jitter, out=diag)
         try:
-            return cholesky(system, lower=True, check_finite=False), jitter
+            return cholesky(gram, lower=True, check_finite=False), jitter
         except LinAlgError:
             jitter *= JITTER_GROWTH
     raise NumericError(
         f"covariance factorization failed even at jitter {jitter / JITTER_GROWTH:.3e}"
     )
+
+
+def _solve_factor(factor: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """L^{-1} rhs (trans 0) or L^{-T} rhs (trans 1), L the lower factor in
+    the Fortran order cholesky returns: the dtrtrs call that scipy's
+    solve_triangular makes for L and for L.T."""
+    solution, info = lapack.dtrtrs(factor, rhs, lower=1, trans=trans)
+    if info != 0:
+        raise NumericError(f"solving with the covariance factor failed (dtrtrs info {info})")
+    return solution
 
 
 def _check_consistent(inputs_std: np.ndarray, targets_std: np.ndarray,
@@ -135,8 +146,7 @@ def _assemble(kernel: KernelParams, inputs_std: np.ndarray, targets_std: np.ndar
     _check_consistent(inputs_std, targets_std, noise_std)
     gram = matern52_matrix(inputs_std, inputs_std, kernel)
     factor, jitter = _factorize(gram, noise_std)
-    weights = solve_triangular(factor, targets_std, lower=True, check_finite=False)
-    weights = solve_triangular(factor.T, weights, lower=False, check_finite=False)
+    weights = _solve_factor(factor, _solve_factor(factor, targets_std, 0), 1)
     # dtrtri writes L^{-1} into the lower triangle; the upper triangle keeps
     # the zeros of cholesky's lower factor.
     factor_inverse, info = lapack.dtrtri(factor, lower=1)
@@ -198,11 +208,11 @@ def log_marginal_likelihood(inputs_std: np.ndarray, targets_std: np.ndarray,
 
 def _lml_from_gram(gram: np.ndarray, targets_std: np.ndarray,
                    noise_std: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """LML of the targets under N(0, A), A = gram + diag(noise) + jitter*I,
-    with A's Cholesky factor L and L^{-1} y. Raises NumericError when A
-    cannot be factorized."""
+    """LML of the targets under N(0, A), A = gram + diag(noise) + jitter*I
+    built in gram's storage (see _factorize), with A's Cholesky factor L
+    and L^{-1} y. Raises NumericError when A cannot be factorized."""
     factor, _ = _factorize(gram, noise_std)
-    half = solve_triangular(factor, targets_std, lower=True, check_finite=False)
+    half = _solve_factor(factor, targets_std, 0)
     n = len(targets_std)
     lml = float(-0.5 * np.dot(half, half) - np.sum(np.log(np.diag(factor)))
                 - 0.5 * n * math.log(2.0 * math.pi))
@@ -214,7 +224,9 @@ class _LMLObjective:
     variance, then one log lengthscale per dimension), with the
     per-dimension squared-difference matrices precomputed once (the
     optimizer evaluates the objective many times per restart on the same
-    point set).
+    point set), and the n x n work arrays made once and refilled in place
+    by every call, each entry with the operations of the closed form in
+    its order.
 
     With alpha = A^{-1} y and W = alpha alpha^T - A^{-1}, each gradient
     entry is 1/2 sum(W * dA/dtheta) (GPML section 5.4.1):
@@ -226,36 +238,48 @@ class _LMLObjective:
     def __init__(self, inputs_std: np.ndarray, targets_std: np.ndarray, noise_std: np.ndarray):
         self.targets = targets_std
         self.noise = noise_std
+        n = len(inputs_std)
         diff = inputs_std[:, None, :] - inputs_std[None, :, :]
         self.sqdiff = diff * diff  # (n, n, d)
+        self.sqdiff_rows = self.sqdiff.reshape(n * n, -1)
+        self.r, self.decay, self.slope, self.gram, self.weights = (np.empty((n, n)) for _ in range(5))
 
     def __call__(self, log_vec: np.ndarray) -> tuple[float, np.ndarray]:
+        r, decay, slope, gram, weights = self.r, self.decay, self.slope, self.gram, self.weights
         sv = math.exp(log_vec[0])
         inv_sq = np.exp(-2.0 * np.asarray(log_vec[1:]))
-        r = np.sqrt(self.sqdiff @ inv_sq)
-        decay = np.exp(-SQRT5 * r)
-        slope = (1.0 + SQRT5 * r) * decay
-        gram = sv * (slope + 5.0 / 3.0 * r * r * decay)
+        np.sqrt(np.matmul(self.sqdiff, inv_sq, out=r), out=r)
+        np.exp(np.multiply(-SQRT5, r, out=decay), out=decay)
+        # slope = (1 + sqrt5 r) decay, gram = sv (slope + 5/3 r r decay)
+        np.multiply(SQRT5, r, out=slope)
+        slope += 1.0
+        slope *= decay
+        np.multiply(5.0 / 3.0, r, out=gram)
+        gram *= r
+        gram *= decay
+        gram += slope
+        gram *= sv
         try:
             lml, factor, half = _lml_from_gram(gram, self.targets, self.noise)
         except NumericError:
             # +inf never wins a restart: fit_hyperparams keeps only strictly
             # higher LMLs.
             return math.inf, np.zeros(len(log_vec))
-        alpha = solve_triangular(factor.T, half, lower=False, check_finite=False)
-        # dpotri writes the lower triangle of A^{-1}; the upper triangle keeps
-        # the zeros of cholesky's lower factor.
-        inverse, _ = lapack.dpotri(factor, lower=1)
+        alpha = _solve_factor(factor, half, 1)
+        # dpotri writes the lower triangle of A^{-1} over the factor; the
+        # upper triangle keeps the zeros of cholesky's lower factor.
+        inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)
         n = len(alpha)
         grad = np.empty(len(log_vec))
         grad[0] = 0.5 * (np.dot(half, half) - n
                          - np.dot(self.noise, alpha * alpha - np.diag(inverse)))
         # The squared differences vanish on the diagonal, so the strict lower
         # triangle of A^{-1} counted twice stands for the whole matrix.
-        weights = np.outer(alpha, alpha)
-        weights -= 2.0 * inverse
-        weights *= (5.0 / 3.0 * sv) * slope
-        grad[1:] = 0.5 * (weights.ravel() @ self.sqdiff.reshape(n * n, -1)) * inv_sq
+        np.outer(alpha, alpha, out=weights)
+        weights -= np.multiply(2.0, inverse, out=r)  # r is free once the gram is built
+        slope *= 5.0 / 3.0 * sv
+        weights *= slope
+        grad[1:] = 0.5 * (weights.ravel() @ self.sqdiff_rows) * inv_sq
         return -lml, -grad
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from searesponse.errors import ConfigurationError, DataError, InsufficientDataError, SchemaError
 from searesponse.fileio import parse_float, read_csv, read_json_object, write_csv
 from searesponse.seeding import TAG_QOI, derive_seed
-from searesponse.simulator import SimConfig, check_weather, map_blocks, simulate
+from searesponse.simulator import HourWork, SimConfig, check_weather, map_blocks, simulate
 from searesponse.weather import Weather
 
 if TYPE_CHECKING:
@@ -124,12 +124,13 @@ def _sweep_hours(
 ) -> tuple[list[TopK], list[int]]:
     """One accumulator and one peak total per realization over hours
     start..stop-1, realization m of hour i on the seed derived from
-    (base seed, m, i)."""
+    (base seed, m, i), all through one HourWork."""
     accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
     totals = [0] * cfg.realizations
+    work = HourWork(model, cfg.realizations)
     for i in range(start, stop):
         seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-        for m, peaks in enumerate(simulate(weather.inputs[i].tolist(), model, seeds)):
+        for m, peaks in enumerate(simulate(weather.inputs[i].tolist(), model, seeds, work)):
             totals[m] += len(peaks)
             accs[m].update(peaks)
     return accs, totals

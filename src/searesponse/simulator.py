@@ -8,7 +8,8 @@ realization seed. `extract_peaks` returns the peaks as a float64 array;
 `simulate` builds an hour's spectrum once and realizes every seed from it
 in one batched inverse transform, one peak array per seed of a list (a
 SimOutput for one int seed). `map_blocks` runs a sweep over hours or
-design points in contiguous blocks, one thread per usable CPU.
+design points in contiguous blocks, one thread per usable CPU; each block
+makes one HourWork, the hour's arrays, and refills it every hour.
 """
 
 from __future__ import annotations
@@ -226,7 +227,25 @@ def wave_spectrum(hs: float, tp: float, omega: np.ndarray) -> WaveSpectrum:
     return WaveSpectrum(omega=omega, density=density)
 
 
-def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int]) -> np.ndarray:
+class HourWork:
+    """The arrays of one simulated hour of `runs` seeds under cfg: the
+    phases and their float32 rounding, the complex spectrum, the
+    amplitudes and the inverse transform's (runs, n_fft) output. A sweep
+    makes one per block and hands it to every `simulate` call of the
+    block, which refills it in place; one is never shared between
+    threads."""
+
+    def __init__(self, cfg: SimConfig, runs: int):
+        bins = cfg.n_fft // 2 + 1
+        self.phases = np.empty((runs, bins))
+        self.phases32 = np.empty((runs, bins), dtype=np.float32)
+        self.spectrum = np.empty((runs, bins), dtype=complex)
+        self.amplitude = np.empty(bins)
+        self.series = np.empty((runs, cfg.n_fft))
+
+
+def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int],
+                        work: HourWork | None = None) -> np.ndarray:
     """Synthesize zero-mean stationary realizations of the response.
 
     density is a one-sided spectral density on cfg.omega_grid, the config's
@@ -237,26 +256,40 @@ def realize_time_series(density: np.ndarray, cfg: SimConfig, seeds: Sequence[int
     equals the trapezoid integral of the density in expectation. There is
     one row per seed, each equal to the series of its seed alone, from one
     batched inverse transform.
+
+    Every step writes into work, an HourWork of cfg and len(seeds) runs
+    (a fresh one if None), and the result is a view into its series: the
+    next call with the same work overwrites it.
     """
     n_samples, n_fft = cfg.n_samples, cfg.n_fft
     if len(density) != n_fft // 2 + 1:
         raise ConfigurationError(
             f"density has {len(density)} bins, the config's rfft layout has {n_fft // 2 + 1}"
         )
+    if work is None:
+        work = HourWork(cfg, len(seeds))
+    if work.series.shape != (len(seeds), n_fft):
+        raise ConfigurationError(f"work arrays of shape {work.series.shape} for {len(seeds)} "
+                                 f"seeds of {n_fft} samples")
     domega = 2.0 * np.pi / (n_fft * cfg.dt)
     # Each float64 phase 2 pi u is rounded to float32 once, and its float32
     # cos and sin (within 2.5e-7 of float64's) widen into the spectrum.
-    phases = np.empty((len(seeds), len(density)))
+    phases, phases32, spectrum, amplitude = work.phases, work.phases32, work.spectrum, work.amplitude
     for row, s in zip(phases, seeds):
         np.random.default_rng(s).random(out=row)
-    phases = (phases * (2.0 * np.pi)).astype(np.float32)
-    spectrum = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=spectrum.real, dtype=np.float32)
-    np.sin(phases, out=spectrum.imag, dtype=np.float32)
-    spectrum *= (n_fft / 2.0) * np.sqrt(2.0 * density * domega)
+    phases *= 2.0 * np.pi
+    phases32[...] = phases
+    np.cos(phases32, out=spectrum.real, dtype=np.float32)
+    np.sin(phases32, out=spectrum.imag, dtype=np.float32)
+    # amplitude = (n_fft / 2) sqrt(2 density domega)
+    np.multiply(2.0, density, out=amplitude)
+    amplitude *= domega
+    np.sqrt(amplitude, out=amplitude)
+    amplitude *= n_fft / 2.0
+    spectrum *= amplitude
     spectrum[:, 0] = 0.0   # zero mean
     spectrum[:, -1] = 0.0  # drop the (phase-less) Nyquist bin
-    return np.fft.irfft(spectrum, n=n_fft, axis=-1)[:, :n_samples]
+    return np.fft.irfft(spectrum, n=n_fft, axis=-1, out=work.series)[:, :n_samples]
 
 
 def wind_moment(vw: float, cfg: SimConfig) -> float:
@@ -293,6 +326,7 @@ def extract_peaks(series: np.ndarray, threshold: float) -> np.ndarray:
 
 def simulate(
     hour: Sequence[float], cfg: SimConfig = DEFAULT_SIM_CONFIG, seed: int | Sequence[int] = 0,
+    work: HourWork | None = None,
 ) -> SimOutput | list[np.ndarray]:
     """Stochastic simulator runs of one hour: weather in, peak responses out.
 
@@ -301,11 +335,12 @@ def simulate(
     A sequence of seeds gives one float64 peak array per seed, in order,
     each equal to the run of its seed alone; one int seed gives a SimOutput
     holding its array. The wave and response spectra are built once and
-    every seed's series comes from one batched inverse transform. The wind
-    moment enters as a constant offset over the hour and the up-crossing
-    threshold is the arithmetic mean of each realized series, so peak
-    values are absolute moments while the crossing structure follows the
-    wave-induced part alone.
+    every seed's series comes from one batched inverse transform, written
+    into work (see realize_time_series); the peak arrays are fresh, so
+    they outlive the next call. The wind moment enters as a constant
+    offset over the hour and the up-crossing threshold is the arithmetic
+    mean of each realized series, so peak values are absolute moments
+    while the crossing structure follows the wave-induced part alone.
     """
     single = np.isscalar(seed)
     hs, tp, vw = hour[:3]
@@ -313,8 +348,8 @@ def simulate(
     density = cfg.transfer_squared * wave.density
     offset = wind_moment(vw, cfg)
     peaks = []
-    for row in realize_time_series(density, cfg, [seed] if single else seed):
-        series = row + offset
+    for series in realize_time_series(density, cfg, [seed] if single else seed, work):
+        series += offset
         peaks.append(extract_peaks(series, threshold=float(series.mean())))
     return SimOutput(peaks[0]) if single else peaks
 

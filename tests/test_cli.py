@@ -396,10 +396,10 @@ class TestTrainsetCommand:
         failing = sample_uniform_inputs(6, seed=3).inputs[3].tolist()
         real_simulate = distfit.simulate
 
-        def simulate(hour, cfg, seeds):
+        def simulate(hour, cfg, seeds, work):
             if hour == failing:
                 raise error("scripted failure")
-            return real_simulate(hour, cfg, seeds)
+            return real_simulate(hour, cfg, seeds, work)
 
         monkeypatch.setattr(simulator, "usable_cpus", lambda: 3)
         monkeypatch.setattr(distfit, "simulate", simulate)
@@ -416,8 +416,8 @@ class TestTrainsetCommand:
         failing = sample_uniform_inputs(6, seed=3).inputs[2].tolist()
         real_simulate, real_fit, failing_peaks = distfit.simulate, distfit.fit_runs, []
 
-        def simulate(hour, cfg, seeds):
-            outputs = real_simulate(hour, cfg, seeds)
+        def simulate(hour, cfg, seeds, work):
+            outputs = real_simulate(hour, cfg, seeds, work)
             if hour == failing:
                 failing_peaks.extend(outputs)
             return outputs

@@ -290,8 +290,8 @@ def test_failing_run_drops_its_family_at_its_point_only(kind, monkeypatch, fast_
     clean = build_training_table(design, 3, fast_sim_config, seed=5)
     real = distfit.simulate
 
-    def simulate(hour, cfg, seeds):
-        outputs = real(hour, cfg, seeds)
+    def simulate(hour, cfg, seeds, work):
+        outputs = real(hour, cfg, seeds, work)
         if hour == design.inputs[1].tolist():
             outputs[2] = bad
         return outputs
@@ -339,7 +339,7 @@ class TestAggregateFits:
     def test_identical_fits_zero_std(self, monkeypatch, fast_sim_config, rng):
         peaks = rng.rayleigh(2.5, 100) + 0.1
         monkeypatch.setattr(distfit, "simulate",
-                            lambda record, cfg, seeds: [peaks for _ in seeds])
+                            lambda record, cfg, seeds, work: [peaks for _ in seeds])
         table = self._table(fast_sim_config)
         for family in DistFamily:
             params = fit_family(family, peaks)
@@ -399,9 +399,9 @@ class TestBuildTrainingTable:
         calls = []
         real = distfit.simulate
 
-        def record_call(hour, cfg, seeds):
+        def record_call(hour, cfg, seeds, work):
             calls.append((hour, list(seeds)))
-            return real(hour, cfg, seeds)
+            return real(hour, cfg, seeds, work)
 
         monkeypatch.setattr(distfit, "simulate", record_call)
         build_training_table(design, 4, fast_sim_config, seed=5)
@@ -466,8 +466,8 @@ class TestWorkerInvariance:
         real = distfit.simulate
         bad, _ = FAILING_RUNS["non_positive"]
 
-        def simulate(hour, cfg, seeds):
-            outputs = real(hour, cfg, seeds)
+        def simulate(hour, cfg, seeds, work):
+            outputs = real(hour, cfg, seeds, work)
             if hour == design.inputs[4].tolist():
                 outputs[1] = bad
             return outputs

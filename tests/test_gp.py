@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from searesponse.distfit import DistFamily
 from searesponse.errors import ConfigurationError, NumericError
 from searesponse.orderstats import MODE_SAMPLE
 from searesponse.surrogate import generate_from_moments, train_surrogate
+
+import lml
 
 
 def make_dataset(rng, n, noise=0.05, d=3):
@@ -367,6 +370,74 @@ class TestLMLGradient:
         assert objective(np.zeros(4))[0] == math.inf
         with pytest.raises(NumericError, match="hyperparameter search failed"):
             gp.fit_hyperparams(x, y, nv, restarts=2, seed=1)
+
+
+class TestLMLObjectiveMatchesOracle:
+    """The objective refills its work arrays in place; its value and
+    gradient keep the bits of the closed forms written with fresh arrays
+    (tests/lml.py)."""
+
+    def dataset(self, rng, n=60):
+        x, y, _ = make_dataset(rng, n, noise=0.1)
+        return gp._standardize(x, y, rng.uniform(1e-4, 0.05, n))[:3]
+
+    def assert_same(self, got, want):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_bit_identical_at_seeded_points(self, rng):
+        parts = self.dataset(rng)
+        objective = gp._LMLObjective(*parts)
+        bounds = log_bounds(3)
+        points = [np.zeros(4), bounds[:, 0], bounds[:, 1], bounds[np.arange(4), [1, 0, 1, 0]]]
+        points += [rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(4)]
+        for log_vec in points:
+            self.assert_same(objective(log_vec), lml.negative_lml(*parts, log_vec))
+
+    def test_bit_identical_where_the_jitter_escalates(self, rng, monkeypatch):
+        # As in TestLMLGradient.test_escalated_jitter: the first attempt of
+        # each factorization is refused, here on both sides.
+        def refuse_first_attempts(counter):
+            def refusing(system, **kwargs):
+                counter.append(1)
+                if len(counter) % 2:
+                    raise LinAlgError("refused")
+                return cholesky(system, **kwargs)
+            return refusing
+
+        ours, theirs = [], []
+        monkeypatch.setattr(gp, "cholesky", refuse_first_attempts(ours))
+        monkeypatch.setattr(lml, "cholesky", refuse_first_attempts(theirs))
+        parts = self.dataset(rng, 40)
+        objective = gp._LMLObjective(*parts)
+        for log_vec in (np.zeros(4), np.array([0.8, 0.5, 0.2, 1.0])):
+            self.assert_same(objective(log_vec), lml.negative_lml(*parts, log_vec))
+        assert len(ours) == len(theirs) == 4
+
+    def test_alternating_points_repeat_exactly(self, rng):
+        parts = self.dataset(rng)
+        objective = gp._LMLObjective(*parts)
+        points = [np.zeros(4), np.array([1.5, -0.7, 0.4, 2.0]), np.array([-2.0, 1.0, -1.0, 0.3])]
+        first = [objective(v) for v in points]
+        for _ in range(2):
+            for log_vec, want in zip(points, first):
+                self.assert_same(objective(log_vec), want)
+
+    def test_an_evaluation_allocates_at_most_four_grams(self, rng):
+        n = 120
+        parts = self.dataset(rng, n)
+        objective = gp._LMLObjective(*parts)
+        log_vec = np.array([0.3, -0.2, 0.5, 0.1])
+        objective(log_vec)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            objective(log_vec)
+            traced = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert traced <= 4 * n * n * 8, traced / (n * n * 8)
 
 
 class TestFitHyperparams:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from searesponse.seeding import TAG_QOI, derive_seed
 from searesponse.simulator import (
     DEFAULT_SIM_CONFIG,
     MAX_N_FFT,
+    HourWork,
     SimConfig,
     check_weather,
     extract_peaks,
@@ -339,6 +341,62 @@ class TestSimulate:
         by_record = simulate(WeatherRecord(hs, tp, vw, index=0), fast_sim_config, seeds)
         by_row = simulate(weather.inputs[2].tolist(), fast_sim_config, seeds)
         assert [peaks.tobytes() for peaks in by_row] == [peaks.tobytes() for peaks in by_record]
+
+
+class TestHourWork:
+    """A sweep block refills one HourWork every hour; nothing of one hour
+    may reach the next, and no peak array may live in the work arrays."""
+
+    M = 8
+
+    @staticmethod
+    def work_arrays(work):
+        return (work.phases, work.phases32, work.spectrum, work.amplitude, work.series)
+
+    def test_work_carries_nothing_between_hours(self, fast_sim_config, rng):
+        work = HourWork(fast_sim_config, self.M)
+        kept = []
+        for i in range(24):
+            # Calm to storm, no wind to above cut-out, and one hs = 0 hour.
+            hour = [0.0 if i == 5 else float(rng.uniform(0.3, 9.0)),
+                    float(rng.uniform(4.0, 16.0)), float(rng.uniform(0.0, 30.0))]
+            seeds = [derive_seed(17, TAG_QOI, m, i) for m in range(self.M)]
+            got = simulate(hour, fast_sim_config, seeds, work)
+            fresh = simulate(hour, fast_sim_config, seeds)
+            assert len(got) == self.M
+            for peaks, want in zip(got, fresh):
+                assert np.array_equal(peaks, want)
+                assert not any(np.shares_memory(peaks, a) for a in self.work_arrays(work))
+            kept.append((got, [p.copy() for p in got]))
+        for got, copies in kept:
+            assert all(np.array_equal(p, c) for p, c in zip(got, copies))
+
+    def test_realize_time_series_writes_into_the_work(self, fast_sim_config):
+        work = HourWork(fast_sim_config, 2)
+        series = realize_time_series(fast_sim_config.transfer_squared, fast_sim_config, [1, 2], work)
+        assert np.shares_memory(series, work.series)
+        np.testing.assert_array_equal(
+            series, realize_time_series(fast_sim_config.transfer_squared, fast_sim_config, [1, 2]))
+        with pytest.raises(ConfigurationError, match="work arrays"):
+            realize_time_series(fast_sim_config.transfer_squared, fast_sim_config, [1, 2, 3], work)
+
+    def test_an_hour_allocates_less_than_one_spectrum(self):
+        cfg = DEFAULT_SIM_CONFIG
+        work = HourWork(cfg, self.M)
+        seeds = list(range(self.M))
+        spectrum_bytes = self.M * (cfg.n_fft // 2 + 1) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            simulate([3.0, 10.0, 9.0], cfg, seeds, work)
+            peaks = []
+            for hs in (1.0, 4.5, 8.0):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                simulate([hs, 10.0, 9.0], cfg, seeds, work)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < spectrum_bytes, (peaks, spectrum_bytes)
 
 
 class TestMapBlocks:
