@@ -7,7 +7,9 @@ rows. A missing or wrong header raises SchemaError; a row of the wrong
 width, or a cell that is not a finite number, raises ParseError naming the
 file, its 1-based line and the column. read_csv yields the rows one by one;
 read_csv_array parses a whole body of plain decimal numerals in one
-vectorized pass. JSON files each hold one object.
+vectorized pass. JSON files each hold one object, whose numbers are JSON
+numbers only: json_number and json_floats take no true, false or string,
+and read an integer past float range as inf, so a finiteness check rejects it.
 The CLI maps both errors to exit 3. FORMAT_VERSIONS holds the version of
 each file kind; every run's manifest.json lists it, and the GP and bundle
 files also carry their own.
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -112,3 +115,32 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return payload
+
+
+def json_number(value: object) -> float | None:
+    """The float of a JSON number, an int or a float; None for anything
+    else, such as true, false or "3.2e4", which float() would also take. An
+    integer past float range reads as inf, where float() would raise."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        return None
+    return float(value) if abs(value) <= sys.float_info.max else math.inf
+
+
+def json_float(value: object) -> float:
+    """One JSON number as a float, by json_number; anything else raises
+    TypeError."""
+    number = json_number(value)
+    if number is None:
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return number
+
+
+def json_floats(value: object) -> np.ndarray:
+    """A list of JSON numbers, or lists of them nested to any depth, as one
+    float array, each cell read by json_float; a ragged list raises
+    ValueError."""
+    def cells(item):
+        return [cells(c) for c in item] if type(item) is list else json_float(item)
+    return np.array(cells(value), dtype=float)

@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError, cholesky, lapack
 from scipy.spatial.distance import cdist
 
 from searesponse.errors import ConfigurationError, NumericError, SchemaError
-from searesponse.fileio import FORMAT_VERSIONS, read_json_object
+from searesponse.fileio import FORMAT_VERSIONS, json_float, json_floats, read_json_object
 from searesponse.seeding import TAG_GP_INIT, TAG_SUBSAMPLE, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -391,18 +391,19 @@ def load_model(path: str | Path) -> GPModel:
     path = Path(path)
     payload = read_json_object(path)
     version = payload.get("format_version")
-    if version != FORMAT_VERSIONS["gp_model"]:
+    # An exact JSON integer: true and 1.0 also equal 1.
+    if type(version) is not int or version != FORMAT_VERSIONS["gp_model"]:
         raise SchemaError(f"{path}: unsupported format version {version!r}")
     try:
         kernel = KernelParams(
-            signal_variance=float(payload["kernel"]["signal_variance"]),
-            lengthscales=tuple(float(v) for v in payload["kernel"]["lengthscales"]),
+            signal_variance=json_float(payload["kernel"]["signal_variance"]),
+            lengthscales=tuple(json_float(v) for v in payload["kernel"]["lengthscales"]),
         )
         std = payload["standardization"]
-        arrays = [np.asarray(v, dtype=float) for v in (
+        arrays = [json_floats(v) for v in (
             payload["train_inputs"], payload["train_targets"], payload["noise_variances"],
             std["input_mean"], std["input_scale"])]
-        target_mean, target_scale = float(std["target_mean"]), float(std["target_scale"])
+        target_mean, target_scale = json_float(std["target_mean"]), json_float(std["target_scale"])
         d = len(kernel.lengthscales)
         if arrays[0].ndim != 2 or arrays[0].shape[1] != d or {a.shape for a in arrays[3:]} != {(d,)}:
             raise ValueError(f"train_inputs of shape {arrays[0].shape} need one column per "

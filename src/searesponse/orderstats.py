@@ -1,14 +1,14 @@
 """Brute-force order statistics over a weather sequence.
 
-Streams peaks (from the simulator or a surrogate, as the model passed to
-run_qoi says) through one bounded top-k accumulator per realization, with
-derived seeds, to estimate the distribution of Y_k over M realizations, and
-compares candidate results against a reference run. The hour count is the
-weather's. The simulator sweeps contiguous hour blocks on one thread per
-usable CPU, running all M realizations of an hour in one `simulate` call,
-with one seed per (realization, hour), and merges the blocks' accumulators;
-a surrogate gets one generator per realization, draws over all hours only
-the few hundred peaks that can reach the top k, and offers them at once.
+Estimates the distribution of Y_k over M realizations from each one's k
+largest peaks (simulator or surrogate, as run_qoi's model says, on derived
+seeds), taken once, and compares candidate results against a reference run.
+The hour count is the weather's. The simulator sweeps contiguous hour blocks
+on one thread per usable CPU, all M realizations of an hour in one
+`simulate` call, one seed per (realization, hour), each block streaming its
+peaks through one bounded top-k accumulator per realization; a surrogate
+gets one generator per realization and draws over all hours only the few
+hundred peaks that can reach the top k.
 Only the surrogate branch of run_qoi imports searesponse.surrogate, so a
 simulator run and compare_qoi never load the GP layer or scipy.linalg.
 """
@@ -121,19 +121,19 @@ class QoiResult:
 
 def _sweep_hours(
     cfg: QoiConfig, weather: Weather, model: SimConfig, start: int, stop: int,
-) -> tuple[list[TopK], list[int]]:
-    """One accumulator and one peak total per realization over hours
-    start..stop-1, realization m of hour i on the seed derived from
-    (base seed, m, i), all through one HourWork."""
+) -> tuple[list[np.ndarray], int]:
+    """Each realization's k largest peaks, and the peak total of all
+    realizations, over hours start..stop-1, realization m of hour i on the
+    seed derived from (base seed, m, i), all through one HourWork."""
     accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
-    totals = [0] * cfg.realizations
+    total = 0
     work = HourWork(model, cfg.realizations)
     for i in range(start, stop):
         seeds = [derive_seed(cfg.base_seed, TAG_QOI, m, i) for m in range(cfg.realizations)]
-        for m, peaks in enumerate(simulate(weather.inputs[i].tolist(), model, seeds, work)):
-            totals[m] += len(peaks)
-            accs[m].update(peaks)
-    return accs, totals
+        for acc, peaks in zip(accs, simulate(weather.inputs[i].tolist(), model, seeds, work)):
+            total += len(peaks)
+            acc.update(peaks)
+    return [acc.values_descending() for acc in accs], total
 
 
 def run_qoi(
@@ -142,23 +142,23 @@ def run_qoi(
     model: Union[SimConfig, SurrogateModel],
 ) -> QoiResult:
     """Estimate the distribution of Y_k from M realizations of the weather
-    sequence, each with its own top-k accumulator and peak total.
+    sequence, from each realization's k largest peaks and the peak total.
 
     After checking every hour against the config, the simulator splits the
     hours into one contiguous block per worker thread, min(usable CPUs,
     hours) of them, and sweeps each block in hour order, running all M
     realizations of an hour together, realization m on the seed derived
-    from (base seed, m, hour). Each realization's block accumulators are
-    then merged; the k largest values of a multiset do not depend on the
-    order they arrive in, so results do not depend on the worker count. A
-    surrogate draws each realization from one generator seeded by (base
+    from (base seed, m, hour); each realization's peaks are its blocks'
+    k largest, joined. The k largest values of a multiset do not depend on
+    the order they arrive in, so results do not depend on the worker count.
+    A surrogate draws each realization from one generator seeded by (base
     seed, realization), after predicting the GP moments once for the whole
-    sequence, and offers its accumulator only the peaks that can reach the
-    top k (its peak total counts every hour's L). Either way results are a
-    pure function of (cfg, weather, model). The weather sequence, of at
-    least one hour, is fixed across realizations; only the seeds vary. The
-    result's source is the model's: "simulator" for a SimConfig,
-    "surrogate" for a SurrogateModel.
+    sequence; its peaks are only those that can reach the top k (its peak
+    total counts every hour's L). Either way each realization's k largest
+    are then taken once, and results are a pure function of (cfg, weather,
+    model). The weather sequence, of at least one hour, is fixed across
+    realizations; only the seeds vary. The result's source is the model's:
+    "simulator" for a SimConfig, "surrogate" for a SurrogateModel.
     """
     if len(weather) < 1:
         raise ConfigurationError("weather must hold at least one hour")
@@ -168,12 +168,8 @@ def run_qoi(
         check_weather(weather, model)
         blocks = map_blocks(partial(_sweep_hours, cfg, weather, model), len(weather))
         workers = len(blocks)
-        accs, totals = blocks[0]
-        for block_accs, block_totals in blocks[1:]:
-            for m, acc in enumerate(block_accs):
-                totals[m] += block_totals[m]
-                accs[m].update(acc.values_descending())
-
+        kept = [np.concatenate(parts) for parts in zip(*(peaks for peaks, _ in blocks))]
+        total = sum(block_total for _, block_total in blocks)
     else:
         # Here, so that only a surrogate run loads the GP layer and scipy.linalg.
         from searesponse.surrogate import (
@@ -185,22 +181,21 @@ def run_qoi(
             raise ConfigurationError(
                 f"model must be SimConfig or SurrogateModel, got {type(model)!r}")
         source = SOURCE_SURROGATE
-        accs = [TopK(cfg.k) for _ in range(cfg.realizations)]
-        totals = [0] * cfg.realizations
         moments = predict_moments_batch(model, weather.inputs)
-        for m, acc in enumerate(accs):
+        kept, total = [], 0
+        for m in range(cfg.realizations):
             rng = np.random.default_rng(derive_seed(cfg.base_seed, TAG_QOI, m))
             draw = generate_from_moments(model.family, moments, cfg.mode, rng, cfg.k)
-            acc.update(draw.peaks)
-            totals[m] = int(draw.counts.sum())
+            kept.append(draw.peaks)
+            total += int(draw.counts.sum())
 
-    for m, acc in enumerate(accs):
-        if len(acc) < cfg.k:
+    ranks = np.empty((cfg.realizations, cfg.k))   # (M, k), rank 1 first
+    for m, peaks in enumerate(kept):
+        if len(peaks) < cfg.k:
             raise InsufficientDataError(
-                f"realization {m}: only {len(acc)} peaks total, need {cfg.k} for Y_{cfg.k}"
+                f"realization {m}: only {len(peaks)} peaks total, need {cfg.k} for Y_{cfg.k}"
             )
-    ranks = np.vstack([acc.values_descending() for acc in accs])   # (M, k)
-    total = sum(totals)
+        ranks[m] = np.sort(np.partition(peaks, -cfg.k)[-cfg.k:])[::-1]
     p025, p975 = np.percentile(ranks, [2.5, 97.5], axis=0)
     logger.info("qoi %s: k=%d M=%d hours=%d workers=%d, %d responses processed",
                 source, cfg.k, cfg.realizations, len(weather), workers, total)

@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from searesponse.errors import ConfigurationError, SchemaError
-from searesponse.fileio import read_json_object
+from searesponse.fileio import json_number, read_json_object
 from searesponse.weather import Weather
 
 logger = logging.getLogger(__name__)
@@ -144,19 +143,17 @@ DEFAULT_SIM_CONFIG = SimConfig()
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Read a simulator configuration from a flat JSON file whose keys are
-    exactly SimConfig's fields."""
+    exactly SimConfig's fields, each a finite JSON number (json_number)."""
     raw = read_json_object(path)
     keys = [f.name for f in fields(SimConfig)]
     missing = [k for k in keys if k not in raw]
     extra = [k for k in raw if k not in keys]
     if missing or extra:
         raise SchemaError(f"{path}: missing keys {missing}, unexpected keys {extra}")
-    # JSON numbers only: float() would also take true, false and "3.2e4".
-    # An integer past float range reads as inf, where float() would raise.
-    non_numeric = [k for k in keys if type(raw[k]) not in (int, float)]
+    values = {k: json_number(raw[k]) for k in keys}
+    non_numeric = [k for k, v in values.items() if v is None]
     if non_numeric:
         raise SchemaError(f"{path}: non-numeric values for {non_numeric}")
-    values = {k: float(raw[k]) if abs(raw[k]) <= sys.float_info.max else math.inf for k in keys}
     non_finite = [k for k, v in values.items() if not math.isfinite(v)]
     if non_finite:
         raise SchemaError(f"{path}: non-finite values for {non_finite}")

@@ -302,8 +302,10 @@ def load_surrogate(directory: str | Path) -> SurrogateModel:
     if not manifest_path.exists():
         raise SchemaError(f"{directory}: missing bundle.json")
     manifest = read_json_object(manifest_path)
-    if (version := manifest.get("format_version")) != FORMAT_VERSIONS["surrogate_bundle"]:
-        raise SchemaError(f"{directory}: unsupported bundle version {version!r}; run train again")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSIONS["surrogate_bundle"]:
+        raise SchemaError(
+            f"{manifest_path}: unsupported bundle version {version!r}; run train again")
     try:
         family = DistFamily(manifest["family"])
         files = manifest["files"]

@@ -202,6 +202,17 @@ class TestWeatherCommand:
                          "--out", str(tmp_path / "w")])
         assert code == 2
 
+    @pytest.mark.parametrize("box,message", [
+        (["--box-hs", "0.5", "inf"], "hs bounds must be finite, got (0.5, inf)"),
+        (["--box-vw", "-1", "3"], "vw min must be >= 0.0, got -1.0"),
+    ], ids=["infinite-hs", "negative-vw"])
+    def test_synth_bad_box_is_usage_error(self, tmp_path, capsys, box, message):
+        out = tmp_path / "w"
+        assert cli.main(["weather", "synth", "--hours", "2", *box, "--seed", "1",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_load_validates_and_reemits(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("index,hs,tp,vw\n0,3.2,11.3,1.2\n")
@@ -214,6 +225,15 @@ class TestWeatherCommand:
         src.write_text("index,hs,tp,vw\n0,-3.2,11.3,1.2\n")
         code = cli.main(["weather", "load", "--path", str(src), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_load_negative_wind_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("index,hs,tp,vw\n0,3.2,11.3,-2\n")
+        out = tmp_path / "o"
+        assert cli.main(["weather", "load", "--path", str(src), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {src}: line 2: vw must be non-negative, got -2.0\n")
+        assert not out.exists()
 
     def test_index_beyond_int64_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -237,6 +257,13 @@ class TestWeatherCommand:
         assert cli.main(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"data error: {src}: no weather records\n"
         assert not out.exists()
+
+    def test_output_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        out.write_text("not a directory\n")
+        assert cli.main(["weather", "synth", "--hours", "2", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output path {out} is not a directory\n"
+        assert out.read_text() == "not a directory\n"
 
     def test_existing_output_needs_force(self, tmp_path):
         out = tmp_path / "w"
@@ -356,6 +383,20 @@ class TestUnreadableInputs:
         assert self._train(tmp_path, tmp_path / "table.csv") == 3
         assert "line 2: non-finite value 'nan' in column gumbel_mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,value,message", [
+        ("hs", "", "column hs may not be empty"),
+        ("split", "valid", "split must be train or test, got 'valid'"),
+    ], ids=["empty-hs", "unknown-split"])
+    def test_train_table_bad_cell(self, tmp_path, table_path, capsys, column, value, message):
+        lines = Path(table_path).read_text().splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        fields[lines[0].strip().split(",").index(column)] = value
+        lines[1] = ",".join(fields) + "\n"
+        (tmp_path / "table.csv").write_text("".join(lines))
+        assert self._train(tmp_path, tmp_path / "table.csv") == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'table.csv'}: line 2: {message}\n"
+        assert not (tmp_path / "b").exists()
+
     def test_train_table_half_filled_family(self, tmp_path, table_path, capsys):
         lines = Path(table_path).read_text().splitlines(keepends=True)
         column = lines[0].strip().split(",").index("rayleigh_sigma_std")
@@ -442,6 +483,14 @@ class TestTrainsetCommand:
                          "--sim-config", fast_config_path, "--out", str(tmp_path / "t")])
         assert code == 2
 
+    def test_n_of_zero_is_usage_error(self, tmp_path, fast_config_path, capsys):
+        out = tmp_path / "t"
+        code = cli.main(["trainset", "--n", "0", "--m", "3", "--seed", "3",
+                         "--sim-config", fast_config_path, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_design_off_the_grid_fails_before_any_point_runs(self, tmp_path, monkeypatch, capsys):
         # pi/dt = 6.28 rad/s on the default grid; design point 1 has tp = 0.81 s.
         calls = []
@@ -461,7 +510,7 @@ class TestTrainCommand:
     def test_bundle_layout_rayleigh(self, bundle_path):
         bundle = load_surrogate(bundle_path)
         assert tuple(bundle.models) == ("sigma", "l_count")
-        files = json.loads(open(f"{bundle_path}/bundle.json").read())["files"]
+        files = json.loads((Path(bundle_path) / "bundle.json").read_text())["files"]
         assert set(files) == {"sigma", "l_count"}
 
     def test_gumbel_bundle_files(self, tmp_path, table_path):
@@ -498,6 +547,13 @@ class TestTrainCommand:
             cli.main(["train", "--table", table_path, "--family", "cauchy",
                       "--seed", "1", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
+
+    def test_zero_restarts_is_usage_error(self, table_path, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert cli.main(["train", "--table", table_path, "--family", "rayleigh", "--restarts", "0",
+                         "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: restarts must be >= 1\n"
+        assert not out.exists()
 
     def test_mode_is_not_a_train_flag(self, table_path, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -694,8 +750,19 @@ class TestQoiCommand:
         (("noise_variances", 0), -0.05),
         (("standardization", "input_scale", 1), 0.0),
         (("standardization", "target_scale"), -1.0),
+        # A 401-digit integer is past float range, so it reads as non-finite.
+        (("kernel", "signal_variance"), 10 ** 400),
+        (("kernel", "lengthscales", 1), 10 ** 400),
+        (("standardization", "target_mean"), 10 ** 400),
+        (("train_inputs", 0, 2), 10 ** 400),
+        # float() would take these; JSON numbers only.
+        (("kernel", "signal_variance"), "1.5"),
+        (("noise_variances", 0), "0.1"),
+        (("kernel", "signal_variance"), True),
     ], ids=["signal_variance", "lengthscale", "target", "noise", "input_scale", "target_scale",
-            "negative_noise", "zero_input_scale", "negative_target_scale"])
+            "negative_noise", "zero_input_scale", "negative_target_scale",
+            "huge_signal_variance", "huge_lengthscale", "huge_target_mean", "huge_input_cell",
+            "string_signal_variance", "string_noise", "true_signal_variance"])
     def test_gp_model_bad_value_is_data_error(self, tmp_path, bundle_path, weather_csv,
                                               capsys, path, value):
         payload = json.loads((Path(bundle_path) / "gp_sigma.json").read_text())
@@ -705,7 +772,8 @@ class TestQoiCommand:
         node[path[-1]] = value
         assert self._qoi_with_gp_sigma(tmp_path, bundle_path, weather_csv,
                                        json.dumps(payload)) == 3  # NaN / Infinity tokens
-        assert "gp_sigma.json: malformed model file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gp_sigma.json: malformed model file" in err and err.count("\n") == 1
         assert not (tmp_path / "q").exists()
 
     def test_surrogate_without_bundle_is_usage_error(self, tmp_path, weather_csv):
@@ -872,7 +940,6 @@ class TestBundleInputs:
         assert ("gp_sigma.json: malformed model file: train_targets and noise_variances need "
                 "one entry per train_inputs row") in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the error alone
     @pytest.mark.parametrize("key", ["lengthscales", "input_scale"])
     @pytest.mark.parametrize("command", ["qoi", "eval"])
     def test_smallest_positive_scale_is_numeric_error(self, tmp_path, bundle_path, weather_csv,
@@ -895,6 +962,29 @@ class TestBundleInputs:
                             lambda payload: payload.update(format_version=1, mode="sample"))
         assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
         assert "unsupported bundle version 1; run train again" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,name,key,value", [
+        ("eval", "gp_sigma.json", "lengthscales", 10 ** 400),
+        ("qoi", "gp_sigma.json", "format_version", True),
+        ("qoi", "gp_sigma.json", "format_version", 1.0),
+        ("qoi", "bundle.json", "format_version", 2.0),
+    ], ids=["huge-lengthscale", "true-version", "float-version", "float-bundle-version"])
+    def test_value_that_is_not_the_json_number_it_must_be(self, tmp_path, bundle_path,
+                                                          weather_csv, table_path, capsys,
+                                                          command, name, key, value):
+        # A 401-digit integer reads as non-finite, where float() would raise
+        # OverflowError; true == 1 and 2.0 == 2, but a version is an exact
+        # JSON integer.
+        def edit(payload):
+            if key == "lengthscales":
+                payload["kernel"][key][1] = value
+            else:
+                payload[key] = value
+
+        bundle = self._copy(tmp_path, bundle_path, name, edit)
+        assert self._run(command, tmp_path, bundle, weather_csv, table_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: ") and name in err
 
 
 @pytest.mark.parametrize("source,extra", [
@@ -1033,6 +1123,16 @@ class TestCompareInputs:
         assert self._compare(tmp_path, run) == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: malformed summary: missing or mistyped ['{key}']\n")
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("key", ["k", "realizations"])
+    def test_summary_count_of_zero(self, tmp_path, run, capsys, key):
+        path = run / "summary.json"
+        path.write_text(re.sub(rf'"{key}": [0-9]+', f'"{key}": 0', path.read_text()))
+        assert f'"{key}": 0,' in path.read_text()
+        assert self._compare(tmp_path, run) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: k and realizations must be >= 1\n")
         assert not (tmp_path / "cmp").exists()
 
     def test_zero_reference_mean(self, tmp_path, run):
